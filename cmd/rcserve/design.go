@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"sync"
 
 	rcdelay "repro"
@@ -238,8 +239,9 @@ func (s *server) handleDesignEdit(w http.ResponseWriter, r *http.Request) {
 
 // handleDesignSlack returns the session's current chip report: the full
 // endpoint slack table (worst first) and the critical paths, re-derived
-// incrementally after edits. The report type carries its own JSON-safe
-// marshaling.
+// incrementally after edits. The {"gen","id","report"} envelope is written
+// directly around the report's own JSON, byte for byte what writeJSON would
+// produce for it, without marshaling the report through a map.
 func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_slack_queries_total", 1)
@@ -259,11 +261,17 @@ func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 	// snapshot can be marshaled outside the lock.
 	gen, report := ds.sess.Gen(), ds.sess.Report()
 	ds.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":     ent.id,
-		"gen":    gen,
-		"report": report,
-	})
+	id, _ := json.Marshal(ent.id) // a string always marshals
+	body := strconv.AppendUint([]byte("{\n  \"gen\": "), gen, 10)
+	body = append(append(append(body, ",\n  \"id\": "...), id...), ",\n  \"report\": "...)
+	body, err := report.AppendJSON(body, 1)
+	if err != nil {
+		httpError(w, r, fmt.Sprintf("encode report: %v", err), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(body, "\n}\n"...))
 }
 
 // designCloseRequest is the POST /design/{id}/close body: the repair

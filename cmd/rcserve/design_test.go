@@ -653,3 +653,52 @@ func TestDesignCorners(t *testing.T) {
 		t.Errorf("unknown id = %d", w.Code)
 	}
 }
+
+// TestDesignSlackBodyMatchesEnvelope pins the slack response body byte for
+// byte to the envelope encoding/json writes for {"id", "gen", "report"}
+// (keys sorted, two-space indent, trailing newline), on a design whose
+// names need HTML escaping, before and after an edit.
+func TestDesignSlackBodyMatchesEnvelope(t *testing.T) {
+	srv := designServer()
+	deck := strings.NewReplacer(".design chip", ".design <chip&co>", "bus", `b"us\`).Replace(chipDeck)
+	body, _ := json.Marshal(map[string]any{"design": deck, "threshold": 0.7, "k": 2})
+	code, created := postDesign(t, srv, string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	for round := range 2 {
+		if round == 1 {
+			if code, resp := postEdits(t, srv, id, `{"edits": [{"op": "setR", "net": "drv", "node": "o", "r": 800}]}`); code != http.StatusOK {
+				t.Fatalf("edit = %d: %v", code, resp)
+			}
+		}
+		req := httptest.NewRequest(http.MethodGet, "/design/"+id+"/slack", nil)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK || w.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("GET slack = %d (%s): %s", w.Code, w.Header().Get("Content-Type"), w.Body.String())
+		}
+
+		e, ok := srv.designs.get(id)
+		if !ok {
+			t.Fatal("design vanished")
+		}
+		e.val.mu.Lock()
+		gen, report := e.val.sess.Gen(), e.val.sess.Report()
+		e.val.mu.Unlock()
+		srv.designs.release(e)
+		var want strings.Builder
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(map[string]any{"id": id, "gen": gen, "report": report}); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Body.String(); got != want.String() {
+			t.Fatalf("round %d: slack body differs from the encoding/json envelope:\n%s\nwant:\n%s", round, got, want.String())
+		}
+		if !strings.Contains(w.Body.String(), `"design": "\u003cchip\u0026co\u003e"`) {
+			t.Errorf("design name not HTML-escaped:\n%s", w.Body.String())
+		}
+	}
+}

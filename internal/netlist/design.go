@@ -3,7 +3,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/rctree"
 )
@@ -78,7 +78,8 @@ func (d *Design) Net(name string) *DesignNet {
 	return nil
 }
 
-// ParseDesign reads a multi-net design deck. Every stage and require is
+// ParseDesign reads a multi-net design deck in one pass: the cards of each
+// net section go straight to that net's deck. Every stage and require is
 // validated against the declared nets and their designated outputs, so a
 // returned Design is structurally sound (cycles are only diagnosed when a
 // timing graph is built from it).
@@ -86,50 +87,37 @@ func ParseDesign(src string) (*Design, error) {
 	d := &Design{}
 	var (
 		curName string // net being collected, "" at top level
-		curDeck strings.Builder
 		netLine int
 	)
+	net := newDeck()
 	seenNets := map[string]int{}
-	finishNet := func() error {
-		tree, err := Parse(curDeck.String())
-		if err != nil {
-			return fmt.Errorf("netlist: design net %q (line %d): %w", curName, netLine, err)
-		}
-		d.Nets = append(d.Nets, DesignNet{Name: curName, Tree: tree})
-		curName = ""
-		curDeck.Reset()
-		return nil
-	}
-	for lineNo, raw := range strings.Split(src, "\n") {
-		no := lineNo + 1
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "*") {
-			continue
-		}
-		fields := strings.Fields(line)
-		head := strings.ToUpper(fields[0])
+	s := scanner{src: src}
+	for fields := s.next(); fields != nil; fields = s.next() {
+		no, head := s.no, fields[0]
 		if curName != "" {
 			// Inside a net section: .endnet closes it, everything else is
-			// deck content for the inner parser.
-			if head == ".ENDNET" {
-				if err := finishNet(); err != nil {
-					return nil, err
+			// a card of the net's deck.
+			var err error
+			switch {
+			case isDirective(head, ".ENDNET"):
+				var tree *rctree.Tree
+				if tree, err = net.build(); err == nil {
+					d.Nets = append(d.Nets, DesignNet{Name: curName, Tree: tree})
+					curName = ""
+					continue
 				}
-				continue
-			}
-			if head == ".NET" {
+			case isDirective(head, ".NET"):
 				return nil, fmt.Errorf("netlist: line %d: .net inside net %q (missing .endnet)", no, curName)
+			default:
+				err = net.card(fields, no)
 			}
-			curDeck.WriteString(raw)
-			curDeck.WriteByte('\n')
+			if err != nil {
+				return nil, fmt.Errorf("netlist: design net %q (line %d): %w", curName, netLine, err)
+			}
 			continue
 		}
-		switch head {
-		case ".DESIGN":
+		switch {
+		case isDirective(head, ".DESIGN"):
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("netlist: line %d: .design takes exactly one name", no)
 			}
@@ -137,7 +125,7 @@ func ParseDesign(src string) (*Design, error) {
 				return nil, fmt.Errorf("netlist: line %d: duplicate .design (already %q)", no, d.Name)
 			}
 			d.Name = fields[1]
-		case ".NET":
+		case isDirective(head, ".NET"):
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("netlist: line %d: .net takes exactly one name", no)
 			}
@@ -146,9 +134,10 @@ func ParseDesign(src string) (*Design, error) {
 			}
 			seenNets[fields[1]] = no
 			curName, netLine = fields[1], no
-		case ".ENDNET":
+			net.reset()
+		case isDirective(head, ".ENDNET"):
 			return nil, fmt.Errorf("netlist: line %d: .endnet without .net", no)
-		case ".STAGE":
+		case isDirective(head, ".STAGE"):
 			if len(fields) != 5 {
 				return nil, fmt.Errorf("netlist: line %d: stage card needs '.stage fromNet output toNet delay'", no)
 			}
@@ -162,7 +151,7 @@ func ParseDesign(src string) (*Design, error) {
 			d.Stages = append(d.Stages, Stage{
 				FromNet: fields[1], FromOutput: fields[2], ToNet: fields[3], Delay: delay,
 			})
-		case ".REQUIRE":
+		case isDirective(head, ".REQUIRE"):
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("netlist: line %d: require card needs '.require net output time'", no)
 			}
@@ -171,7 +160,7 @@ func ParseDesign(src string) (*Design, error) {
 				return nil, fmt.Errorf("netlist: line %d: %w", no, err)
 			}
 			d.Requires = append(d.Requires, Require{Net: fields[1], Output: fields[2], Time: t})
-		case ".END":
+		case isDirective(head, ".END"):
 			// terminator, accepted anywhere at top level
 		default:
 			return nil, fmt.Errorf("netlist: line %d: unrecognized design card %q (element cards belong inside .net/.endnet)", no, fields[0])
@@ -232,18 +221,29 @@ func hasOutput(t *rctree.Tree, name string) bool {
 // through ParseDesign. Nets keep declaration order; stages and requires are
 // emitted sorted for a canonical form.
 func WriteDesign(d *Design) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "* design: %d nets, %d stages\n", len(d.Nets), len(d.Stages))
+	size := 64 + 64*(len(d.Stages)+len(d.Requires))
+	for _, n := range d.Nets {
+		size += 32 + treeSizeHint(n.Tree)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, "* design: "...)
+	b = strconv.AppendInt(b, int64(len(d.Nets)), 10)
+	b = append(b, " nets, "...)
+	b = strconv.AppendInt(b, int64(len(d.Stages)), 10)
+	b = append(b, " stages\n"...)
 	if d.Name != "" {
-		fmt.Fprintf(&sb, ".design %s\n", d.Name)
+		b = appendLine(b, ".design ", d.Name)
 	}
 	for _, n := range d.Nets {
-		fmt.Fprintf(&sb, ".net %s\n", n.Name)
-		sb.WriteString(Write(n.Tree))
-		sb.WriteString(".endnet\n")
+		b = appendLine(b, ".net ", n.Name)
+		b = appendTree(b, n.Tree)
+		b = append(b, ".endnet\n"...)
 	}
 	for _, s := range canonicalStages(d.Stages) {
-		fmt.Fprintf(&sb, ".stage %s %s %s %s\n", s.FromNet, s.FromOutput, s.ToNet, fmtVal(s.Delay))
+		b = appendNodes(append(b, ".stage"...), s.FromNet, s.FromOutput)
+		b = append(append(b, ' '), s.ToNet...)
+		b = appendVal(b, s.Delay)
+		b = append(b, '\n')
 	}
 	requires := append([]Require(nil), d.Requires...)
 	sort.SliceStable(requires, func(i, j int) bool {
@@ -253,10 +253,17 @@ func WriteDesign(d *Design) string {
 		return requires[i].Output < requires[j].Output
 	})
 	for _, r := range requires {
-		fmt.Fprintf(&sb, ".require %s %s %s\n", r.Net, r.Output, fmtVal(r.Time))
+		b = appendNodes(append(b, ".require"...), r.Net, r.Output)
+		b = appendVal(b, r.Time)
+		b = append(b, '\n')
 	}
-	sb.WriteString(".end\n")
-	return sb.String()
+	b = append(b, ".end\n"...)
+	return string(b)
+}
+
+// appendLine appends a directive, its argument and a newline.
+func appendLine(b []byte, directive, arg string) []byte {
+	return append(append(append(b, directive...), arg...), '\n')
 }
 
 // canonicalStages returns the stages in the deterministic order WriteDesign

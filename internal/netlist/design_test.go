@@ -104,6 +104,11 @@ func TestParseDesignErrors(t *testing.T) {
 		{"dup design name", ".design x\n.design y\n", "duplicate .design"},
 		{"element at top level", "R1 in o 1\n", "unrecognized design card"},
 		{"infinite require", ".net a\nR1 in o 1\nC1 o 0 1\n.output o\n.endnet\n.require a o infinity\n", "non-finite"},
+		// Lines inside a net are numbered as in the deck, comments and
+		// blank lines included.
+		{"inner line number", ".design x\n* c\n.net a\n* c1\n\n; c2\nR1 in o 1\nC1 o 0 1\nX9 o 0 1\n.output o\n.endnet\n",
+			`design net "a" (line 3): netlist: line 9: unrecognized card "X9"`},
+		{"inner build error line", ".net a\n\nR1 in o 1\nC1 o 0 1\nC2 zz 0 1\n.endnet\n", `line 5: capacitor node "zz"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,5 +151,66 @@ func TestWriteDesignRoundTrip(t *testing.T) {
 	// Writing the reparse must be byte-identical: the writer is canonical.
 	if again := WriteDesign(back); again != deck {
 		t.Errorf("writer not canonical:\n%s\nvs\n%s", deck, again)
+	}
+}
+
+// TestWriteDesignGolden pins WriteDesign's bytes (the WAL snapshot and
+// POST /design format): card numbering, value notation across magnitudes,
+// sorted outputs, stages and requires.
+func TestWriteDesignGolden(t *testing.T) {
+	d, err := ParseDesign(`.design gold
+.net drv
+.input in
+C0 in 0 1.5f
+R1 in o 10k
+C1 o 0 5e-15
+U1 o far 2.5e20 3.25p
+C2 far 0 0.1
+.output far o
+.endnet
+.net load
+R1 in a 1e-7
+C1 a 0 3
+.output a
+.endnet
+.stage drv far load 3.5
+.stage drv o load 1e21
+.require load a 400
+.require drv o 1.25e-3
+.end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `* design: 2 nets, 2 stages
+.design gold
+.net drv
+* RC tree: 3 nodes
+.input in
+C1 in 0 1.5000000000000001e-15
+R1 in o 10000
+C2 o 0 5e-15
+U1 o far 2.5e+20 3.25e-12
+C3 far 0 0.1
+.output far
+.output o
+.end
+.endnet
+.net load
+* RC tree: 2 nodes
+.input in
+R1 in a 1e-07
+C1 a 0 3
+.output a
+.end
+.endnet
+.stage drv far load 3.5
+.stage drv o load 1e+21
+.require drv o 0.00125
+.require load a 400
+.end
+`
+	if got := WriteDesign(d); got != want {
+		t.Errorf("WriteDesign =\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -62,6 +62,19 @@ func wideStageFanoutDesign(n int) string {
 	return b.String()
 }
 
+// separatorSeeds are single-net decks on the edges of line splitting and
+// card matching: CRLF line endings, no final newline, mixed-case
+// directives and card letters, ASCII tab/VT/FF separators, and the
+// non-ASCII spaces strings.Fields splits on (U+00A0, U+0085, U+3000).
+var separatorSeeds = []string{
+	".input in\r\nR1 in o 1\r\nC1 o 0 1\r\n.output o\r\n.end\r\n",
+	"R1 in o 1\nC1 o 0 1\n.output o",
+	".Input in\nr1 in o 1\nc1 o GND 1\nu2 o p 1 2\n.OutPut o p\n.End",
+	"R1\tin\to\t1\nC1\vo\v0\v1\nR2\fo\fp\f2\n.output\t\vp",
+	"R1\u00a0in\u00a0o 1\nC1 o\u00850\u00851\nU1 o\u3000p 1\u30002\n.output\u3000p\u00a0o",
+	"\u00a0R1 in o 1\u0085\n\u3000C1 o 0 1\n.output o\u00a0; trailing\n",
+}
+
 // FuzzParse asserts the parser never panics and that any deck it accepts
 // survives a Write→Parse round trip with characteristic times intact.
 func FuzzParse(f *testing.F) {
@@ -80,6 +93,7 @@ func FuzzParse(f *testing.F) {
 		deepChainDeck(80),
 		wideFanoutDeck(60),
 	}
+	seeds = append(seeds, separatorSeeds...)
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -144,6 +158,16 @@ func FuzzParseDesign(f *testing.F) {
 		".net wide\n" + wideFanoutDeck(60) + ".endnet\n",
 		deepStageChainDesign(24),
 		wideStageFanoutDesign(24),
+		// Line endings, case and separators, as in FuzzParse but at design
+		// level.
+		".design d\r\n.net a\r\nR1 in o 1\r\nC1 o 0 1\r\n.output o\r\n.endnet\r\n.stage a o a 1\r\n",
+		".NeT a\nR1 in o 1\nC1 o 0 1\n.Output o\n.EndNet\n.NET b\nr1 in o 1\nc1 o gnd 1\n.OUTPUT o\n.ENDNET\n.Stage a o b 2\n.REQUIRE b o 9",
+		".net a\tx\n.endnet\n",
+		".net\va\nR1\tin\fo 1\nC1 o\v0 1\n.output\to\n.endnet\f\n",
+		".net a\nR1\u00a0in o\u00851\nC1 o\u30000 1\n.output\u3000o\n.endnet\u0085\n",
+	}
+	for _, s := range separatorSeeds {
+		seeds = append(seeds, ".net a\n"+s+"\n.endnet\n")
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -214,6 +238,7 @@ func FuzzArenaRoundTrip(f *testing.F) {
 		deepChainDeck(80),
 		wideFanoutDeck(60),
 	}
+	seeds = append(seeds, separatorSeeds...)
 	for _, s := range seeds {
 		f.Add(s)
 	}

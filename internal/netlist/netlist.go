@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/rctree"
 )
@@ -31,45 +32,145 @@ import (
 // edge is a two-terminal element between tree nodes, pre-orientation.
 type edge struct {
 	name   string
-	a, b   string
+	a, b   int32 // node ids
 	r, c   float64
 	isLine bool
 	line   int
 }
 
+// deck collects the cards of one net. Node names are interned to dense
+// int32 ids in order of first appearance, so per-node data lives in slices;
+// a deck is reset and reused across the nets of a design.
 type deck struct {
-	edges   []edge
-	caps    map[string]float64 // node -> summed capacitance to ground
-	capLine map[string]int
-	input   string
-	outputs []string
-	seen    map[string]int // element name -> source line
+	index    map[string]int32 // node name -> id
+	names    []string         // id -> node name
+	caps     []float64        // id -> summed capacitance to ground
+	capLine  []int            // id -> line of its first capacitor, 0 if none
+	capNodes []int32          // nodes carrying capacitance, by first capacitor line
+	edges    []edge
+	input    string
+	outputs  []string
+	seen     map[string]int // element name -> source line
 }
 
-// Parse reads a deck and returns the RC tree it describes.
-func Parse(src string) (*rctree.Tree, error) {
-	d := &deck{caps: map[string]float64{}, capLine: map[string]int{}, seen: map[string]int{}}
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := raw
+func newDeck() *deck {
+	return &deck{index: map[string]int32{}, seen: map[string]int{}}
+}
+
+func (d *deck) reset() {
+	clear(d.index)
+	clear(d.seen)
+	d.names, d.caps, d.capLine, d.capNodes = d.names[:0], d.caps[:0], d.capLine[:0], d.capNodes[:0]
+	d.edges, d.outputs, d.input = d.edges[:0], d.outputs[:0], ""
+}
+
+// node interns a node name.
+func (d *deck) node(name string) int32 {
+	if id, ok := d.index[name]; ok {
+		return id
+	}
+	id := int32(len(d.names))
+	d.index[name] = id
+	d.names = append(d.names, name)
+	d.caps = append(d.caps, 0)
+	d.capLine = append(d.capLine, 0)
+	return id
+}
+
+// scanner walks a deck one card at a time, numbering lines as in the
+// source and skipping blank lines and comments.
+type scanner struct {
+	src string
+	pos int // start of the next line, -1 past the last
+	no  int // number of the line of the current card
+	buf [8]string
+}
+
+// next returns the fields of the next card, or nil at the end of the deck.
+// The slice is only valid until the following call.
+func (s *scanner) next() []string {
+	for s.pos >= 0 {
+		line := s.src[s.pos:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+			s.pos += i + 1
+		} else {
+			s.pos = -1
+		}
+		s.no++
 		if i := strings.IndexByte(line, ';'); i >= 0 {
 			line = line[:i]
 		}
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "*") {
+		if line == "" || line[0] == '*' {
 			continue
 		}
-		if err := d.card(line, lineNo+1); err != nil {
+		return s.fields(line)
+	}
+	return nil
+}
+
+// fields splits a trimmed, non-empty line like strings.Fields, without
+// allocating when the line is ASCII.
+func (s *scanner) fields(line string) []string {
+	f := s.buf[:0]
+	start := -1 // start of the field being scanned, -1 between fields
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c >= utf8.RuneSelf:
+			return strings.Fields(line)
+		case c == ' ' || '\t' <= c && c <= '\r': // \t \n \v \f \r
+			if start >= 0 {
+				f = append(f, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		f = append(f, line[start:])
+	}
+	return f
+}
+
+// isDirective reports whether field upper-cases (as by strings.ToUpper) to
+// the directive want.
+func isDirective(field, want string) bool {
+	if len(field) == len(want) {
+		return strings.EqualFold(field, want)
+	}
+	// Only U+0131 and U+017F upper-case to ASCII (I and S), shrinking by a
+	// byte, so a longer field can match only when it is not ASCII.
+	return len(field) > len(want) && !isASCII(field) && strings.ToUpper(field) == want
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// Parse reads a deck and returns the RC tree it describes.
+func Parse(src string) (*rctree.Tree, error) {
+	d := newDeck()
+	s := scanner{src: src}
+	for f := s.next(); f != nil; f = s.next() {
+		if err := d.card(f, s.no); err != nil {
 			return nil, err
 		}
 	}
 	return d.build()
 }
 
-func (d *deck) card(line string, no int) error {
-	fields := strings.Fields(line)
-	head := strings.ToUpper(fields[0])
+// card adds one card, given as its fields, from line no of the deck.
+func (d *deck) card(fields []string, no int) error {
+	head := fields[0]
 	switch {
-	case head == ".INPUT":
+	case isDirective(head, ".INPUT"):
 		if len(fields) != 2 {
 			return fmt.Errorf("netlist: line %d: .input takes exactly one node", no)
 		}
@@ -78,15 +179,16 @@ func (d *deck) card(line string, no int) error {
 		}
 		d.input = fields[1]
 		return nil
-	case head == ".OUTPUT":
+	case isDirective(head, ".OUTPUT"):
 		if len(fields) < 2 {
 			return fmt.Errorf("netlist: line %d: .output needs at least one node", no)
 		}
 		d.outputs = append(d.outputs, fields[1:]...)
 		return nil
-	case head == ".END":
+	case isDirective(head, ".END"):
 		return nil
-	case strings.HasPrefix(head, "R"):
+	// No non-ASCII rune upper-cases to R, C or U, so the first byte decides.
+	case head[0]|0x20 == 'r':
 		if len(fields) != 4 {
 			return fmt.Errorf("netlist: line %d: resistor card needs 'Rname a b value'", no)
 		}
@@ -94,8 +196,8 @@ func (d *deck) card(line string, no int) error {
 		if err != nil {
 			return fmt.Errorf("netlist: line %d: %w", no, err)
 		}
-		return d.addEdge(edge{name: fields[0], a: fields[1], b: fields[2], r: v, line: no})
-	case strings.HasPrefix(head, "C"):
+		return d.addEdge(fields, v, 0, false, no)
+	case head[0]|0x20 == 'c':
 		if len(fields) != 4 {
 			return fmt.Errorf("netlist: line %d: capacitor card needs 'Cname node 0 value'", no)
 		}
@@ -113,16 +215,17 @@ func (d *deck) card(line string, no int) error {
 		if v < 0 {
 			return fmt.Errorf("netlist: line %d: negative capacitance %g", no, v)
 		}
-		if prev, dup := d.seen[strings.ToUpper(fields[0])]; dup {
-			return fmt.Errorf("netlist: line %d: element %s already defined at line %d", no, fields[0], prev)
+		if err := d.claim(fields[0], no); err != nil {
+			return err
 		}
-		d.seen[strings.ToUpper(fields[0])] = no
-		d.caps[node] += v
-		if _, ok := d.capLine[node]; !ok {
-			d.capLine[node] = no
+		id := d.node(node)
+		d.caps[id] += v
+		if d.capLine[id] == 0 {
+			d.capLine[id] = no
+			d.capNodes = append(d.capNodes, id)
 		}
 		return nil
-	case strings.HasPrefix(head, "U"):
+	case head[0]|0x20 == 'u':
 		if len(fields) != 5 {
 			return fmt.Errorf("netlist: line %d: line card needs 'Uname a b Rvalue Cvalue'", no)
 		}
@@ -134,27 +237,37 @@ func (d *deck) card(line string, no int) error {
 		if err != nil {
 			return fmt.Errorf("netlist: line %d: %w", no, err)
 		}
-		return d.addEdge(edge{name: fields[0], a: fields[1], b: fields[2], r: r, c: c, isLine: true, line: no})
+		return d.addEdge(fields, r, c, true, no)
 	}
 	return fmt.Errorf("netlist: line %d: unrecognized card %q", no, fields[0])
 }
 
-func (d *deck) addEdge(e edge) error {
-	key := strings.ToUpper(e.name)
+// claim records element name as defined at line no, rejecting a duplicate.
+func (d *deck) claim(name string, no int) error {
+	key := strings.ToUpper(name)
 	if prev, dup := d.seen[key]; dup {
-		return fmt.Errorf("netlist: line %d: element %s already defined at line %d", e.line, e.name, prev)
+		return fmt.Errorf("netlist: line %d: element %s already defined at line %d", no, name, prev)
 	}
-	d.seen[key] = e.line
-	if isGround(e.a) || isGround(e.b) {
-		return fmt.Errorf("netlist: line %d: element %s connects to ground; RC trees have no resistor to ground", e.line, e.name)
+	d.seen[key] = no
+	return nil
+}
+
+// addEdge adds the element of an R or U card: fields are name, a, b, ...
+func (d *deck) addEdge(fields []string, r, c float64, isLine bool, no int) error {
+	name, a, b := fields[0], fields[1], fields[2]
+	if err := d.claim(name, no); err != nil {
+		return err
 	}
-	if e.a == e.b {
-		return fmt.Errorf("netlist: line %d: element %s is a self-loop on %q", e.line, e.name, e.a)
+	if isGround(a) || isGround(b) {
+		return fmt.Errorf("netlist: line %d: element %s connects to ground; RC trees have no resistor to ground", no, name)
 	}
-	if e.r < 0 || e.c < 0 {
-		return fmt.Errorf("netlist: line %d: element %s has a negative value", e.line, e.name)
+	if a == b {
+		return fmt.Errorf("netlist: line %d: element %s is a self-loop on %q", no, name, a)
 	}
-	d.edges = append(d.edges, e)
+	if r < 0 || c < 0 {
+		return fmt.Errorf("netlist: line %d: element %s has a negative value", no, name)
+	}
+	d.edges = append(d.edges, edge{name: name, a: d.node(a), b: d.node(b), r: r, c: c, isLine: isLine, line: no})
 	return nil
 }
 
@@ -175,67 +288,82 @@ func (d *deck) build() (*rctree.Tree, error) {
 		// parent); the response is then an immediate step.
 		return d.buildCapacitorOnly(input)
 	}
-	adj := map[string][]int{}
-	nodes := map[string]bool{input: true}
-	for i, e := range d.edges {
-		adj[e.a] = append(adj[e.a], i)
-		adj[e.b] = append(adj[e.b], i)
-		nodes[e.a] = true
-		nodes[e.b] = true
+	// CSR adjacency: the edges at node v are adj[off[v]:off[v+1]], in deck
+	// order, so the BFS numbers nodes as the deck lists them.
+	n := len(d.names)
+	off := make([]int32, n+1)
+	for _, e := range d.edges {
+		off[e.a+1]++
+		off[e.b+1]++
 	}
-	if len(adj[input]) == 0 {
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	ids := make([]rctree.NodeID, n) // fill cursors first, then tree ids
+	for v := range ids {
+		ids[v] = rctree.NodeID(off[v])
+	}
+	adj := make([]int32, 2*len(d.edges))
+	for i, e := range d.edges {
+		adj[ids[e.a]] = int32(i)
+		ids[e.a]++
+		adj[ids[e.b]] = int32(i)
+		ids[e.b]++
+	}
+	in, ok := d.index[input]
+	if !ok || off[in] == off[in+1] {
 		return nil, fmt.Errorf("netlist: input node %q touches no element", input)
 	}
 
 	b := rctree.NewBuilder(input)
-	ids := map[string]rctree.NodeID{input: rctree.Root}
-	usedEdge := make([]bool, len(d.edges))
-	queue := []string{input}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, ei := range adj[cur] {
-			if usedEdge[ei] {
+	for v := range ids {
+		ids[v] = -1 // not reached yet
+	}
+	ids[in] = rctree.Root
+	used := make([]bool, len(d.edges))
+	queue := make([]int32, 1, n)
+	queue[0] = in
+	for h := 0; h < len(queue); h++ {
+		v := queue[h]
+		for _, ei := range adj[off[v]:off[v+1]] {
+			if used[ei] {
 				continue
 			}
-			e := d.edges[ei]
-			usedEdge[ei] = true
+			e := &d.edges[ei]
+			used[ei] = true
 			far := e.b
-			if far == cur {
+			if far == v {
 				far = e.a
 			}
-			if _, visited := ids[far]; visited {
-				return nil, fmt.Errorf("netlist: line %d: element %s closes a resistive loop at node %q; the network is not a tree", e.line, e.name, far)
+			if ids[far] >= 0 {
+				return nil, fmt.Errorf("netlist: line %d: element %s closes a resistive loop at node %q; the network is not a tree", e.line, e.name, d.names[far])
 			}
-			var id rctree.NodeID
 			if e.isLine {
-				id = b.Line(ids[cur], far, e.r, e.c)
+				ids[far] = b.Line(ids[v], d.names[far], e.r, e.c)
 			} else {
-				id = b.Resistor(ids[cur], far, e.r)
+				ids[far] = b.Resistor(ids[v], d.names[far], e.r)
 			}
-			ids[far] = id
 			queue = append(queue, far)
 		}
 	}
-	for i, used := range usedEdge {
-		if !used {
-			e := d.edges[i]
-			return nil, fmt.Errorf("netlist: line %d: element %s (%s-%s) is disconnected from the input", e.line, e.name, e.a, e.b)
+	for i, u := range used {
+		if !u {
+			e := &d.edges[i]
+			return nil, fmt.Errorf("netlist: line %d: element %s (%s-%s) is disconnected from the input", e.line, e.name, d.names[e.a], d.names[e.b])
 		}
 	}
-	for node, c := range d.caps {
-		id, ok := ids[node]
-		if !ok {
-			return nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the tree", d.capLine[node], node)
+	for _, v := range d.capNodes {
+		if ids[v] < 0 {
+			return nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the tree", d.capLine[v], d.names[v])
 		}
-		b.Capacitor(id, c)
+		b.Capacitor(ids[v], d.caps[v])
 	}
 	for _, out := range d.outputs {
-		id, ok := ids[out]
-		if !ok {
+		v, ok := d.index[out]
+		if !ok || ids[v] < 0 {
 			return nil, fmt.Errorf("netlist: .output node %q does not exist", out)
 		}
-		b.Output(id)
+		b.Output(ids[v])
 	}
 	return b.Build()
 }
@@ -244,15 +372,15 @@ func (d *deck) build() (*rctree.Tree, error) {
 // must all sit at the input node (anything else is floating), and the
 // result is the single-node tree.
 func (d *deck) buildCapacitorOnly(input string) (*rctree.Tree, error) {
-	if len(d.caps) == 0 {
+	if len(d.capNodes) == 0 {
 		return nil, fmt.Errorf("netlist: deck has no elements")
 	}
 	b := rctree.NewBuilder(input)
-	for node, c := range d.caps {
-		if node != input {
-			return nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the tree", d.capLine[node], node)
+	for _, v := range d.capNodes {
+		if d.names[v] != input {
+			return nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the tree", d.capLine[v], d.names[v])
 		}
-		b.Capacitor(rctree.Root, c)
+		b.Capacitor(rctree.Root, d.caps[v])
 	}
 	for _, out := range d.outputs {
 		if out != input {
@@ -266,25 +394,30 @@ func (d *deck) buildCapacitorOnly(input string) (*rctree.Tree, error) {
 // ParseValue parses a SPICE-style number with optional engineering suffix:
 // f=1e-15, p=1e-12, n=1e-9, u=1e-6, m=1e-3, k=1e3, meg=1e6, g=1e9.
 func ParseValue(s string) (float64, error) {
-	low := strings.ToLower(strings.TrimSpace(s))
+	low := strings.TrimSpace(s)
 	mult := 1.0
-	switch {
-	case strings.HasSuffix(low, "meg"):
-		mult, low = 1e6, strings.TrimSuffix(low, "meg")
-	case strings.HasSuffix(low, "f"):
-		mult, low = 1e-15, strings.TrimSuffix(low, "f")
-	case strings.HasSuffix(low, "p"):
-		mult, low = 1e-12, strings.TrimSuffix(low, "p")
-	case strings.HasSuffix(low, "n"):
-		mult, low = 1e-9, strings.TrimSuffix(low, "n")
-	case strings.HasSuffix(low, "u"):
-		mult, low = 1e-6, strings.TrimSuffix(low, "u")
-	case strings.HasSuffix(low, "m"):
-		mult, low = 1e-3, strings.TrimSuffix(low, "m")
-	case strings.HasSuffix(low, "k"):
-		mult, low = 1e3, strings.TrimSuffix(low, "k")
-	case strings.HasSuffix(low, "g"):
-		mult, low = 1e9, strings.TrimSuffix(low, "g")
+	// The suffixes are letters: a value ending in a digit has none, and
+	// strconv.ParseFloat is case-insensitive by itself.
+	if n := len(low); n == 0 || low[n-1] < '0' || low[n-1] > '9' {
+		low = strings.ToLower(low)
+		switch {
+		case strings.HasSuffix(low, "meg"):
+			mult, low = 1e6, strings.TrimSuffix(low, "meg")
+		case strings.HasSuffix(low, "f"):
+			mult, low = 1e-15, strings.TrimSuffix(low, "f")
+		case strings.HasSuffix(low, "p"):
+			mult, low = 1e-12, strings.TrimSuffix(low, "p")
+		case strings.HasSuffix(low, "n"):
+			mult, low = 1e-9, strings.TrimSuffix(low, "n")
+		case strings.HasSuffix(low, "u"):
+			mult, low = 1e-6, strings.TrimSuffix(low, "u")
+		case strings.HasSuffix(low, "m"):
+			mult, low = 1e-3, strings.TrimSuffix(low, "m")
+		case strings.HasSuffix(low, "k"):
+			mult, low = 1e3, strings.TrimSuffix(low, "k")
+		case strings.HasSuffix(low, "g"):
+			mult, low = 1e9, strings.TrimSuffix(low, "g")
+		}
 	}
 	v, err := strconv.ParseFloat(low, 64)
 	if err != nil {
@@ -302,43 +435,69 @@ func ParseValue(s string) (float64, error) {
 // Write renders a tree back into deck form. Values print in plain notation;
 // the result round-trips through Parse.
 func Write(t *rctree.Tree) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "* RC tree: %d nodes\n", t.NumNodes())
-	fmt.Fprintf(&sb, ".input %s\n", t.Name(rctree.Root))
+	return string(appendTree(make([]byte, 0, treeSizeHint(t)), t))
+}
+
+// treeSizeHint estimates the bytes of a tree's deck: a card or two per
+// node.
+func treeSizeHint(t *rctree.Tree) int { return 64 + 48*t.NumNodes() }
+
+func appendTree(b []byte, t *rctree.Tree) []byte {
+	b = append(b, "* RC tree: "...)
+	b = strconv.AppendInt(b, int64(t.NumNodes()), 10)
+	b = append(b, " nodes\n.input "...)
+	b = append(b, t.Name(rctree.Root)...)
+	b = append(b, '\n')
 	rCount, uCount, cCount := 0, 0, 0
-	t.Walk(func(id rctree.NodeID) {
-		if id == rctree.Root {
-			if c := t.NodeCap(id); c > 0 {
-				cCount++
-				fmt.Fprintf(&sb, "C%d %s 0 %s\n", cCount, t.Name(id), fmtVal(c))
+	for i := range t.NumNodes() {
+		id := rctree.NodeID(i)
+		if id != rctree.Root {
+			kind, r, c := t.Edge(id)
+			parent := t.Name(t.Parent(id))
+			switch kind {
+			case rctree.EdgeResistor:
+				rCount++
+				b = appendVal(appendCard(b, 'R', rCount, parent, t.Name(id)), r)
+				b = append(b, '\n')
+			case rctree.EdgeLine:
+				uCount++
+				b = appendVal(appendVal(appendCard(b, 'U', uCount, parent, t.Name(id)), r), c)
+				b = append(b, '\n')
 			}
-			return
 		}
-		kind, r, c := t.Edge(id)
-		parent := t.Name(t.Parent(id))
-		switch kind {
-		case rctree.EdgeResistor:
-			rCount++
-			fmt.Fprintf(&sb, "R%d %s %s %s\n", rCount, parent, t.Name(id), fmtVal(r))
-		case rctree.EdgeLine:
-			uCount++
-			fmt.Fprintf(&sb, "U%d %s %s %s %s\n", uCount, parent, t.Name(id), fmtVal(r), fmtVal(c))
-		}
-		if nc := t.NodeCap(id); nc > 0 {
+		if c := t.NodeCap(id); c > 0 {
 			cCount++
-			fmt.Fprintf(&sb, "C%d %s 0 %s\n", cCount, t.Name(id), fmtVal(nc))
+			b = appendVal(appendCard(b, 'C', cCount, t.Name(id), "0"), c)
+			b = append(b, '\n')
 		}
-	})
+	}
 	outs := make([]string, 0, len(t.Outputs()))
 	for _, o := range t.Outputs() {
 		outs = append(outs, t.Name(o))
 	}
 	sort.Strings(outs)
 	for _, o := range outs {
-		fmt.Fprintf(&sb, ".output %s\n", o)
+		b = append(b, ".output "...)
+		b = append(b, o...)
+		b = append(b, '\n')
 	}
-	sb.WriteString(".end\n")
-	return sb.String()
+	return append(b, ".end\n"...)
+}
+
+// appendCard appends the element name and the two nodes of a card.
+func appendCard(b []byte, letter byte, n int, a, c string) []byte {
+	return appendNodes(strconv.AppendInt(append(b, letter), int64(n), 10), a, c)
+}
+
+// appendNodes appends two space-led fields.
+func appendNodes(b []byte, a, c string) []byte {
+	b = append(append(b, ' '), a...)
+	return append(append(b, ' '), c...)
+}
+
+// appendVal appends a space and v in the deck's value notation.
+func appendVal(b []byte, v float64) []byte {
+	return strconv.AppendFloat(append(b, ' '), v, 'g', -1, 64)
 }
 
 func fmtVal(v float64) string {

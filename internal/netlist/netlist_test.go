@@ -281,3 +281,19 @@ func TestCapacitorOnlyDeck(t *testing.T) {
 		t.Error("ghost output accepted")
 	}
 }
+
+// TestFloatingCapacitorErrorDeterministic: with several floating
+// capacitors the error names the one on the earliest line, every time.
+func TestFloatingCapacitorErrorDeterministic(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"with resistors", ".input a\nR1 a b 1\nC1 b 0 1\nC2 qq 0 3\nC3 zz 0 3\n"},
+		{"capacitors only", ".input a\nC1 a 0 1\n* no resistors\nC2 qq 0 3\nC3 zz 0 3\n"},
+	} {
+		for range 20 {
+			_, err := Parse(tc.src)
+			if err == nil || err.Error() != `netlist: line 4: capacitor node "qq" is not connected to the tree` {
+				t.Fatalf("%s: error = %v, want the floating capacitor on line 4", tc.name, err)
+			}
+		}
+	}
+}

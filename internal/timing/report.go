@@ -2,12 +2,13 @@ package timing
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/core"
 )
@@ -165,46 +166,12 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Wire shapes: +Inf is not representable in JSON, so required and slack ride
-// as pointers that are nil for unconstrained endpoints.
-type jsonEndpoint struct {
-	Net      string   `json:"net"`
-	Output   string   `json:"output"`
-	Arrival  Interval `json:"arrival"`
-	Required *float64 `json:"required,omitempty"`
-	Slack    *float64 `json:"slack,omitempty"`
-	Verdict  string   `json:"verdict"`
-}
-
-type jsonHop struct {
-	Net           string   `json:"net"`
-	Output        string   `json:"output"`
-	InputArrival  Interval `json:"inputArrival"`
-	NetDelay      Interval `json:"netDelay"`
-	OutputArrival Interval `json:"outputArrival"`
-	StageDelay    float64  `json:"stageDelay,omitempty"`
-}
-
-type jsonPath struct {
-	Endpoint string    `json:"endpoint"`
-	Slack    *float64  `json:"slack,omitempty"`
-	Hops     []jsonHop `json:"hops"`
-}
-
-type jsonReport struct {
-	Design    string         `json:"design,omitempty"`
-	Threshold float64        `json:"threshold"`
-	Nets      int            `json:"nets"`
-	Stages    int            `json:"stages"`
-	Levels    int            `json:"levels"`
-	WNS       *float64       `json:"wns,omitempty"`
-	TNS       float64        `json:"tns"`
-	Passes    int            `json:"passes"`
-	Unknown   int            `json:"unknown"`
-	Fails     int            `json:"fails"`
-	Endpoints []jsonEndpoint `json:"endpoints"`
-	Paths     []jsonPath     `json:"paths,omitempty"`
-}
+// The JSON form is written in one append pass that yields the bytes
+// encoding/json gives for the report's wire structs (kept in
+// report_test.go as the oracle), marshaled with HTML escaping and indented
+// by an Encoder with SetIndent("", "  "). +Inf is not representable in
+// JSON, so an infinite required time, slack or WNS is omitted. An empty
+// endpoint or hop list is null; an empty path list is omitted.
 
 // finitePtr maps +Inf (unconstrained) to nil for the JSON wire form.
 func finitePtr(v float64) *float64 {
@@ -214,48 +181,275 @@ func finitePtr(v float64) *float64 {
 	return &v
 }
 
-// wire converts the report to its JSON shape.
-func (r *Report) wire() jsonReport {
-	p, u, f := r.CountByVerdict()
-	out := jsonReport{
-		Design: r.Design, Threshold: r.Threshold,
-		Nets: r.Nets, Stages: r.Stages, Levels: r.Levels,
-		WNS: finitePtr(r.WNS), TNS: r.TNS,
-		Passes: p, Unknown: u, Fails: f,
-	}
-	for _, e := range r.Endpoints {
-		out.Endpoints = append(out.Endpoints, jsonEndpoint{
-			Net: e.Net, Output: e.Output, Arrival: e.Arrival,
-			Required: finitePtr(e.Required), Slack: finitePtr(e.Slack),
-			Verdict: e.Verdict.String(),
-		})
-	}
-	for _, path := range r.Paths {
-		jp := jsonPath{Endpoint: path.Endpoint, Slack: finitePtr(path.Slack)}
-		for _, h := range path.Hops {
-			jp.Hops = append(jp.Hops, jsonHop{
-				Net: h.Net, Output: h.Output,
-				InputArrival: h.InputArrival, NetDelay: h.NetDelay,
-				OutputArrival: h.OutputArrival, StageDelay: h.StageDelay,
-			})
-		}
-		out.Paths = append(out.Paths, jp)
-	}
-	return out
-}
-
 // WriteJSON emits the report as indented JSON with a stable schema.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.wire()); err != nil {
+	b, err := r.AppendJSON(nil, 0)
+	if err != nil {
 		return fmt.Errorf("timing: json: %w", err)
 	}
-	return nil
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // MarshalJSON makes the report JSON-safe anywhere it is embedded (the
 // rcserve design endpoints embed it in their envelopes).
 func (r *Report) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.wire())
+	return r.appendJSON(nil, false, 0)
+}
+
+// AppendJSON appends the report as WriteJSON renders it, without the
+// trailing newline, as if nested depth levels deep in an object indented
+// the same way (depth 0 for a top-level value). dst is grown once up front
+// to fit the report.
+func (r *Report) AppendJSON(dst []byte, depth int) ([]byte, error) {
+	return r.appendJSON(dst, true, depth)
+}
+
+// jsonSizeHint estimates the indented JSON size of the report.
+func (r *Report) jsonSizeHint() int {
+	n := 512 + 320*len(r.Endpoints)
+	for _, p := range r.Paths {
+		n += 128 + 448*len(p.Hops)
+	}
+	return n
+}
+
+func (r *Report) appendJSON(dst []byte, indent bool, depth int) ([]byte, error) {
+	w := jsonWriter{b: slices.Grow(dst, r.jsonSizeHint()), indent: indent, depth: depth}
+	p, u, f := r.CountByVerdict()
+	w.open('{')
+	if r.Design != "" {
+		w.str("design", r.Design)
+	}
+	w.float("threshold", r.Threshold)
+	w.int("nets", r.Nets)
+	w.int("stages", r.Stages)
+	w.int("levels", r.Levels)
+	w.finite("wns", r.WNS)
+	w.float("tns", r.TNS)
+	w.int("passes", p)
+	w.int("unknown", u)
+	w.int("fails", f)
+	w.key("endpoints")
+	if len(r.Endpoints) == 0 {
+		w.null()
+	} else {
+		w.open('[')
+		for i := range r.Endpoints {
+			e := &r.Endpoints[i]
+			w.elem()
+			w.str("net", e.Net)
+			w.str("output", e.Output)
+			w.interval("arrival", e.Arrival)
+			w.finite("required", e.Required)
+			w.finite("slack", e.Slack)
+			w.str("verdict", e.Verdict.String())
+			w.close('}')
+		}
+		w.close(']')
+	}
+	if len(r.Paths) > 0 {
+		w.key("paths")
+		w.open('[')
+		for i := range r.Paths {
+			path := &r.Paths[i]
+			w.elem()
+			w.str("endpoint", path.Endpoint)
+			w.finite("slack", path.Slack)
+			w.key("hops")
+			if len(path.Hops) == 0 {
+				w.null()
+			} else {
+				w.open('[')
+				for j := range path.Hops {
+					h := &path.Hops[j]
+					w.elem()
+					w.str("net", h.Net)
+					w.str("output", h.Output)
+					w.interval("inputArrival", h.InputArrival)
+					w.interval("netDelay", h.NetDelay)
+					w.interval("outputArrival", h.OutputArrival)
+					if h.StageDelay != 0 {
+						w.float("stageDelay", h.StageDelay)
+					}
+					w.close('}')
+				}
+				w.close(']')
+			}
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.close('}')
+	return w.b, w.err
+}
+
+// jsonWriter appends JSON to b, compact or indented two spaces per level.
+// first is whether the innermost open container is still empty.
+type jsonWriter struct {
+	b      []byte
+	indent bool
+	depth  int
+	first  bool
+	err    error
+}
+
+// newlineIndent holds a newline and the indentation of up to 15 levels.
+const newlineIndent = "\n                              "
+
+func (w *jsonWriter) newline() {
+	if !w.indent {
+		return
+	}
+	if n := 1 + 2*w.depth; n <= len(newlineIndent) {
+		w.b = append(w.b, newlineIndent[:n]...)
+		return
+	}
+	w.b = append(w.b, '\n')
+	for range w.depth {
+		w.b = append(w.b, "  "...)
+	}
+}
+
+func (w *jsonWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+	w.first = true
+}
+
+func (w *jsonWriter) close(c byte) {
+	w.depth--
+	w.newline()
+	w.b = append(w.b, c)
+	w.first = false
+}
+
+// sep starts the next value of the innermost container.
+func (w *jsonWriter) sep() {
+	if !w.first {
+		w.b = append(w.b, ',')
+	}
+	w.first = false
+	w.newline()
+}
+
+// elem opens the next object element of the innermost array.
+func (w *jsonWriter) elem() {
+	w.sep()
+	w.open('{')
+}
+
+// key starts the member k (a plain ASCII name) of the innermost object.
+func (w *jsonWriter) key(k string) {
+	w.sep()
+	w.b = append(w.b, '"')
+	w.b = append(w.b, k...)
+	w.b = append(w.b, '"', ':')
+	if w.indent {
+		w.b = append(w.b, ' ')
+	}
+}
+
+func (w *jsonWriter) null() { w.b = append(w.b, "null"...) }
+
+func (w *jsonWriter) str(k, s string) {
+	w.key(k)
+	w.b = appendJSONString(w.b, s)
+}
+
+func (w *jsonWriter) int(k string, v int) {
+	w.key(k)
+	w.b = strconv.AppendInt(w.b, int64(v), 10)
+}
+
+// float writes the member k = v formatted as encoding/json does; NaN and
+// ±Inf are errors.
+func (w *jsonWriter) float(k string, v float64) {
+	w.key(k)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		if w.err == nil {
+			w.err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.b = strconv.AppendFloat(w.b, v, format, -1, 64)
+	if format == 'e' {
+		// e-07 -> e-7, as in ES6 number formatting.
+		if n := len(w.b); n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+			w.b[n-2] = w.b[n-1]
+			w.b = w.b[:n-1]
+		}
+	}
+}
+
+// finite writes the member k = v unless v is infinite.
+func (w *jsonWriter) finite(k string, v float64) {
+	if !math.IsInf(v, 0) {
+		w.float(k, v)
+	}
+}
+
+func (w *jsonWriter) interval(k string, iv Interval) {
+	w.key(k)
+	w.open('{')
+	w.float("min", iv.Min)
+	w.float("max", iv.Max)
+	w.close('}')
+}
+
+// appendJSONString appends s as a JSON string with encoding/json's escapes:
+// HTML-safe, invalid UTF-8 as U+FFFD, and U+2028/U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
