@@ -33,21 +33,24 @@ func benchDesign(b *testing.B) (*netlist.Design, float64) {
 	return d, 0.8 * maxArr
 }
 
-// BenchmarkClosure times the repair loop end to end — candidate generation,
-// what-if trials, accept, re-report — with trial evaluation sequential vs
-// fanned across the worker pool. The session mount is paid outside the
-// timer (a shared warm batch engine serves the per-net bounds), so the
-// ratio isolates the trial-evaluation concurrency win.
+// BenchmarkClosure times the repair loop end to end — endpoint ranking,
+// candidate generation, what-if trials, accept — with trial evaluation
+// sequential vs fanned across the worker pool. The session mount is paid
+// outside the timer (a shared warm batch engine serves the per-net bounds),
+// so the ratio isolates the trial-evaluation concurrency win.
 // scripts/bench_trajectory.sh records it in BENCH_timing.json as
-// closure_concurrent_vs_sequential.
+// closure_concurrent_vs_sequential. The workload sub-benchmark runs the
+// closure workload's shape instead: 6×40 nets of 60 nodes, required time
+// 0.8 × the latest arrival, an 8-move budget, default trial concurrency.
 func BenchmarkClosure(b *testing.B) {
 	d, required := benchDesign(b)
 	engine := batch.New(batch.Options{})
-	// K < 0 skips critical-path backtracking in the per-iteration reports —
-	// the repair loop only consumes the endpoint table.
+	// K < 0 skips critical-path backtracking; the repair loop never walks
+	// paths.
 	topt := timing.Options{Threshold: 0.7, Required: required, Engine: engine, K: -1}
-	run := func(b *testing.B, o Options) {
+	run := func(b *testing.B, d *netlist.Design, topt timing.Options, o Options) {
 		ctx := context.Background()
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			sess, err := timing.NewSession(ctx, d, topt)
@@ -68,9 +71,23 @@ func BenchmarkClosure(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		o := base
 		o.Sequential = true
-		run(b, o)
+		run(b, d, topt, o)
 	})
 	b.Run("concurrent", func(b *testing.B) {
-		run(b, base)
+		run(b, d, topt, base)
+	})
+	b.Run("workload", func(b *testing.B) {
+		cfg := randnet.DefaultDesignConfig(6, 40)
+		cfg.Net = randnet.DefaultConfig(60)
+		wd := randnet.DesignSeed(10, cfg)
+		probe, err := timing.Analyze(context.Background(), wd, timing.Options{Threshold: 0.7, K: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		latest := 0.0
+		for _, ep := range probe.Endpoints {
+			latest = max(latest, ep.Arrival.Max)
+		}
+		run(b, wd, timing.Options{Threshold: 0.7, Required: 0.8 * latest}, Options{MaxMoves: 8})
 	})
 }

@@ -291,11 +291,11 @@ func (e *engine) mountCorners(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("closure: corner %q: %w", c.Name, err)
 		}
-		rep := cs.EndpointTable()
-		e.corners = append(e.corners, &cornerState{c: c, sess: cs, wns: rep.WNS, tns: rep.TNS})
+		wns, tns := cs.Summary()
+		e.corners = append(e.corners, &cornerState{c: c, sess: cs, wns: wns, tns: tns})
 		e.rep.Corners = append(e.rep.Corners, CornerStatus{
 			Name: c.Name, RScale: c.RScale, CScale: c.CScale,
-			InitialWNS: rep.WNS, FinalWNS: rep.WNS,
+			InitialWNS: wns, FinalWNS: wns,
 		})
 	}
 	return nil
@@ -334,17 +334,16 @@ func (e *engine) worstWNS(typWNS float64) float64 {
 func (e *engine) run(ctx context.Context) (*Report, error) {
 	ctx, op := trace.StartOp(ctx, e.opt.Obs, "closure_run")
 	defer op.End()
-	base := e.sess.EndpointTable()
+	wns, tns := e.sess.Summary()
 	e.rep = &Report{
-		Design:     base.Design,
-		Threshold:  base.Threshold,
-		InitialWNS: base.WNS,
-		InitialTNS: base.TNS,
-		FinalWNS:   base.WNS,
-		FinalTNS:   base.TNS,
+		Design:     e.sess.DesignName(),
+		Threshold:  e.sess.Threshold(),
+		InitialWNS: wns,
+		InitialTNS: tns,
+		FinalWNS:   wns,
+		FinalTNS:   tns,
 	}
-	e.visited = append(e.visited, ParetoPoint{0, base.WNS})
-	wns, tns := base.WNS, base.TNS
+	e.visited = append(e.visited, ParetoPoint{0, wns})
 	if err := e.mountCorners(ctx); err != nil {
 		return nil, err
 	}
@@ -370,18 +369,18 @@ func (e *engine) run(ctx context.Context) (*Report, error) {
 			break
 		}
 		// Mine the typical corner's failing endpoints; when only a swept
-		// corner fails, mine that corner's table instead (net/output names are
+		// corner fails, mine that corner's instead (net/output names are
 		// shared, so the main session's geometry generates the moves).
-		mine := base
-		if base.WNS >= 0 {
+		mine := e.sess
+		if wns >= 0 {
 			for _, cs := range e.corners {
 				if cs.wns < 0 {
-					mine = cs.sess.EndpointTable()
+					mine = cs.sess
 					break
 				}
 			}
 		}
-		cands, costFiltered := e.generate(mine)
+		cands, costFiltered := e.generate(mine.WorstEndpoints(e.opt.TopEndpoints))
 		e.opt.Obs.Counter("closure_moves_generated_total").Add(int64(len(cands)))
 		if len(cands) == 0 {
 			if costFiltered {
@@ -494,7 +493,6 @@ func (e *engine) run(ctx context.Context) (*Report, error) {
 				Candidates: len(cands), Trials: ok,
 			})
 		}
-		base = e.sess.EndpointTable()
 		if e.worstWNS(wns) >= 0 {
 			e.rep.Closed = true
 			e.rep.Reason = "met"
@@ -592,13 +590,14 @@ func (e *engine) evaluate(ctx context.Context, cands []Move) []trial {
 	return results
 }
 
-// generate mines the report's worst failing endpoints for candidate moves.
-// Everything iterates deterministically (sorted endpoints, cone order,
+// generate mines the failing endpoints among worst — endpoints in report
+// order, worst first — for candidate moves, up to Options.TopEndpoints of
+// them. Everything iterates deterministically (sorted endpoints, cone order,
 // ascending node IDs), so two runs over the same state produce the same
 // candidate list in the same order. costFiltered reports whether the cost
 // ceiling rejected at least one otherwise-viable candidate — it phrases the
 // stop reason when the list comes back empty.
-func (e *engine) generate(rep *timing.Report) (cands []Move, costFiltered bool) {
+func (e *engine) generate(worst []timing.EndpointSlack) (cands []Move, costFiltered bool) {
 	seen := map[string]bool{}
 	add := func(m Move) {
 		key := m.Kind + "|" + m.Net + "|" + m.Desc
@@ -613,7 +612,7 @@ func (e *engine) generate(rep *timing.Report) (cands []Move, costFiltered bool) 
 		cands = append(cands, m)
 	}
 	mined := 0
-	for _, ep := range rep.Endpoints {
+	for _, ep := range worst {
 		if !(ep.Slack < 0) {
 			break // sorted worst-first: the rest pass or are unconstrained
 		}

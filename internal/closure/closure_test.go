@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -452,7 +453,7 @@ func TestClosureCorners(t *testing.T) {
 				t.Fatalf("corner %s: scaled replay tripped a guard: %v", c.Name, err)
 			}
 		}
-		got := sess.EndpointTable().WNS
+		got := sess.Report().WNS
 		var want float64
 		switch c.Name {
 		case "slow":
@@ -529,5 +530,47 @@ func TestClosureCornersMineFromCorner(t *testing.T) {
 	// The typical corner must never regress below zero while repairing slow.
 	if rep.FinalWNS < 0 {
 		t.Errorf("repairing the slow corner broke typ: WNS %g", rep.FinalWNS)
+	}
+}
+
+// TestGenerateFromWorstEndpointsMatchesFullTable: at every accepted state of
+// several runs, mining the session's WorstEndpoints yields exactly the
+// candidates (and cost-filter verdict) that mining the full report's
+// endpoint table does.
+func TestGenerateFromWorstEndpointsMatchesFullTable(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		d, required := failingRandomDesign(t, seed)
+		topt := timing.Options{Threshold: 0.7, Required: required, Sequential: true}
+		o := Options{Timing: topt, MaxMoves: 6, TopEndpoints: 1 + int(seed%4), ConeDepth: 3}
+		if seed%3 == 2 {
+			o.MaxCost = 12 // let the ceiling filter some candidates
+		}
+		rep, err := CloseDesign(context.Background(), d, o)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		o = o.resolve()
+		sess, err := timing.NewSession(context.Background(), d, topt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost := 0.0
+		for j := 0; ; j++ {
+			fast := &engine{sess: sess, opt: o, rep: &Report{Cost: cost}}
+			full := &engine{sess: sess, opt: o, rep: &Report{Cost: cost}}
+			got, gotFiltered := fast.generate(sess.WorstEndpoints(o.TopEndpoints))
+			want, wantFiltered := full.generate(sess.Report().Endpoints)
+			if !reflect.DeepEqual(got, want) || gotFiltered != wantFiltered || fast.rep.GuidedProbes != full.rep.GuidedProbes {
+				t.Fatalf("seed %d state %d: WorstEndpoints mined %d candidates (filtered %v), full table %d (filtered %v)",
+					seed, j, len(got), gotFiltered, len(want), wantFiltered)
+			}
+			if j == len(rep.Moves) {
+				break
+			}
+			if _, err := sess.Apply(rep.Moves[j].Move.Edits); err != nil {
+				t.Fatalf("seed %d: replaying move %d: %v", seed, j, err)
+			}
+			cost = rep.Moves[j].CumCost
+		}
 	}
 }

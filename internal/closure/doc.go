@@ -6,13 +6,16 @@
 //
 // # The loop
 //
-// Each iteration ranks the failing endpoints of the session's slack report
-// (worst first), generates candidate moves on the nets of each failing
-// endpoint's critical upstream cone, evaluates every affordable candidate as
-// a what-if trial — a Session.Fork absorbs the candidate's edits and answers
-// the resulting WNS/TNS without touching the live session — and accepts the
-// best move by slack gain per unit cost. The loop stops when WNS ≥ 0, the
-// move budget or cost ceiling is exhausted, or no candidate improves timing.
+// Each iteration takes the session's worst failing endpoints, worst first
+// (Session.WorstEndpoints ranks them from the per-net slack aggregates the
+// session keeps current across Applies, expanding only the few nets that
+// can hold them; no full slack report is built), generates candidate moves
+// on the nets of each failing endpoint's critical upstream cone, evaluates
+// every affordable candidate as a what-if trial — a Session.Fork absorbs
+// the candidate's edits and answers the resulting WNS/TNS without touching
+// the live session — and accepts the best move by slack gain per unit cost.
+// The loop stops when WNS ≥ 0, the move budget or cost ceiling is
+// exhausted, or no candidate improves timing.
 //
 // Trials are independent, so they evaluate concurrently across a worker
 // pool by default; Options.Sequential forces one-at-a-time evaluation.

@@ -317,3 +317,55 @@ func BenchmarkDesignECO(b *testing.B) {
 		}
 	})
 }
+
+// benchSession mounts a session on the closure workload's shape: 6×40 nets
+// of 60 nodes, required time 0.8 × the latest arrival, so most endpoints
+// fail.
+func benchSession(b *testing.B) *Session {
+	b.Helper()
+	cfg := randnet.DefaultDesignConfig(6, 40)
+	cfg.Net = randnet.DefaultConfig(60)
+	d := randnet.DesignSeed(10, cfg)
+	probe, err := Analyze(context.Background(), d, Options{Threshold: 0.7, K: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	latest := 0.0
+	for _, ep := range probe.Endpoints {
+		latest = max(latest, ep.Arrival.Max)
+	}
+	s, err := NewSession(context.Background(), d, Options{Threshold: 0.7, Required: 0.8 * latest, K: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkSessionReport assembles a session's full endpoint table (no
+// paths) on every iteration: classification, slack rows and the report
+// sort. It is the per-read cost of the report, the memo cleared each time.
+func BenchmarkSessionReport(b *testing.B) {
+	s := benchSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.report = nil
+		if rep := s.Report(); len(rep.Endpoints) == 0 {
+			b.Fatal("empty report")
+		}
+	}
+}
+
+// BenchmarkWorstEndpoints ranks the 4 worst endpoints of the same session
+// from its per-net aggregates — what the closure engine reads per
+// iteration in place of BenchmarkSessionReport's full table.
+func BenchmarkWorstEndpoints(b *testing.B) {
+	s := benchSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := s.WorstEndpoints(4); len(w) != 4 {
+			b.Fatalf("got %d endpoints", len(w))
+		}
+	}
+}

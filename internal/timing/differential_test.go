@@ -196,7 +196,7 @@ func TestDifferentialECO(t *testing.T) {
 			if e == edits/2 {
 				// Fork differential: edit the fork, check it against both
 				// cores, and pin the parent unchanged.
-				parentWNS, parentTNS := s.summary()
+				parentWNS, parentTNS := s.Summary()
 				parentGen := s.Gen()
 				f := s.Fork()
 				fe := randomEdit(rng, f, &seq)
@@ -204,7 +204,7 @@ func TestDifferentialECO(t *testing.T) {
 					assertSessionMatchesCore(t, f, CorePointer, fmt.Sprintf("design %d fork", n))
 					assertSessionMatchesCore(t, f, CoreArena, fmt.Sprintf("design %d fork arena", n))
 				}
-				wns, tns := s.summary()
+				wns, tns := s.Summary()
 				if wns != parentWNS || tns != parentTNS || s.Gen() != parentGen {
 					t.Fatalf("design %d: fork edit leaked into parent", n)
 				}

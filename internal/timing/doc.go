@@ -78,9 +78,11 @@
 // level by level through their downstream fanout, early-exiting wherever an
 // input interval comes back unchanged — a mid-cone settle stops the wave.
 // Apply answers with the updated WNS/TNS (folded from per-net aggregates in
-// O(nets)), the dirty-cone statistics, and which previously reported
-// critical paths the edit invalidated; Report rebuilds the full endpoint
-// table and paths lazily. The property tests pin Session equivalence to a
+// O(nets), bit-identical to the report's), the dirty-cone statistics, and
+// which previously reported critical paths the edit invalidated; Report
+// rebuilds the full endpoint table and paths lazily, while WorstEndpoints
+// ranks the k worst endpoints from the same aggregates, expanding only the
+// nets that can hold them. The property tests pin Session equivalence to a
 // from-scratch Analyze of the materialized design to 1e-9 over randomized
 // edit sequences, and BenchmarkDesignECO measures the dirty-cone speedup
 // against a full re-analysis.

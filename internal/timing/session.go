@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -85,12 +86,12 @@ type Session struct {
 	// protected[i] names net i's outputs that stage edges tap or .require
 	// cards pin; pruning or undesignating them would orphan the graph
 	// structure, so those edits are rejected.
-	protected  []map[string]bool
-	requiredAt map[[2]string]float64
-	state      []netTiming
+	protected []map[string]bool
+	state     []netTiming
 	// netMin/netNeg are per-net endpoint-slack aggregates (worst slack and
-	// summed negative slack), refreshed only for dirty nets so WNS/TNS after
-	// an Apply cost one O(nets) fold instead of an endpoint rescan.
+	// summed negative slack), refreshed only for dirty nets. WNS/TNS after an
+	// Apply cost one O(nets) fold over them, and WorstEndpoints expands only
+	// the nets whose worst slack can rank.
 	netMin []float64
 	netNeg []float64
 	// owned is the per-net dirty-range/ownership byte: ownTreeBit marks
@@ -145,34 +146,29 @@ func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		g:          g,
-		th:         r.th,
-		k:          r.k,
-		required:   opt.Required,
-		trees:      make([]*incr.EditTree, len(g.nodes)),
-		protected:  make([]map[string]bool, len(g.nodes)),
-		requiredAt: map[[2]string]float64{},
-		state:      state,
-		netMin:     make([]float64, len(g.nodes)),
-		netNeg:     make([]float64, len(g.nodes)),
-		owned:      make([]uint8, len(g.nodes)),
-		obs:        r.obs,
+		g:         g,
+		th:        r.th,
+		k:         r.k,
+		required:  opt.Required,
+		trees:     make([]*incr.EditTree, len(g.nodes)),
+		protected: make([]map[string]bool, len(g.nodes)),
+		state:     state,
+		netMin:    make([]float64, len(g.nodes)),
+		netNeg:    make([]float64, len(g.nodes)),
+		owned:     make([]uint8, len(g.nodes)),
+		obs:       r.obs,
 	}
 	for i := range g.nodes {
-		s.trees[i] = incr.New(g.nodes[i].tree)
+		node := &g.nodes[i]
+		s.trees[i] = incr.New(node.tree)
 		s.owned[i] = ownTreeBit | ownStateBit
-		s.protected[i] = make(map[string]bool, len(g.nodes[i].drives))
-		for name := range g.nodes[i].drives {
+		s.protected[i] = make(map[string]bool, len(node.drives)+len(node.required))
+		for name := range node.drives {
 			s.protected[i][name] = true
 		}
-	}
-	for _, r := range g.design.Requires {
-		s.requiredAt[[2]string{r.Net, r.Output}] = r.Time
-		if i, ok := g.index[r.Net]; ok {
-			s.protected[i][r.Output] = true
+		for name := range node.required {
+			s.protected[i][name] = true
 		}
-	}
-	for i := range g.nodes {
 		s.refreshSummary(i)
 	}
 	return s, nil
@@ -192,20 +188,19 @@ func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 // Fork itself must not race an Apply on the same session.
 func (s *Session) Fork() *Session {
 	f := &Session{
-		g:          s.g,
-		th:         s.th,
-		k:          s.k,
-		required:   s.required,
-		trees:      append([]*incr.EditTree(nil), s.trees...),
-		protected:  s.protected,  // immutable after NewSession
-		requiredAt: s.requiredAt, // immutable after NewSession
-		state:      append([]netTiming(nil), s.state...),
-		netMin:     append([]float64(nil), s.netMin...),
-		netNeg:     append([]float64(nil), s.netNeg...),
-		owned:      make([]uint8, len(s.trees)),
-		gen:        s.gen,
-		report:     s.report, // reports are immutable once built
-		obs:        s.obs,    // registries are goroutine-safe; forks share one
+		g:         s.g,
+		th:        s.th,
+		k:         s.k,
+		required:  s.required,
+		trees:     append([]*incr.EditTree(nil), s.trees...),
+		protected: s.protected, // immutable after NewSession
+		state:     append([]netTiming(nil), s.state...),
+		netMin:    append([]float64(nil), s.netMin...),
+		netNeg:    append([]float64(nil), s.netNeg...),
+		owned:     make([]uint8, len(s.trees)),
+		gen:       s.gen,
+		report:    s.report, // reports are immutable once built
+		obs:       s.obs,    // registries are goroutine-safe; forks share one
 	}
 	// The copied netTiming structs still point at the parent's arrival and
 	// delay maps. Delay maps are only ever replaced wholesale, so sharing
@@ -257,6 +252,9 @@ func (s *Session) Threshold() float64 { return s.th }
 // analyses mounting scaled shadow sessions use it to reproduce the session's
 // constraint defaults.
 func (s *Session) Required() float64 { return s.required }
+
+// DesignName returns the name of the session's design.
+func (s *Session) DesignName() string { return s.g.design.Name }
 
 // Nets reports the number of nets in the session's design.
 func (s *Session) Nets() int { return len(s.g.nodes) }
@@ -404,7 +402,7 @@ func (s *Session) ApplyCtx(ctx context.Context, edits []Edit) (ApplyResult, erro
 		s.gen++
 	}
 	res.Gen = s.gen
-	res.WNS, res.TNS = s.summary()
+	res.WNS, res.TNS = s.Summary()
 	op.SetError(firstErr)
 	op.End()
 	if s.obs != nil {
@@ -758,22 +756,16 @@ func (s *Session) refreshOut(i int, rebuild bool) map[string]bool {
 }
 
 // refreshSummary recomputes net i's endpoint-slack aggregates from its
-// current outputs (the same endpoint classification report uses).
+// current outputs: the worst slack and the negative slack summed in
+// designation order, over constrained endpoints only.
 func (s *Session) refreshSummary(i int) {
 	minS, neg := math.Inf(1), 0.0
 	et := s.trees[i]
-	node := &s.g.nodes[i]
 	for _, o := range et.Outputs() {
 		name := et.Name(o)
-		req, explicit := s.requiredAt[[2]string{node.name, name}]
-		if !explicit && node.drives[name] {
+		req, ok := s.g.endpointRequired(i, name, s.required)
+		if !ok || math.IsInf(req, 1) {
 			continue
-		}
-		if !explicit {
-			if s.required <= 0 {
-				continue
-			}
-			req = s.required
 		}
 		slack := req - s.state[i].out[name].Max
 		if slack < minS {
@@ -786,9 +778,10 @@ func (s *Session) refreshSummary(i int) {
 	s.netMin[i], s.netNeg[i] = minS, neg
 }
 
-// summary folds the per-net aggregates into WNS/TNS — O(nets), independent
-// of endpoint count.
-func (s *Session) summary() (wns, tns float64) {
+// Summary returns the current WNS (+Inf with no constrained endpoint) and
+// TNS, folded from the per-net aggregates in O(nets) — the numbers an
+// ApplyResult carries, and bit for bit the WNS/TNS of Report.
+func (s *Session) Summary() (wns, tns float64) {
 	wns = math.Inf(1)
 	for i := range s.netMin {
 		if s.netMin[i] < wns {
@@ -802,7 +795,8 @@ func (s *Session) summary() (wns, tns float64) {
 // Report returns the full chip report for the current state — endpoint table
 // sorted worst-first, WNS/TNS, and freshly backtracked critical paths. The
 // report is memoized until the next state-changing Apply; treat it as
-// immutable.
+// immutable. Consumers that only rank the worst endpoints read
+// WorstEndpoints and Summary instead.
 func (s *Session) Report() *Report {
 	if s.report == nil {
 		s.report = s.g.report(s.state, s.th, s.k, s.required, s.outputNames)
@@ -810,17 +804,45 @@ func (s *Session) Report() *Report {
 	return s.report
 }
 
-// EndpointTable returns the chip report without critical-path backtracking:
-// the endpoint slack table sorted worst-first, WNS/TNS, and an empty Paths.
-// Iterative consumers like the closure engine, which re-read slacks after
-// every edit but never walk paths, use it to skip Report's O(K·depth)
-// backtracks. A memoized full Report is returned as-is (it is a superset);
-// the endpoint-only form itself is not memoized.
-func (s *Session) EndpointTable() *Report {
-	if s.report != nil {
-		return s.report
+// WorstEndpoints returns the k worst constrained endpoints of the current
+// state in Report order: the constrained prefix of Report().Endpoints, cut
+// to k, without assembling the report. Only nets whose worst slack is at
+// most the k-th smallest per-net worst are expanded — any other net's
+// endpoints are strictly slacker than k endpoints already found, so they
+// cannot rank — and only their endpoints are sorted.
+func (s *Session) WorstEndpoints(k int) []EndpointSlack {
+	if k <= 0 {
+		return nil
 	}
-	return s.g.report(s.state, s.th, 0, s.required, s.outputNames)
+	var mins []float64
+	for _, m := range s.netMin {
+		if !math.IsInf(m, 1) {
+			mins = append(mins, m)
+		}
+	}
+	cut := math.Inf(1)
+	if len(mins) > k {
+		slices.Sort(mins)
+		cut = mins[k-1]
+	}
+	var eps []EndpointSlack
+	for i, m := range s.netMin {
+		if math.IsInf(m, 1) || !(m <= cut) {
+			continue
+		}
+		et := s.trees[i]
+		for _, o := range et.Outputs() {
+			name := et.Name(o)
+			if req, ok := s.g.endpointRequired(i, name, s.required); ok && !math.IsInf(req, 1) {
+				eps = append(eps, s.g.endpoint(i, name, s.state[i].out[name], req))
+			}
+		}
+	}
+	eps = sortEndpoints(eps)
+	if len(eps) > k {
+		eps = eps[:k]
+	}
+	return eps
 }
 
 // outputNames lists net i's current designated output names, off the

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/batch"
@@ -114,6 +116,9 @@ type gnode struct {
 	// drives marks which outputs feed at least one stage edge; outputs not
 	// in the set are timing endpoints.
 	drives map[string]bool
+	// required holds the net's explicit .require times by output name (nil
+	// when the net has none).
+	required map[string]float64
 }
 
 // Graph is a levelized timing DAG built from a design. Build once, analyze
@@ -221,7 +226,36 @@ func NewGraph(d *netlist.Design) (*Graph, error) {
 	for _, level := range g.levels {
 		sort.Ints(level)
 	}
+	for _, r := range d.Requires {
+		i, ok := index[r.Net]
+		if !ok {
+			continue
+		}
+		if g.nodes[i].required == nil {
+			g.nodes[i].required = map[string]float64{}
+		}
+		g.nodes[i].required[r.Output] = r.Time
+	}
 	return g, nil
+}
+
+// endpointRequired classifies output name of net i, the one endpoint rule
+// every report, slack aggregate and variation view shares: an explicit
+// .require card wins; otherwise an output that drives a stage is interior
+// (ok false); otherwise defRequired applies when positive, and the endpoint
+// is unconstrained (req +Inf) when not.
+func (g *Graph) endpointRequired(i int, name string, defRequired float64) (req float64, ok bool) {
+	node := &g.nodes[i]
+	if req, ok := node.required[name]; ok {
+		return req, true
+	}
+	if node.drives[name] {
+		return 0, false
+	}
+	if defRequired > 0 {
+		return defRequired, true
+	}
+	return math.Inf(1), true
 }
 
 func isDesignatedOutput(t *rctree.Tree, name string) bool {
@@ -455,10 +489,6 @@ func (g *Graph) computeDelays(ctx context.Context, level []int, state []netTimin
 // outputNames supplies net i's designated output names (treeOutputNames at
 // Analyze time; a Session's current EditTree outputs after edits).
 func (g *Graph) report(state []netTiming, th float64, k int, defRequired float64, outputNames func(i int) []string) *Report {
-	required := map[[2]string]float64{}
-	for _, r := range g.design.Requires {
-		required[[2]string{r.Net, r.Output}] = r.Time
-	}
 	rep := &Report{
 		Design:    g.design.Name,
 		Threshold: th,
@@ -467,77 +497,97 @@ func (g *Graph) report(state []netTiming, th float64, k int, defRequired float64
 		Levels:    len(g.levels),
 		WNS:       math.Inf(1),
 	}
+	var eps []EndpointSlack
 	for i := range g.nodes {
-		node := &g.nodes[i]
+		neg := 0.0
 		for _, name := range outputNames(i) {
-			req, explicit := required[[2]string{node.name, name}]
-			if !explicit && node.drives[name] {
-				continue // interior output: drives a stage, no requirement
+			req, ok := g.endpointRequired(i, name, defRequired)
+			if !ok {
+				continue
 			}
-			ep := EndpointSlack{
-				Net:      node.name,
-				Output:   name,
-				Arrival:  state[i].out[name],
-				Required: math.Inf(1),
-				Slack:    math.Inf(1),
-				Verdict:  core.Passes,
-				net:      i,
+			ep := g.endpoint(i, name, state[i].out[name], req)
+			if ep.Slack < rep.WNS {
+				rep.WNS = ep.Slack
 			}
-			if !explicit && defRequired > 0 {
-				req, explicit = defRequired, true
+			if ep.Slack < 0 {
+				neg += ep.Slack
 			}
-			if explicit {
-				ep.Required = req
-				ep.Slack = req - ep.Arrival.Max
-				switch {
-				case ep.Arrival.Max <= req:
-					ep.Verdict = core.Passes
-				case ep.Arrival.Min > req:
-					ep.Verdict = core.Fails
-				default:
-					ep.Verdict = core.Unknown
-				}
-				if ep.Slack < rep.WNS {
-					rep.WNS = ep.Slack
-				}
-				if ep.Slack < 0 {
-					rep.TNS += ep.Slack
-				}
-			}
-			rep.Endpoints = append(rep.Endpoints, ep)
+			eps = append(eps, ep)
 		}
+		// Per net first, then across nets: the fold Session.Summary runs over
+		// its per-net aggregates, so both TNS forms agree to the bit.
+		rep.TNS += neg
 	}
-	// Sort an index permutation rather than the (large) endpoint structs:
-	// designs have nets×outputs endpoints and the struct moves dominate a
-	// direct sort.SliceStable on profiles.
-	perm := make([]int, len(rep.Endpoints))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ea, eb := &rep.Endpoints[perm[a]], &rep.Endpoints[perm[b]]
-		// Constrained endpoints by ascending slack, then unconstrained by
-		// descending latest arrival; names break ties.
-		if ea.Slack != eb.Slack {
-			return ea.Slack < eb.Slack
-		}
-		if ea.Arrival.Max != eb.Arrival.Max {
-			return ea.Arrival.Max > eb.Arrival.Max
-		}
-		if ea.Net != eb.Net {
-			return ea.Net < eb.Net
-		}
-		return ea.Output < eb.Output
-	})
-	sorted := make([]EndpointSlack, len(rep.Endpoints))
-	for i, j := range perm {
-		sorted[i] = rep.Endpoints[j]
-	}
-	rep.Endpoints = sorted
+	rep.Endpoints = sortEndpoints(eps)
 	for i := 0; i < len(rep.Endpoints) && i < k; i++ {
 		rep.Paths = append(rep.Paths, g.backtrack(state, rep.Endpoints[i]))
 	}
 	return rep
+}
+
+// endpoint builds the slack record of net i's output name at arrival arr
+// under required time req (+Inf: unconstrained).
+func (g *Graph) endpoint(i int, name string, arr Interval, req float64) EndpointSlack {
+	ep := EndpointSlack{
+		Net:      g.nodes[i].name,
+		Output:   name,
+		Arrival:  arr,
+		Required: req,
+		Slack:    math.Inf(1),
+		Verdict:  core.Passes,
+		net:      i,
+	}
+	if math.IsInf(req, 1) {
+		return ep
+	}
+	ep.Slack = req - arr.Max
+	switch {
+	case arr.Max <= req:
+		ep.Verdict = core.Passes
+	case arr.Min > req:
+		ep.Verdict = core.Fails
+	default:
+		ep.Verdict = core.Unknown
+	}
+	return ep
+}
+
+// sortEndpoints returns eps in report order: constrained endpoints by
+// ascending slack, then unconstrained ones by descending latest arrival,
+// with net and output names breaking exact ties. It sorts flat (slack,
+// arrival, index) keys rather than the large structs, and reads the names
+// only on a tie.
+func sortEndpoints(eps []EndpointSlack) []EndpointSlack {
+	type key struct {
+		slack, arr float64
+		idx        int
+	}
+	keys := make([]key, len(eps))
+	for i := range eps {
+		keys[i] = key{eps[i].Slack, eps[i].Arrival.Max, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.slack < b.slack:
+			return -1
+		case a.slack > b.slack:
+			return 1
+		case a.arr > b.arr:
+			return -1
+		case a.arr < b.arr:
+			return 1
+		}
+		ea, eb := &eps[a.idx], &eps[b.idx]
+		if c := strings.Compare(ea.Net, eb.Net); c != 0 {
+			return c
+		}
+		return strings.Compare(ea.Output, eb.Output)
+	})
+	sorted := make([]EndpointSlack, len(eps))
+	for i, kk := range keys {
+		sorted[i] = eps[kk.idx]
+	}
+	return sorted
 }
 
 // backtrack reconstructs the critical path ending at ep: from the endpoint

@@ -3,7 +3,6 @@ package timing
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/rctree"
 )
@@ -68,28 +67,16 @@ func (g *Graph) VarArena(threshold, defRequired float64) (*VarArena, error) {
 			va.nodeNet[n] = int32(i)
 		}
 	}
-	// Endpoint classification mirrors Graph.report: an output is an endpoint
-	// when it has an explicit requirement or drives no stage edge.
-	required := map[[2]string]float64{}
-	for _, r := range g.design.Requires {
-		required[[2]string{r.Net, r.Output}] = r.Time
-	}
+	// Endpoints are classified by the same rule Graph.report applies.
 	for i := 0; i < a.nets; i++ {
-		node := &g.nodes[i]
 		for sl := a.outOff[i]; sl < a.outOff[i+1]; sl++ {
 			name := a.outName[sl]
-			req, explicit := required[[2]string{node.name, name}]
-			if !explicit && node.drives[name] {
+			req, ok := g.endpointRequired(i, name, defRequired)
+			if !ok {
 				continue
 			}
-			if !explicit && defRequired > 0 {
-				req, explicit = defRequired, true
-			}
-			if !explicit {
-				req = math.Inf(1)
-			}
 			va.eps = append(va.eps, VarEndpoint{
-				Net:      node.name,
+				Net:      g.nodes[i].name,
 				Output:   name,
 				Required: req,
 				Slot:     int(sl),
