@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -242,4 +245,41 @@ func TestTraceOutput(t *testing.T) {
 			t.Errorf("trace missing %s span (got %v)", want, names)
 		}
 	}
+}
+
+// TestCornersRejectNonFiniteSigma runs statime (this test binary re-entering
+// main through TestMainProcess) with non-finite -rsigma/-csigma values: each
+// must exit with status 1 and an error naming the field, not print a report
+// that silently drops or poisons the variation.
+func TestCornersRejectNonFiniteSigma(t *testing.T) {
+	for _, tc := range []struct{ flag, value, field string }{
+		{"-rsigma", "NaN", "rSigma"},
+		{"-rsigma", "Inf", "rSigma"},
+		{"-csigma", "-Inf", "cSigma"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMainProcess$", "--",
+			"-corners", tc.flag, tc.value, "-threshold", "0.7", filepath.Join("testdata", "fail.ckt"))
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s %s: exit %v, want status 1\n%s", tc.flag, tc.value, err, out)
+		}
+		if want := tc.field + " must be finite"; !strings.Contains(string(out), want) {
+			t.Errorf("%s %s: output lacks %q:\n%s", tc.flag, tc.value, want, out)
+		}
+	}
+}
+
+// TestMainProcess is statime's main for the exit-status tests: given
+// arguments after "--" it runs main on them and exits; without any it does
+// nothing.
+func TestMainProcess(t *testing.T) {
+	args := flag.Args()
+	if len(args) == 0 {
+		return
+	}
+	os.Args = append([]string{"statime"}, args...)
+	flag.CommandLine = flag.NewFlagSet("statime", flag.ExitOnError)
+	main()
+	os.Exit(0)
 }

@@ -17,10 +17,15 @@
 // Where internal/mc rebuilds a pointer tree per sample, mcd mounts a
 // timing.VarArena over the design's flat arena: one sample is one in-place
 // rescale of three float64 columns plus one levelized re-propagation, with
-// zero tree construction. Workers each own a VarArena clone and write
-// disjoint sample columns of the slack matrix, so results are bit-identical
-// for a given seed regardless of worker count — the determinism test pins
-// this.
+// zero tree construction, and each net of that propagation is one fused
+// sweep over its tree for all of its outputs (rctree.TimesFlatAll). Workers
+// each own a VarArena clone and write disjoint sample rows of the arrival
+// and slack matrices; the per-endpoint statistics then fan out over the
+// same workers, strided over endpoints, each summarizing whole endpoint
+// columns with its own sort buffer. Every value is reduced from the same
+// inputs in the same order whichever worker computes it, so results are
+// bit-identical for a given seed regardless of worker count — the
+// determinism test pins this.
 //
 // # Results
 //
@@ -39,7 +44,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/netlist"
@@ -112,13 +119,15 @@ type Dist struct {
 	P99  float64 `json:"p99"`
 }
 
-// distOf summarizes vals (not required sorted; a sorted copy is made).
-func distOf(vals []float64) Dist {
+// distOf summarizes vals (not required sorted). The sorted copy the
+// quantiles need is built in buf's storage when it is large enough, so a
+// caller summarizing many columns reuses one buffer.
+func distOf(vals, buf []float64) Dist {
 	var w stats.Welford
 	for _, v := range vals {
 		w.Add(v)
 	}
-	sorted := append([]float64(nil), vals...)
+	sorted := append(buf[:0], vals...)
 	sort.Float64s(sorted)
 	return Dist{
 		Mean: w.Mean(), Std: w.Std(), Min: w.Min(), Max: w.Max(),
@@ -191,8 +200,12 @@ func (opt Options) resolve() (Options, error) {
 	if opt.Samples < 1 {
 		return opt, fmt.Errorf("mcd: samples must be >= 1, got %d", opt.Samples)
 	}
-	if opt.Variation.RSigma < 0 || opt.Variation.CSigma < 0 {
-		return opt, fmt.Errorf("mcd: negative sigma in %+v", opt.Variation)
+	// The negated comparisons also reject NaN, which a plain v < 0 lets by.
+	if v := opt.Variation.RSigma; !(v >= 0) || math.IsInf(v, 1) {
+		return opt, fmt.Errorf("mcd: rSigma must be finite and >= 0, got %g", v)
+	}
+	if v := opt.Variation.CSigma; !(v >= 0) || math.IsInf(v, 1) {
+		return opt, fmt.Errorf("mcd: cSigma must be finite and >= 0, got %g", v)
 	}
 	if opt.Corners == nil {
 		opt.Corners = DefaultCorners()
@@ -201,8 +214,11 @@ func (opt Options) resolve() (Options, error) {
 		return opt, fmt.Errorf("mcd: empty corner list")
 	}
 	for _, c := range opt.Corners {
-		if c.RScale <= 0 || c.CScale <= 0 {
-			return opt, fmt.Errorf("mcd: corner %q has non-positive scale", c.Name)
+		if !(c.RScale > 0) || math.IsInf(c.RScale, 1) {
+			return opt, fmt.Errorf("mcd: corner %q rScale must be finite and > 0, got %g", c.Name, c.RScale)
+		}
+		if !(c.CScale > 0) || math.IsInf(c.CScale, 1) {
+			return opt, fmt.Errorf("mcd: corner %q cScale must be finite and > 0, got %g", c.Name, c.CScale)
 		}
 	}
 	if opt.Workers <= 0 {
@@ -303,10 +319,26 @@ func AnalyzeGraph(ctx context.Context, g *timing.Graph, name string, opt Options
 	return rep, nil
 }
 
+// parallel runs fn(0) … fn(workers-1), each on its own goroutine, and
+// waits for all of them.
+func parallel(workers int, fn func(w int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn(w)
+		}(w)
+	}
+	wg.Wait()
+}
+
 // sweepCorner runs one corner: a nominal pass (no derating) on va itself,
 // then the per-sample sweep fanned across workers, each on its own clone
-// writing disjoint sample columns. All statistics are reduced sequentially
-// afterwards, so the result is independent of the worker count.
+// writing disjoint sample rows, then the per-endpoint statistics fanned
+// across the same number of workers, each writing disjoint endpoint rows.
+// Every value is computed from the same inputs in the same order whichever
+// worker computes it, so the result is independent of the worker count.
 func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timing.VarEndpoint, rF, cF [][]float64, samples, workers int) (*CornerResult, error) {
 	if err := va.SetFactors(c.RScale, c.CScale, nil, nil); err != nil {
 		return nil, err
@@ -329,14 +361,11 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 			}
 		}
 	}
-	// Per-sample matrices: endpoint-major, sample columns written by whichever
-	// worker owns the sample.
-	arrMat := make([][]float64, len(eps))
-	slackMat := make([][]float64, len(eps))
-	for e := range eps {
-		arrMat[e] = make([]float64, samples)
-		slackMat[e] = make([]float64, samples)
-	}
+	// Per-sample matrices, sample-major: each sample's row is one contiguous
+	// run written by the worker that owns the sample, so two workers' writes
+	// meet only at row boundaries, not in every cache line.
+	arrAll := make([]float64, samples*len(eps))
+	slackAll := make([]float64, samples*len(eps))
 	wns := make([]float64, samples)
 	tns := make([]float64, samples)
 	crit := make([]int, samples)
@@ -344,53 +373,49 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 		workers = samples
 	}
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wa := va
-			if workers > 1 {
-				wa = va.Clone()
+	parallel(workers, func(w int) {
+		wa := va
+		if workers > 1 {
+			wa = va.Clone()
+		}
+		for s := w; s < samples; s += workers {
+			var rNet, cNet []float64
+			if rF != nil {
+				rNet = rF[s]
 			}
-			for s := w; s < samples; s += workers {
-				var rNet, cNet []float64
-				if rF != nil {
-					rNet = rF[s]
-				}
-				if cF != nil {
-					cNet = cF[s]
-				}
-				if err := wa.SetFactors(c.RScale, c.CScale, rNet, cNet); err != nil {
-					errs[w] = err
-					return
-				}
-				if err := wa.Propagate(ctx); err != nil {
-					errs[w] = err
-					return
-				}
-				sWNS, sTNS, sCrit := math.Inf(1), 0.0, -1
-				for e, ep := range eps {
-					arrMat[e][s] = wa.Arrival(ep.Slot).Max
-					sl := wa.Slack(ep)
-					slackMat[e][s] = sl
-					if math.IsInf(ep.Required, 1) {
-						continue
-					}
-					// Strict < keeps the lowest endpoint index on ties — the
-					// deterministic criticality attribution.
-					if sl < sWNS {
-						sWNS, sCrit = sl, e
-					}
-					if sl < 0 {
-						sTNS += sl
-					}
-				}
-				wns[s], tns[s], crit[s] = sWNS, sTNS, sCrit
+			if cF != nil {
+				cNet = cF[s]
 			}
-		}(w)
-	}
-	wg.Wait()
+			if err := wa.SetFactors(c.RScale, c.CScale, rNet, cNet); err != nil {
+				errs[w] = err
+				return
+			}
+			if err := wa.Propagate(ctx); err != nil {
+				errs[w] = err
+				return
+			}
+			sWNS, sTNS, sCrit := math.Inf(1), 0.0, -1
+			arrRow := arrAll[s*len(eps) : (s+1)*len(eps)]
+			slackRow := slackAll[s*len(eps) : (s+1)*len(eps)]
+			for e, ep := range eps {
+				arrRow[e] = wa.Arrival(ep.Slot).Max
+				sl := wa.Slack(ep)
+				slackRow[e] = sl
+				if math.IsInf(ep.Required, 1) {
+					continue
+				}
+				// Strict < keeps the lowest endpoint index on ties — the
+				// deterministic criticality attribution.
+				if sl < sWNS {
+					sWNS, sCrit = sl, e
+				}
+				if sl < 0 {
+					sTNS += sl
+				}
+			}
+			wns[s], tns[s], crit[s] = sWNS, sTNS, sCrit
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -405,40 +430,63 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 		}
 	}
 	if constrained {
-		d := distOf(wns)
+		d := distOf(wns, nil)
 		cr.WNS = &d
 	}
-	cr.TNS = distOf(tns)
-	for e, ep := range eps {
-		ed := EndpointDist{
-			Net:            ep.Net,
-			Output:         ep.Output,
-			Required:       ep.Required,
-			NominalArrival: nomArr[e],
-			NominalSlack:   nomSlack[e],
-			Arrival:        distOf(arrMat[e]),
-			Criticality:    float64(critCount[e]) / float64(samples),
-		}
-		if !math.IsInf(ep.Required, 1) {
-			d := distOf(slackMat[e])
-			ed.Slack = &d
-		}
-		cr.Endpoints = append(cr.Endpoints, ed)
-	}
+	cr.TNS = distOf(tns, nil)
 	// Worst nominal slack first; unconstrained after, by descending nominal
-	// arrival; names break ties — the timing.Report endpoint order.
-	sort.SliceStable(cr.Endpoints, func(a, b int) bool {
-		ea, eb := &cr.Endpoints[a], &cr.Endpoints[b]
-		if ea.NominalSlack != eb.NominalSlack {
-			return ea.NominalSlack < eb.NominalSlack
+	// arrival; names break ties — the timing.Report endpoint order. Ranking
+	// endpoint indices up front lets each statistics worker write its
+	// endpoints straight into their final rows.
+	order := make([]int, len(eps))
+	for e := range order {
+		order[e] = e
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case nomSlack[a] != nomSlack[b]:
+			if nomSlack[a] < nomSlack[b] {
+				return -1
+			}
+			return 1
+		case nomArr[a] != nomArr[b]:
+			if nomArr[a] > nomArr[b] {
+				return -1
+			}
+			return 1
+		case eps[a].Net != eps[b].Net:
+			return strings.Compare(eps[a].Net, eps[b].Net)
 		}
-		if ea.NominalArrival != eb.NominalArrival {
-			return ea.NominalArrival > eb.NominalArrival
+		return strings.Compare(eps[a].Output, eps[b].Output)
+	})
+	cr.Endpoints = make([]EndpointDist, len(eps))
+	parallel(workers, func(w int) {
+		col, buf := make([]float64, samples), make([]float64, samples)
+		// column gathers endpoint e's samples in sample order.
+		column := func(m []float64, e int) []float64 {
+			for s := range col {
+				col[s] = m[s*len(eps)+e]
+			}
+			return col
 		}
-		if ea.Net != eb.Net {
-			return ea.Net < eb.Net
+		for r := w; r < len(order); r += workers {
+			e := order[r]
+			ep := eps[e]
+			ed := EndpointDist{
+				Net:            ep.Net,
+				Output:         ep.Output,
+				Required:       ep.Required,
+				NominalArrival: nomArr[e],
+				NominalSlack:   nomSlack[e],
+				Arrival:        distOf(column(arrAll, e), buf),
+				Criticality:    float64(critCount[e]) / float64(samples),
+			}
+			if !math.IsInf(ep.Required, 1) {
+				d := distOf(column(slackAll, e), buf)
+				ed.Slack = &d
+			}
+			cr.Endpoints[r] = ed
 		}
-		return ea.Output < eb.Output
 	})
 	return cr, nil
 }

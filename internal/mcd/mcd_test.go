@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/netlist"
@@ -145,19 +146,19 @@ func TestCornerSweepMatchesFullReanalysis(t *testing.T) {
 				}
 			}
 			if cr.WNS != nil {
-				distClose(t, "WNS dist", *cr.WNS, distOf(wns), 1e-9)
+				distClose(t, "WNS dist", *cr.WNS, distOf(wns, nil), 1e-9)
 			}
-			distClose(t, "TNS dist", cr.TNS, distOf(tns), 1e-9)
+			distClose(t, "TNS dist", cr.TNS, distOf(tns, nil), 1e-9)
 			// Endpoint distributions and criticality counts, matched by key
 			// (the report is re-sorted by nominal slack).
 			wantByKey := map[[2]string]EndpointDist{}
 			for e, ep := range eps {
 				want := EndpointDist{
-					Arrival:     distOf(arr[e]),
+					Arrival:     distOf(arr[e], nil),
 					Criticality: float64(critCount[e]) / samples,
 				}
 				if !math.IsInf(ep.Required, 1) {
-					sd := distOf(slack[e])
+					sd := distOf(slack[e], nil)
 					want.Slack = &sd
 				}
 				wantByKey[[2]string{ep.Net, ep.Output}] = want
@@ -266,20 +267,29 @@ func TestClippedSharedAcrossCorners(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	d := testDesign(t, 1, 2, 2)
 	ctx := context.Background()
-	if _, err := Analyze(ctx, d, Options{Samples: -1}); err == nil {
-		t.Error("negative samples accepted")
-	}
-	if _, err := Analyze(ctx, d, Options{Variation: Variation{RSigma: -0.1}}); err == nil {
-		t.Error("negative sigma accepted")
-	}
-	if _, err := Analyze(ctx, d, Options{Corners: []Corner{{Name: "bad", RScale: 0, CScale: 1}}}); err == nil {
-		t.Error("zero corner scale accepted")
-	}
-	if _, err := Analyze(ctx, d, Options{Corners: []Corner{}}); err == nil {
-		t.Error("empty corner list accepted")
-	}
-	if _, err := Analyze(ctx, d, Options{Threshold: 1.2}); err == nil {
-		t.Error("threshold 1.2 accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	corner := func(r, c float64) []Corner { return []Corner{{Name: "bad", RScale: r, CScale: c}} }
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want string // substring of the error
+	}{
+		{"negative samples", Options{Samples: -1}, "samples"},
+		{"negative sigma", Options{Variation: Variation{RSigma: -0.1}}, "rSigma"},
+		{"NaN rSigma", Options{Variation: Variation{RSigma: nan}}, "rSigma must be finite"},
+		{"+Inf rSigma", Options{Variation: Variation{RSigma: inf}}, "rSigma must be finite"},
+		{"NaN cSigma", Options{Variation: Variation{CSigma: nan}}, "cSigma must be finite"},
+		{"-Inf cSigma", Options{Variation: Variation{CSigma: -inf}}, "cSigma must be finite"},
+		{"zero corner scale", Options{Corners: corner(0, 1)}, `corner "bad" rScale`},
+		{"NaN corner rScale", Options{Corners: corner(nan, 1)}, `corner "bad" rScale must be finite`},
+		{"+Inf corner cScale", Options{Corners: corner(1, inf)}, `corner "bad" cScale must be finite`},
+		{"empty corner list", Options{Corners: []Corner{}}, "empty corner list"},
+		{"threshold 1.2", Options{Threshold: 1.2}, "threshold"},
+	} {
+		_, err := Analyze(ctx, d, tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // fmtG renders a float compactly, with +Inf as "-" (unconstrained).
@@ -22,44 +22,94 @@ func fmtG(v float64) string {
 // corner the nominal and sampled WNS/TNS and the endpoint table (worst
 // nominal slack first). For slack the informative tail is the low one —
 // Min is the worst draw seen — while criticality says where the WNS lives.
+//
+// The endpoint rows, which dominate the output, are rendered without fmt:
+// one buffer grown once, strconv for the numbers, and explicit padding that
+// counts runes the way fmt's %-12s and %10s do.
 func (r *Report) Summary() string {
-	var b strings.Builder
+	rows := 0
+	for i := range r.Corners {
+		rows += 2 + len(r.Corners[i].Endpoints)
+	}
+	b := make([]byte, 0, 256+100*rows)
 	name := r.Design
 	if name == "" {
 		name = "(unnamed)"
 	}
-	fmt.Fprintf(&b, "design %s: %d corners, %d samples/corner, threshold %g, seed %d\n",
+	b = fmt.Appendf(b, "design %s: %d corners, %d samples/corner, threshold %g, seed %d\n",
 		name, len(r.Corners), r.Samples, r.Threshold, r.Seed)
-	fmt.Fprintf(&b, "variation: rSigma %g, cSigma %g", r.Variation.RSigma, r.Variation.CSigma)
+	b = fmt.Appendf(b, "variation: rSigma %g, cSigma %g", r.Variation.RSigma, r.Variation.CSigma)
 	if r.Clipped > 0 {
-		fmt.Fprintf(&b, " (%d clipped draws: low tail truncated, results biased up)", r.Clipped)
+		b = fmt.Appendf(b, " (%d clipped draws: low tail truncated, results biased up)", r.Clipped)
 	}
-	b.WriteByte('\n')
+	b = append(b, '\n')
 	if r.WorstCorner != "" {
-		fmt.Fprintf(&b, "worst corner: %s\n", r.WorstCorner)
+		b = fmt.Appendf(b, "worst corner: %s\n", r.WorstCorner)
 	}
 	for i := range r.Corners {
 		cr := &r.Corners[i]
-		fmt.Fprintf(&b, "\ncorner %s (R x%g, C x%g): nominal WNS %s TNS %s",
+		b = fmt.Appendf(b, "\ncorner %s (R x%g, C x%g): nominal WNS %s TNS %s",
 			cr.Corner.Name, cr.Corner.RScale, cr.Corner.CScale,
 			fmtG(cr.NominalWNS), fmtG(cr.NominalTNS))
 		if cr.WNS != nil {
-			fmt.Fprintf(&b, "   WNS mean %s std %s min %s", fmtG(cr.WNS.Mean), fmtG(cr.WNS.Std), fmtG(cr.WNS.Min))
+			b = fmt.Appendf(b, "   WNS mean %s std %s min %s", fmtG(cr.WNS.Mean), fmtG(cr.WNS.Std), fmtG(cr.WNS.Min))
 		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "%-12s %-10s %10s %10s %10s %10s %10s %10s %6s\n",
+		b = append(b, '\n')
+		b = fmt.Appendf(b, "%-12s %-10s %10s %10s %10s %10s %10s %10s %6s\n",
 			"net", "output", "required", "nom.slack", "slk.mean", "slk.std", "slk.min", "arr.mean", "crit%")
-		for _, e := range cr.Endpoints {
-			mean, std, min := "-", "-", "-"
+		for k := range cr.Endpoints {
+			e := &cr.Endpoints[k]
+			b = appendLeft(b, e.Net, 12)
+			b = append(b, ' ')
+			b = appendLeft(b, e.Output, 10)
+			b = appendG(b, e.Required)
+			b = appendG(b, e.NominalSlack)
 			if e.Slack != nil {
-				mean, std, min = fmtG(e.Slack.Mean), fmtG(e.Slack.Std), fmtG(e.Slack.Min)
+				b = appendG(b, e.Slack.Mean)
+				b = appendG(b, e.Slack.Std)
+				b = appendG(b, e.Slack.Min)
+			} else {
+				b = append(b, "          -          -          -"...)
 			}
-			fmt.Fprintf(&b, "%-12s %-10s %10s %10s %10s %10s %10s %10s %6.1f\n",
-				e.Net, e.Output, fmtG(e.Required), fmtG(e.NominalSlack),
-				mean, std, min, fmtG(e.Arrival.Mean), 100*e.Criticality)
+			b = appendG(b, e.Arrival.Mean)
+			// %6.1f: fmt prints exactly strconv's 'f' digits, "+Inf" and
+			// "NaN" included, right-aligned.
+			var num [32]byte
+			b = append(b, ' ')
+			b = appendRight(b, strconv.AppendFloat(num[:0], 100*e.Criticality, 'f', 1, 64), 6)
+			b = append(b, '\n')
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendLeft appends s left-aligned in a field of width runes, as %-Ns.
+func appendLeft(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// appendRight appends the ASCII field s right-aligned in width columns, as
+// %Ns.
+func appendRight(b, s []byte, width int) []byte {
+	for n := len(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return append(b, s...)
+}
+
+// appendG appends a space and fmtG(v) right-aligned in 10 columns: one
+// " %10s" column of the endpoint table.
+func appendG(b []byte, v float64) []byte {
+	var num [32]byte
+	s := append(num[:0], '-')
+	if !math.IsInf(v, 0) {
+		s = strconv.AppendFloat(num[:0], v, 'g', 6, 64)
+	}
+	return appendRight(append(b, ' '), s, 10)
 }
 
 // WriteCSV emits one row per corner × endpoint. Unconstrained endpoints

@@ -147,24 +147,32 @@ func TestArenaErrors(t *testing.T) {
 }
 
 // TestTimesFlatZeroAlloc asserts the flat pass allocates nothing once the
-// scratch has grown — the property the design-level hot path depends on.
+// scratch has grown — the property the design-level hot path depends on —
+// both for one output and for the all-outputs sweep over every node (more
+// than 64 outputs, so several sweeps), with its results in the scratch's own
+// buffer.
 func TestTimesFlatZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
-	tree := randomArenaTree(t, rand.New(rand.NewSource(3)), 64)
+	tree := randomArenaTree(t, rand.New(rand.NewSource(3)), 100)
 	a := NewArena(tree)
 	var s Scratch
 	e := a.Outputs[0]
-	if _, err := a.TimesInto(e, &s); err != nil {
-		t.Fatal(err)
+	all := make([]int32, a.Len())
+	for i := range all {
+		all[i] = int32(i)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
+	run := func() {
 		if _, err := a.TimesInto(e, &s); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("TimesInto allocates %v times per run on the steady state", allocs)
+		if _, err := TimesFlatAll(a.Parent, a.Kind, a.EdgeR, a.EdgeC, a.NodeC, all, s.Times(len(all)), &s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Fatalf("TimesInto + TimesFlatAll allocate %v times per run on the steady state", allocs)
 	}
 }

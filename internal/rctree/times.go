@@ -67,6 +67,13 @@ type Scratch struct {
 	onPath []bool
 	rkk    []float64
 	rke    []float64
+	// The flat all-outputs sweep (TimesFlatAll): per-node on-path bits, the
+	// node-major common-path column, the per-output TD and TR-numerator
+	// accumulators, and a results buffer callers may hand back as dst.
+	on     []uint64
+	rkeAll []float64
+	acc    []float64
+	times  []Times
 }
 
 // grow resizes the scratch arrays to n elements and zeroes onPath (the only
@@ -75,19 +82,55 @@ type Scratch struct {
 func (s *Scratch) grow(n int) {
 	if cap(s.onPath) < n {
 		s.onPath = make([]bool, n)
-		s.rkk = make([]float64, n)
 		s.rke = make([]float64, n)
 	} else {
 		s.onPath = s.onPath[:n]
-		s.rkk = s.rkk[:n]
 		s.rke = s.rke[:n]
-		for i := range s.onPath {
-			s.onPath[i] = false
-		}
+		clear(s.onPath)
 	}
+	if cap(s.rkk) < n {
+		s.rkk = make([]float64, n)
+	}
+	s.rkk = s.rkk[:n]
 	// Index 0 (the root) is read but never written by the pass.
 	s.rkk[0] = 0
 	s.rke[0] = 0
+}
+
+// growAll sizes the scratch for one TimesFlatAll sweep over n nodes and k
+// outputs, zeroing what the sweep reads before writing: the on-path bits,
+// the accumulators, and the root's common-path row.
+func (s *Scratch) growAll(n, k int) {
+	if cap(s.on) < n {
+		s.on = make([]uint64, n)
+	}
+	if cap(s.rkk) < n {
+		s.rkk = make([]float64, n)
+	}
+	if cap(s.rkeAll) < n*k {
+		s.rkeAll = make([]float64, n*k)
+	}
+	if cap(s.acc) < 2*k {
+		s.acc = make([]float64, 2*k)
+	}
+	s.on = s.on[:n]
+	s.rkk = s.rkk[:n]
+	s.rkeAll = s.rkeAll[:n*k]
+	s.acc = s.acc[:2*k]
+	clear(s.on)
+	clear(s.acc)
+	clear(s.rkeAll[:k])
+	s.rkk[0] = 0
+}
+
+// Times returns a k-element buffer owned by the scratch, to receive
+// TimesFlatAll results without allocating. Its contents are overwritten by
+// the next call.
+func (s *Scratch) Times(k int) []Times {
+	if cap(s.times) < k {
+		s.times = make([]Times, k)
+	}
+	return s.times[:k]
 }
 
 // CharacteristicTimes computes TP, TDe, TRe and Ree for output e in a single

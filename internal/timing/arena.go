@@ -172,9 +172,11 @@ func (a *designArena) newState() *arenaState {
 }
 
 // computeNet fully times net i: gather the input interval from the (already
-// final) driver slots, recompute each output slot's delay interval from the
-// flat tree, and write the output arrivals. Allocation-free once s has grown
-// to a.maxNet.
+// final) driver slots, recompute every output slot's delay interval from one
+// sweep of the flat tree, and write the output arrivals. Slots are written
+// in slot order, and the first failing slot's error is returned, exactly as
+// one TimesFlat call per slot would. Allocation-free once s has grown to
+// a.maxNet.
 func (a *designArena) computeNet(st *arenaState, th float64, i int32, s *rctree.Scratch) error {
 	f0, f1 := a.finOff[i], a.finOff[i+1]
 	var inMin, inMax float64
@@ -196,17 +198,16 @@ func (a *designArena) computeNet(st *arenaState, th float64, i int32, s *rctree.
 		}
 	}
 	st.inMin[i], st.inMax[i], st.worst[i] = inMin, inMax, worst
-	base := a.nodeOff[i]
-	end := a.nodeOff[i+1]
-	parent := a.parent[base:end]
-	kind := a.kind[base:end]
-	edgeR := a.edgeR[base:end]
-	edgeC := a.edgeC[base:end]
-	nodeC := a.nodeC[base:end]
-	for sl := a.outOff[i]; sl < a.outOff[i+1]; sl++ {
-		tm, err := rctree.TimesFlat(parent, kind, edgeR, edgeC, nodeC, int(a.outLocal[sl]), s)
-		if err != nil {
-			return fmt.Errorf("timing: net %q output %q: %w", a.netName[i], a.outName[sl], err)
+	base, end := a.nodeOff[i], a.nodeOff[i+1]
+	s0, s1 := a.outOff[i], a.outOff[i+1]
+	outs := a.outLocal[s0:s1]
+	tms := s.Times(len(outs))
+	done, terr := rctree.TimesFlatAll(a.parent[base:end], a.kind[base:end],
+		a.edgeR[base:end], a.edgeC[base:end], a.nodeC[base:end], outs, tms, s)
+	for j, tm := range tms {
+		sl := s0 + int32(j)
+		if j == done {
+			return fmt.Errorf("timing: net %q output %q: %w", a.netName[i], a.outName[sl], terr)
 		}
 		b, err := core.Eval(tm)
 		if err != nil {

@@ -2,13 +2,15 @@ package timing
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
-	"repro/internal/rctree"
+	"repro/internal/netlist"
 	"repro/internal/randnet"
+	"repro/internal/rctree"
 )
 
 func hammerDesign(t *testing.T, seed int64, levels, width, nodes int) *Graph {
@@ -179,5 +181,42 @@ func TestArenaAnalyzeCanceled(t *testing.T) {
 		if _, err := g.Analyze(ctx, opt); err == nil {
 			t.Errorf("option set %d: canceled analysis succeeded", i)
 		}
+	}
+}
+
+// TestComputeNetErrorOrder pins computeNet's first-error contract on the
+// fused all-outputs sweep: when a net's second output fails validation, the
+// first slot is still written and the error names the second output with
+// the message a per-output TimesFlat call gives.
+func TestComputeNetErrorOrder(t *testing.T) {
+	d, err := netlist.ParseDesign(".design e\n.net n\n.input in\nR1 in a 1\nC1 a 0 10\nR2 in b 1\n.output a\n.output b\n.endnet\n.end\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGraph(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := g.arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.outName[1] != "b" {
+		t.Fatalf("slot 1 is %q, want b", base.outName[1])
+	}
+	a := *base
+	a.edgeR = append([]float64(nil), base.edgeR...)
+	a.edgeR[a.nodeOff[0]+a.outLocal[1]] = -1 // b's Ree goes negative
+	_, terr := rctree.TimesFlat(a.parent, a.kind, a.edgeR, a.edgeC, a.nodeC, int(a.outLocal[1]), &rctree.Scratch{})
+	if terr == nil {
+		t.Fatal("negative resistance passed validation")
+	}
+	st := a.newState()
+	err = a.computeNet(st, 0.5, 0, &rctree.Scratch{})
+	if want := fmt.Sprintf("timing: net %q output %q: %v", "n", "b", terr); err == nil || err.Error() != want {
+		t.Fatalf("computeNet error %v, want %s", err, want)
+	}
+	if st.delayMax[0] <= 0 || st.arrMax[0] != st.delayMax[0] {
+		t.Fatalf("slot a not written before the failing slot: delay %g arrival %g", st.delayMax[0], st.arrMax[0])
 	}
 }

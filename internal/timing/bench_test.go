@@ -369,3 +369,39 @@ func BenchmarkWorstEndpoints(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVarArenaPropagate isolates the variation sweep's kernel layer on
+// the corners shape (6 levels × 40 nets × 30 nodes): one SetFactors with
+// per-net factors plus one sequential Propagate, the work of one Monte Carlo
+// sample. The allocs/op column must read 0.
+func BenchmarkVarArenaPropagate(b *testing.B) {
+	cfg := randnet.DefaultDesignConfig(6, 40)
+	cfg.Net = randnet.DefaultConfig(30)
+	g, err := NewGraph(randnet.DesignSeed(1, cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	va, err := g.VarArena(0.7, 1e5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rNet := make([]float64, va.Nets())
+	cNet := make([]float64, va.Nets())
+	for i := range rNet {
+		rNet[i], cNet[i] = 1+0.01*float64(i%7), 1-0.01*float64(i%5)
+	}
+	ctx := context.Background()
+	if err := va.Propagate(ctx); err != nil {
+		b.Fatal(err) // warm the scratch before measuring
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := va.SetFactors(1.15, 1.15, rNet, cNet); err != nil {
+			b.Fatal(err)
+		}
+		if err := va.Propagate(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

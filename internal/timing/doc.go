@@ -51,7 +51,13 @@
 //
 // Output-name lookups are resolved to integer slots at build, so propagation
 // touches nothing but flat float64/int32 slices; the steady-state sequential
-// sweep allocates nothing per pass (an AllocsPerRun test pins this). The
+// sweep allocates nothing per pass (an AllocsPerRun test pins this). Each
+// net is timed by one rctree.TimesFlatAll sweep over its tree for all of its
+// output slots: TP and the Rkk column are output independent (the paper's
+// eq. 5) and are accumulated once, and only the common-path resistance Rke
+// is carried per output. The results are bit-identical to one sweep per
+// output, and the slots are then validated, bounded and written in slot
+// order, so the first failing output still names the error. The
 // original pointer-tree core (CorePointer) stays intact behind the batch
 // engine — an explicit Options.Engine selects it so repeated nets hit the
 // engine's cross-design memoization cache — and the differential harness
