@@ -262,8 +262,8 @@ func (e *engine) mountCorners(ctx context.Context) error {
 	}
 	var d *netlist.Design
 	for _, c := range e.opt.Corners {
-		if c.RScale <= 0 || c.CScale <= 0 {
-			return fmt.Errorf("closure: corner %q has non-positive scale", c.Name)
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("closure: %w", err)
 		}
 		if c.RScale == 1 && c.CScale == 1 {
 			continue // the typical corner is the main session

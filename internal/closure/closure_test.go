@@ -533,6 +533,38 @@ func TestClosureCornersMineFromCorner(t *testing.T) {
 	}
 }
 
+// TestClosureRejectsBadCornerScales: a corner scale that is not finite and
+// positive is an options error naming the corner and the field; a NaN
+// corner would otherwise time NaN and never veto a move.
+func TestClosureRejectsBadCornerScales(t *testing.T) {
+	cases := []struct {
+		name           string
+		rScale, cScale float64
+		want           string
+	}{
+		{"zero r", 0, 1, `corner "bad" rScale must be finite and > 0, got 0`},
+		{"negative c", 1, -1, `corner "bad" cScale must be finite and > 0, got -1`},
+		{"NaN r", math.NaN(), 1, `corner "bad" rScale must be finite and > 0, got NaN`},
+		{"NaN c", 1, math.NaN(), `corner "bad" cScale must be finite and > 0, got NaN`},
+		{"+Inf r", math.Inf(1), 1, `corner "bad" rScale must be finite and > 0, got +Inf`},
+		{"+Inf c", 1, math.Inf(1), `corner "bad" cScale must be finite and > 0, got +Inf`},
+		{"-Inf r", math.Inf(-1), 1, `corner "bad" rScale must be finite and > 0, got -Inf`},
+		{"-Inf c", 1, math.Inf(-1), `corner "bad" cScale must be finite and > 0, got -Inf`},
+	}
+	d := parseChip(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			corners := append(mcd.DefaultCorners(), mcd.Corner{Name: "bad", RScale: tc.rScale, CScale: tc.cScale})
+			_, err := CloseDesign(context.Background(), d, Options{
+				Timing: timing.Options{Threshold: 0.7, Sequential: true}, Sequential: true, MaxMoves: 4, Corners: corners,
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestGenerateFromWorstEndpointsMatchesFullTable: at every accepted state of
 // several runs, mining the session's WorstEndpoints yields exactly the
 // candidates (and cost-filter verdict) that mining the full report's

@@ -64,6 +64,18 @@ type Corner struct {
 	CScale float64 `json:"cScale"`
 }
 
+// Validate reports a scale that is not finite and positive.
+func (c Corner) Validate() error {
+	// The negated comparisons also reject NaN, which a plain v <= 0 lets by.
+	if !(c.RScale > 0) || math.IsInf(c.RScale, 1) {
+		return fmt.Errorf("corner %q rScale must be finite and > 0, got %g", c.Name, c.RScale)
+	}
+	if !(c.CScale > 0) || math.IsInf(c.CScale, 1) {
+		return fmt.Errorf("corner %q cScale must be finite and > 0, got %g", c.Name, c.CScale)
+	}
+	return nil
+}
+
 // DefaultCorners is the classic three-point sweep: slow (+15% R and C),
 // typical, fast (−15%).
 func DefaultCorners() []Corner {
@@ -214,11 +226,8 @@ func (opt Options) resolve() (Options, error) {
 		return opt, fmt.Errorf("mcd: empty corner list")
 	}
 	for _, c := range opt.Corners {
-		if !(c.RScale > 0) || math.IsInf(c.RScale, 1) {
-			return opt, fmt.Errorf("mcd: corner %q rScale must be finite and > 0, got %g", c.Name, c.RScale)
-		}
-		if !(c.CScale > 0) || math.IsInf(c.CScale, 1) {
-			return opt, fmt.Errorf("mcd: corner %q cScale must be finite and > 0, got %g", c.Name, c.CScale)
+		if err := c.Validate(); err != nil {
+			return opt, fmt.Errorf("mcd: %w", err)
 		}
 	}
 	if opt.Workers <= 0 {

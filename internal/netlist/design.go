@@ -2,8 +2,11 @@ package netlist
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/rctree"
 )
@@ -78,126 +81,197 @@ func (d *Design) Net(name string) *DesignNet {
 	return nil
 }
 
-// ParseDesign reads a multi-net design deck in one pass: the cards of each
-// net section go straight to that net's deck. Every stage and require is
-// validated against the declared nets and their designated outputs, so a
-// returned Design is structurally sound (cycles are only diagnosed when a
-// timing graph is built from it).
+// ParseDesign reads a multi-net design deck in two phases. A sequential
+// pass reads the top-level cards and cuts out each net's section between
+// .net and .endnet without tokenizing its element cards; then
+// min(GOMAXPROCS, nets) workers parse the sections. The error returned is
+// the first in deck order, with the same text a one-pass parse would give.
+// Every stage and require is validated against the declared nets and their
+// designated outputs, so a returned Design is structurally sound (cycles
+// are only diagnosed when a timing graph is built from it).
 func ParseDesign(src string) (*Design, error) {
 	d := &Design{}
-	var (
-		curName string // net being collected, "" at top level
-		netLine int
-	)
-	net := newDeck()
-	seenNets := map[string]int{}
+	c := deckCut{index: map[string]int{}}
+	cutErr := c.read(d, src)
+	parseSections(c.nets)
+	// The pass stops at its first error, so every section lies before it.
+	for _, sec := range c.nets {
+		if sec.err != nil {
+			return nil, fmt.Errorf("netlist: design net %q (line %d): %w", sec.name, sec.line, sec.err)
+		}
+	}
+	if cutErr != nil {
+		return nil, cutErr
+	}
+	if len(c.nets) == 0 {
+		return nil, fmt.Errorf("netlist: design has no nets")
+	}
+	d.Nets = make([]DesignNet, len(c.nets))
+	for i, sec := range c.nets {
+		d.Nets[i] = DesignNet{Name: sec.name, Tree: sec.tree}
+	}
+	if err := d.validate(c.index); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// netSection is one net of a design deck: the lines between its .net card
+// and its .endnet, the body starting on line line+1.
+type netSection struct {
+	name string
+	line int // line of the .net card
+	body string
+	// open marks a section cut off by a nested .net or the end of the deck:
+	// its cards are parsed, but no tree is built.
+	open bool
+	tree *rctree.Tree
+	err  error
+}
+
+// deckCut is what ParseDesign's sequential pass cuts out of a deck: the net
+// sections in deck order and each one's index by name.
+type deckCut struct {
+	nets  []netSection
+	index map[string]int
+}
+
+// read is ParseDesign's sequential pass. It fills d's name, stages and
+// requires and cuts out the net sections, up to the first error, which it
+// returns.
+func (c *deckCut) read(d *Design, src string) error {
 	s := scanner{src: src}
 	for fields := s.next(); fields != nil; fields = s.next() {
 		no, head := s.no, fields[0]
-		if curName != "" {
-			// Inside a net section: .endnet closes it, everything else is
-			// a card of the net's deck.
-			var err error
-			switch {
-			case isDirective(head, ".ENDNET"):
-				var tree *rctree.Tree
-				if tree, err = net.build(); err == nil {
-					d.Nets = append(d.Nets, DesignNet{Name: curName, Tree: tree})
-					curName = ""
-					continue
-				}
-			case isDirective(head, ".NET"):
-				return nil, fmt.Errorf("netlist: line %d: .net inside net %q (missing .endnet)", no, curName)
-			default:
-				err = net.card(fields, no)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("netlist: design net %q (line %d): %w", curName, netLine, err)
-			}
-			continue
-		}
 		switch {
 		case isDirective(head, ".DESIGN"):
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("netlist: line %d: .design takes exactly one name", no)
+				return fmt.Errorf("netlist: line %d: .design takes exactly one name", no)
 			}
 			if d.Name != "" {
-				return nil, fmt.Errorf("netlist: line %d: duplicate .design (already %q)", no, d.Name)
+				return fmt.Errorf("netlist: line %d: duplicate .design (already %q)", no, d.Name)
 			}
 			d.Name = fields[1]
 		case isDirective(head, ".NET"):
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("netlist: line %d: .net takes exactly one name", no)
+				return fmt.Errorf("netlist: line %d: .net takes exactly one name", no)
 			}
-			if prev, dup := seenNets[fields[1]]; dup {
-				return nil, fmt.Errorf("netlist: line %d: net %q already defined at line %d", no, fields[1], prev)
+			if prev, dup := c.index[fields[1]]; dup {
+				return fmt.Errorf("netlist: line %d: net %q already defined at line %d", no, fields[1], c.nets[prev].line)
 			}
-			seenNets[fields[1]] = no
-			curName, netLine = fields[1], no
-			net.reset()
+			c.index[fields[1]] = len(c.nets)
+			c.nets = append(c.nets, netSection{name: fields[1], line: no})
+			if err := s.cutNet(&c.nets[len(c.nets)-1]); err != nil {
+				return err
+			}
 		case isDirective(head, ".ENDNET"):
-			return nil, fmt.Errorf("netlist: line %d: .endnet without .net", no)
+			return fmt.Errorf("netlist: line %d: .endnet without .net", no)
 		case isDirective(head, ".STAGE"):
 			if len(fields) != 5 {
-				return nil, fmt.Errorf("netlist: line %d: stage card needs '.stage fromNet output toNet delay'", no)
+				return fmt.Errorf("netlist: line %d: stage card needs '.stage fromNet output toNet delay'", no)
 			}
 			delay, err := ParseValue(fields[4])
 			if err != nil {
-				return nil, fmt.Errorf("netlist: line %d: %w", no, err)
+				return fmt.Errorf("netlist: line %d: %w", no, err)
 			}
 			if delay < 0 {
-				return nil, fmt.Errorf("netlist: line %d: negative stage delay %g", no, delay)
+				return fmt.Errorf("netlist: line %d: negative stage delay %g", no, delay)
 			}
 			d.Stages = append(d.Stages, Stage{
 				FromNet: fields[1], FromOutput: fields[2], ToNet: fields[3], Delay: delay,
 			})
 		case isDirective(head, ".REQUIRE"):
 			if len(fields) != 4 {
-				return nil, fmt.Errorf("netlist: line %d: require card needs '.require net output time'", no)
+				return fmt.Errorf("netlist: line %d: require card needs '.require net output time'", no)
 			}
 			t, err := ParseValue(fields[3])
 			if err != nil {
-				return nil, fmt.Errorf("netlist: line %d: %w", no, err)
+				return fmt.Errorf("netlist: line %d: %w", no, err)
 			}
 			d.Requires = append(d.Requires, Require{Net: fields[1], Output: fields[2], Time: t})
 		case isDirective(head, ".END"):
 			// terminator, accepted anywhere at top level
 		default:
-			return nil, fmt.Errorf("netlist: line %d: unrecognized design card %q (element cards belong inside .net/.endnet)", no, fields[0])
+			return fmt.Errorf("netlist: line %d: unrecognized design card %q (element cards belong inside .net/.endnet)", no, fields[0])
 		}
 	}
-	if curName != "" {
-		return nil, fmt.Errorf("netlist: net %q (line %d) is missing its .endnet", curName, netLine)
-	}
-	if len(d.Nets) == 0 {
-		return nil, fmt.Errorf("netlist: design has no nets")
-	}
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return nil
 }
 
-// validate resolves every stage and require against the declared nets.
-func (d *Design) validate() error {
+// cutNet moves s past the body and the .endnet of the net sec, whose .net
+// card s has just read, and records the body in sec.
+func (s *scanner) cutNet(sec *netSection) error {
+	start := s.pos
+	if start < 0 {
+		start = len(s.src)
+	}
+	for {
+		s.skipBody()
+		fields := s.next()
+		if fields == nil {
+			sec.body, sec.open = s.src[start:], true
+			return fmt.Errorf("netlist: net %q (line %d) is missing its .endnet", sec.name, sec.line)
+		}
+		switch head := fields[0]; {
+		case isDirective(head, ".ENDNET"):
+			sec.body = s.src[start:s.start]
+			return nil
+		case isDirective(head, ".NET"):
+			sec.body, sec.open = s.src[start:s.start], true
+			return fmt.Errorf("netlist: line %d: .net inside net %q (missing .endnet)", s.no, sec.name)
+		}
+	}
+}
+
+// parseSections parses every section into its tree or error, on
+// min(GOMAXPROCS, sections) workers that take sections in turn.
+func parseSections(secs []netSection) {
+	var next atomic.Int64
+	work := func() {
+		d := newDeck()
+		var s scanner
+		for i := int(next.Add(1) - 1); i < len(secs); i = int(next.Add(1) - 1) {
+			sec := &secs[i]
+			d.reset()
+			s = scanner{src: sec.body, no: sec.line}
+			if sec.err = d.cards(&s); sec.err == nil && !sec.open {
+				sec.tree, sec.err = d.build()
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(secs)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// validate resolves every stage and require against the declared nets,
+// given the index of each net by name.
+func (d *Design) validate(index map[string]int) error {
 	for i, s := range d.Stages {
-		from := d.Net(s.FromNet)
-		if from == nil {
+		from, ok := index[s.FromNet]
+		if !ok {
 			return fmt.Errorf("netlist: stage %d references unknown net %q", i+1, s.FromNet)
 		}
-		if d.Net(s.ToNet) == nil {
+		if _, ok := index[s.ToNet]; !ok {
 			return fmt.Errorf("netlist: stage %d references unknown net %q", i+1, s.ToNet)
 		}
-		if !hasOutput(from.Tree, s.FromOutput) {
+		if !hasOutput(d.Nets[from].Tree, s.FromOutput) {
 			return fmt.Errorf("netlist: stage %d: %q is not a designated output of net %q", i+1, s.FromOutput, s.FromNet)
 		}
 	}
 	for i, r := range d.Requires {
-		net := d.Net(r.Net)
-		if net == nil {
+		net, ok := index[r.Net]
+		if !ok {
 			return fmt.Errorf("netlist: require %d references unknown net %q", i+1, r.Net)
 		}
-		if !hasOutput(net.Tree, r.Output) {
+		if !hasOutput(d.Nets[net].Tree, r.Output) {
 			return fmt.Errorf("netlist: require %d: %q is not a designated output of net %q", i+1, r.Output, r.Net)
 		}
 	}

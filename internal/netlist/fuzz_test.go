@@ -138,10 +138,10 @@ func floatsClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*scale
 }
 
-// FuzzParseDesign asserts the multi-net parser never panics and that any
-// design it accepts survives a WriteDesign→ParseDesign round trip: same
-// shape, same stages and requires, and per-net characteristic times intact.
-func FuzzParseDesign(f *testing.F) {
+// designSeeds are the design decks FuzzParseDesign starts from: the grammar's
+// error paths, degenerate topologies, and the separator seeds wrapped in a
+// net.
+func designSeeds() []string {
 	seeds := []string{
 		"",
 		".net a\nR1 in o 1\nC1 o 0 2\n.output o\n.endnet\n",
@@ -169,7 +169,14 @@ func FuzzParseDesign(f *testing.F) {
 	for _, s := range separatorSeeds {
 		seeds = append(seeds, ".net a\n"+s+"\n.endnet\n")
 	}
-	for _, s := range seeds {
+	return seeds
+}
+
+// FuzzParseDesign asserts the multi-net parser never panics and that any
+// design it accepts survives a WriteDesign→ParseDesign round trip: same
+// shape, same stages and requires, and per-net characteristic times intact.
+func FuzzParseDesign(f *testing.F) {
+	for _, s := range designSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -80,16 +80,18 @@ func (d *deck) node(name string) int32 {
 // scanner walks a deck one card at a time, numbering lines as in the
 // source and skipping blank lines and comments.
 type scanner struct {
-	src string
-	pos int // start of the next line, -1 past the last
-	no  int // number of the line of the current card
-	buf [8]string
+	src   string
+	pos   int // start of the next line, -1 past the last
+	no    int // number of the line of the current card
+	start int // start of the line of the current card
+	buf   [8]string
 }
 
 // next returns the fields of the next card, or nil at the end of the deck.
 // The slice is only valid until the following call.
 func (s *scanner) next() []string {
 	for s.pos >= 0 {
+		s.start = s.pos
 		line := s.src[s.pos:]
 		if i := strings.IndexByte(line, '\n'); i >= 0 {
 			line = line[:i]
@@ -108,6 +110,33 @@ func (s *scanner) next() []string {
 		return s.fields(line)
 	}
 	return nil
+}
+
+// skipBody advances past the lines that cannot hold a directive: blank
+// lines and lines whose first non-blank byte is ASCII and not '.', such as
+// element cards and comments. It stops at a line that next must read:
+// one led by '.' or by a non-ASCII byte, which strings.TrimSpace may strip.
+func (s *scanner) skipBody() {
+	for s.pos >= 0 {
+		i := s.pos
+		for i < len(s.src) && isBlank(s.src[i]) {
+			i++
+		}
+		if i < len(s.src) && (s.src[i] == '.' || s.src[i] >= utf8.RuneSelf) {
+			return
+		}
+		s.no++
+		if j := strings.IndexByte(s.src[i:], '\n'); j >= 0 {
+			s.pos = i + j + 1
+		} else {
+			s.pos = -1
+		}
+	}
+}
+
+// isBlank reports whether c is ASCII white space other than '\n'.
+func isBlank(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // fields splits a trimmed, non-empty line like strings.Fields, without
@@ -157,13 +186,20 @@ func isASCII(s string) bool {
 // Parse reads a deck and returns the RC tree it describes.
 func Parse(src string) (*rctree.Tree, error) {
 	d := newDeck()
-	s := scanner{src: src}
-	for f := s.next(); f != nil; f = s.next() {
-		if err := d.card(f, s.no); err != nil {
-			return nil, err
-		}
+	if err := d.cards(&scanner{src: src}); err != nil {
+		return nil, err
 	}
 	return d.build()
+}
+
+// cards adds every card s reads, stopping at the first error.
+func (d *deck) cards(s *scanner) error {
+	for f := s.next(); f != nil; f = s.next() {
+		if err := d.card(f, s.no); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // card adds one card, given as its fields, from line no of the deck.
