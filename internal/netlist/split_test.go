@@ -182,7 +182,7 @@ func TestSplitParseFirstError(t *testing.T) {
 }
 
 // TestSplitParseManyNets parses a design with more nets than workers, clean
-// and with an error planted in each net in turn.
+// and with an error planted in one net at a time, across the deck.
 func TestSplitParseManyNets(t *testing.T) {
 	cfg := randnet.DefaultDesignConfig(4, 6)
 	cfg.Net = randnet.DefaultConfig(12)
@@ -192,13 +192,12 @@ func TestSplitParseManyNets(t *testing.T) {
 	}
 	for i := 0; i < 24; i += 5 {
 		net := fmt.Sprintf(".net l%dn%d\n", i/6, i%6)
-		bad := deck
-		if at := strings.Index(deck, net); at >= 0 {
-			bad = deck[:at+len(net)] + "X1 bad\n" + deck[at+len(net):]
-		} else {
+		at := strings.Index(deck, net)
+		if at < 0 {
 			t.Fatalf("no %q in deck", net)
 		}
-		if _, err := matchSequential(t, bad); err == nil {
+		at += len(net)
+		if _, err := matchSequential(t, deck[:at]+"X1 bad\n"+deck[at:]); err == nil {
 			t.Fatalf("net %d: bad card accepted", i)
 		}
 	}
