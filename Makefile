@@ -1,7 +1,7 @@
 # Developer entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: test race bench bench-smoke bench-trajectory cover golden vet clean
+.PHONY: test race bench bench-smoke bench-trajectory cover golden vet clean loc
 
 test:
 	go test ./...
@@ -41,3 +41,8 @@ bench-smoke:
 # slack, full-reanalyze-vs-dirty-cone ECO re-timing).
 bench-trajectory:
 	sh scripts/bench_trajectory.sh
+
+# Non-test Go lines per package (blank and comment-only lines excluded) and
+# the total: the complexity axis the performance work is weighed against.
+loc:
+	sh scripts/loc.sh

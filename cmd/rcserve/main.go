@@ -32,8 +32,6 @@
 //	                            counters and latency histograms, engine-phase
 //	                            timings, closure counters, cache gauges
 //	GET    /readyz              readiness; 503 once a shutdown drain starts
-//	GET    /debug/vars          legacy JSON counter blob (per-server, no
-//	                            global expvar registration)
 //	GET    /debug/traces        flight recorder: recent + pinned slow/error
 //	                            traces, newest first (?slow=1 pinned only)
 //	GET    /debug/traces/{id}   one trace as a span tree; ?format=chrome
@@ -298,7 +296,6 @@ func newServer(engine *rcdelay.BatchEngine) *server {
 	s.handle("GET /design/{id}/slack", s.handleDesignSlack)
 	s.handle("GET /design/{id}", s.handleDesignInfo)
 	s.handle("DELETE /design/{id}", s.handleDesignDelete)
-	s.handle("GET /debug/vars", s.handleVars)
 	s.handle("GET /debug/traces", s.handleTraceList)
 	s.handle("GET /debug/traces/{id}", s.handleTraceGet)
 	s.handle("GET /debug/pprof/", pprof.Index)
@@ -325,9 +322,8 @@ func (s *server) registerStoreGauges() {
 // count bumps one named registry counter by n.
 func (s *server) count(name string, n int64) { s.obs.Counter(name).Add(n) }
 
-// statsSnapshot aggregates the engine, cache and session counters for
-// /healthz and /debug/vars — the legacy JSON view of the same numbers
-// /metrics exposes.
+// statsSnapshot aggregates the engine, cache and session counters /healthz
+// serves — a JSON view of numbers /metrics also exposes.
 func (s *server) statsSnapshot() map[string]any {
 	stats := s.engine.CacheStats()
 	val := func(name string) int64 { return s.obs.Counter(name).Value() }
@@ -362,12 +358,6 @@ func (s *server) statsSnapshot() map[string]any {
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.obs.WritePrometheus(w)
-}
-
-// handleVars is the legacy /debug/vars shape, served per-server off the
-// registry instead of the old process-global expvar publication.
-func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"rcserve": s.statsSnapshot()})
 }
 
 // handleReadyz answers 200 until a shutdown drain starts, then 503 so load

@@ -361,35 +361,39 @@ func TestBodyCap(t *testing.T) {
 	}
 }
 
-// TestDebugVars: the expvar endpoint is mounted and carries the rcserve
-// counter tree.
-func TestDebugVars(t *testing.T) {
+// TestHealthzSessionCounters: /healthz carries the session gauge and the
+// bounds-query counter, and /debug/vars is not served.
+func TestHealthzSessionCounters(t *testing.T) {
 	_, ts := testServer(t)
 	id := openSession(t, ts, fig7Deck)
 	if status, _ := doJSON(t, http.MethodGet, ts.URL+"/session/"+id+"/bounds", ""); status != http.StatusOK {
 		t.Fatal("bounds probe failed")
 	}
-	resp, err := http.Get(ts.URL + "/debug/vars")
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", resp.StatusCode)
+		t.Fatalf("/healthz status %d", resp.StatusCode)
 	}
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	var rc map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&rc); err != nil {
 		t.Fatal(err)
-	}
-	rc, ok := vars["rcserve"].(map[string]any)
-	if !ok {
-		t.Fatalf("/debug/vars lacks rcserve tree: %v", vars["rcserve"])
 	}
 	sessions, ok := rc["sessions"].(map[string]any)
 	if !ok || sessions["active"].(float64) < 1 {
-		t.Errorf("rcserve.sessions = %v, want at least one active", rc["sessions"])
+		t.Errorf("sessions = %v, want at least one active", rc["sessions"])
 	}
 	if rc["boundsQueries"].(float64) < 1 {
 		t.Errorf("boundsQueries = %v, want >= 1", rc["boundsQueries"])
+	}
+	gone, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars status %d, want 404", gone.StatusCode)
 	}
 }

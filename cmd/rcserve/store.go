@@ -365,7 +365,7 @@ func (st *ttlStore[T]) ids() []string {
 // active reports the live entry count — the sampled store-depth gauge.
 func (st *ttlStore[T]) active() int { return int(st.size.Load()) }
 
-// stats snapshots the counters for /healthz and /debug/vars.
+// stats snapshots the counters for /healthz.
 func (st *ttlStore[T]) stats() map[string]any {
 	return map[string]any{
 		"active":    st.active(),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/netlist"
 	"repro/internal/randnet"
 	"repro/internal/timing"
@@ -36,18 +35,17 @@ func benchDesign(b *testing.B) (*netlist.Design, float64) {
 // BenchmarkClosure times the repair loop end to end — endpoint ranking,
 // candidate generation, what-if trials, accept — with trial evaluation
 // sequential vs fanned across the worker pool. The session mount is paid
-// outside the timer (a shared warm batch engine serves the per-net bounds),
-// so the ratio isolates the trial-evaluation concurrency win.
+// outside the timer, so the ratio isolates the trial-evaluation concurrency
+// win.
 // scripts/bench_trajectory.sh records it in BENCH_timing.json as
 // closure_concurrent_vs_sequential. The workload sub-benchmark runs the
 // closure workload's shape instead: 6×40 nets of 60 nodes, required time
 // 0.8 × the latest arrival, an 8-move budget, default trial concurrency.
 func BenchmarkClosure(b *testing.B) {
 	d, required := benchDesign(b)
-	engine := batch.New(batch.Options{})
 	// K < 0 skips critical-path backtracking; the repair loop never walks
 	// paths.
-	topt := timing.Options{Threshold: 0.7, Required: required, Engine: engine, K: -1}
+	topt := timing.Options{Threshold: 0.7, Required: required, K: -1}
 	run := func(b *testing.B, d *netlist.Design, topt timing.Options, o Options) {
 		ctx := context.Background()
 		b.ReportAllocs()

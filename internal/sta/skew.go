@@ -22,7 +22,7 @@ type SkewBound struct {
 // For a perfectly symmetric distribution network the interval is centered on
 // zero and its width equals the sum of the two delay-uncertainty windows.
 func Skew(a, b core.Result, v float64) (SkewBound, error) {
-	if v <= 0 || v >= 1 {
+	if !(v > 0 && v < 1) {
 		return SkewBound{}, fmt.Errorf("sta: skew threshold %g outside (0,1)", v)
 	}
 	return SkewBound{

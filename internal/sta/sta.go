@@ -29,7 +29,7 @@ func (n Net) Validate() error {
 	if n.Tree == nil {
 		return fmt.Errorf("sta: net %q has no tree", n.Name)
 	}
-	if n.Threshold <= 0 || n.Threshold >= 1 {
+	if !(n.Threshold > 0 && n.Threshold < 1) {
 		return fmt.Errorf("sta: net %q threshold %g outside (0,1)", n.Name, n.Threshold)
 	}
 	if n.Deadline < 0 {

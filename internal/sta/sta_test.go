@@ -254,3 +254,49 @@ func TestTightenWithSimulation(t *testing.T) {
 		t.Error("TightenWith accepted wrong-length slice")
 	}
 }
+
+// badThresholds are the switching thresholds every entry point must refuse:
+// anything outside the open interval (0,1), NaN included. The sta entry
+// points have no default, so 0 is refused too.
+var badThresholds = []struct {
+	name string
+	v    float64
+}{
+	{"NaN", math.NaN()},
+	{"+Inf", math.Inf(1)},
+	{"-Inf", math.Inf(-1)},
+	{"one", 1},
+	{"negative", -0.1},
+	{"zero", 0},
+}
+
+func TestNetValidateThreshold(t *testing.T) {
+	tr := fanoutNet(t)
+	for _, tc := range badThresholds {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := (Net{Name: "x", Tree: tr, Threshold: tc.v, Deadline: 1}).Validate(); err == nil {
+				t.Errorf("threshold %g accepted", tc.v)
+			}
+		})
+	}
+	if err := (Net{Name: "x", Tree: tr, Threshold: 0.7, Deadline: 1}).Validate(); err != nil {
+		t.Errorf("threshold 0.7 refused: %v", err)
+	}
+}
+
+func TestSkewThreshold(t *testing.T) {
+	results, err := core.AnalyzeTree(fanoutNet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range badThresholds {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Skew(results[0], results[1], tc.v); err == nil {
+				t.Errorf("threshold %g accepted", tc.v)
+			}
+		})
+	}
+	if _, err := Skew(results[0], results[1], 0.7); err != nil {
+		t.Errorf("threshold 0.7 refused: %v", err)
+	}
+}

@@ -23,8 +23,8 @@ import (
 //	                                               parent indices net-local
 //	slots   net 0 outputs | net 1 outputs | ...    outOff CSR per net
 //	        outLocal (node index), outName
-//	fanin   finOff CSR per net; per edge the driver net, the driver's global
-//	        output slot, and the stage delay
+//	fanin   finOff CSR per net; per edge the driver's global output slot and
+//	        the stage delay
 //	fanout  foutOff CSR per net; per edge the successor net index
 //	order   levelized net order with levelOff per level
 type designArena struct {
@@ -36,16 +36,14 @@ type designArena struct {
 	edgeR   []float64
 	edgeC   []float64
 	nodeC   []float64
-	maxNet  int // widest net, for scratch sizing
 	// output slots
 	outOff   []int32 // len nets+1
 	outLocal []int32 // net-local node index per slot
 	outName  []string
 	// fanin CSR per net
-	finOff    []int32
-	finDriver []int32
-	finSlot   []int32 // global output slot of the driver the edge taps
-	finDelay  []float64
+	finOff   []int32
+	finSlot  []int32 // global output slot of the driver the edge taps
+	finDelay []float64
 	// fanout CSR per net (successor nets, one entry per stage edge)
 	foutOff []int32
 	foutTo  []int32
@@ -67,8 +65,10 @@ type arenaState struct {
 }
 
 // newDesignArena flattens a resolved graph. Output-name lookups happen here,
-// once, so the propagation hot path is pure index arithmetic.
-func newDesignArena(g *Graph) (*designArena, error) {
+// once, so the propagation hot path is pure index arithmetic. Every lookup
+// succeeds: NewGraph has already refused stages that tap a name the driver
+// does not designate.
+func newDesignArena(g *Graph) *designArena {
 	nets := len(g.nodes)
 	a := &designArena{
 		nets:    nets,
@@ -80,11 +80,7 @@ func newDesignArena(g *Graph) (*designArena, error) {
 	total := 0
 	for i := range g.nodes {
 		a.nodeOff[i] = int32(total)
-		n := g.nodes[i].tree.NumNodes()
-		total += n
-		if n > a.maxNet {
-			a.maxNet = n
-		}
+		total += g.nodes[i].tree.NumNodes()
 		a.netName[i] = g.nodes[i].name
 	}
 	a.nodeOff[nets] = int32(total)
@@ -106,8 +102,8 @@ func newDesignArena(g *Graph) (*designArena, error) {
 			a.nodeC[base+j] = t.NodeCap(id)
 		}
 	}
-	// Output slots, in designation order (the same order treeOutputNames
-	// reports), plus a per-net name→slot index for fanin resolution.
+	// Output slots, in designation order, plus a per-net name→slot index for
+	// fanin resolution.
 	slotOf := make([]map[string]int32, nets)
 	for i := range g.nodes {
 		a.outOff[i] = int32(len(a.outLocal))
@@ -121,22 +117,17 @@ func newDesignArena(g *Graph) (*designArena, error) {
 	}
 	a.outOff[nets] = int32(len(a.outLocal))
 	// Fanin and fanout CSR, preserving the graph's edge order so the worst
-	// fanin index and the hull accumulation order match the pointer core.
+	// fanin index and the hull accumulation order match Graph.gatherInput.
 	a.finOff = make([]int32, nets+1)
 	a.foutOff = make([]int32, nets+1)
 	for i := range g.nodes {
-		a.finOff[i] = int32(len(a.finDriver))
+		a.finOff[i] = int32(len(a.finSlot))
 		for _, e := range g.nodes[i].fanin {
-			slot, ok := slotOf[e.driver][e.output]
-			if !ok {
-				return nil, fmt.Errorf("timing: stage taps %q, which is not a designated output of net %q", e.output, g.nodes[e.driver].name)
-			}
-			a.finDriver = append(a.finDriver, int32(e.driver))
-			a.finSlot = append(a.finSlot, slot)
+			a.finSlot = append(a.finSlot, slotOf[e.driver][e.output])
 			a.finDelay = append(a.finDelay, e.delay)
 		}
 	}
-	a.finOff[nets] = int32(len(a.finDriver))
+	a.finOff[nets] = int32(len(a.finSlot))
 	for i := range g.nodes {
 		a.foutOff[i] = int32(len(a.foutTo))
 		for _, e := range g.nodes[i].fanout {
@@ -154,7 +145,7 @@ func newDesignArena(g *Graph) (*designArena, error) {
 		}
 	}
 	a.levelOff[len(g.levels)] = int32(len(a.order))
-	return a, nil
+	return a
 }
 
 // newState allocates a fresh (uninitialized) propagation state sized for a.
@@ -176,7 +167,7 @@ func (a *designArena) newState() *arenaState {
 // sweep of the flat tree, and write the output arrivals. Slots are written
 // in slot order, and the first failing slot's error is returned, exactly as
 // one TimesFlat call per slot would. Allocation-free once s has grown to
-// a.maxNet.
+// the widest net.
 func (a *designArena) computeNet(st *arenaState, th float64, i int32, s *rctree.Scratch) error {
 	f0, f1 := a.finOff[i], a.finOff[i+1]
 	var inMin, inMax float64
@@ -237,22 +228,28 @@ func (a *designArena) propagateSeq(ctx context.Context, st *arenaState, th float
 	return nil
 }
 
-// netTimings materializes the flat state into the per-net map form the
-// report assembly and Session machinery consume. This runs once per analysis,
-// off the propagation hot path.
+// netTimings cuts the flat state into the per-net form the report assembly
+// and Session machinery consume: one delay and one arrival array over all
+// slots, and per net a window into each (names is a window into the
+// immutable outName). This runs once per analysis, off the propagation hot
+// path, and allocates three slices whatever the design's size.
 func (a *designArena) netTimings(st *arenaState) []netTiming {
+	slots := len(a.outLocal)
+	delay := make([]Interval, slots)
+	out := make([]Interval, slots)
+	for sl := range delay {
+		delay[sl] = Interval{st.delayMin[sl], st.delayMax[sl]}
+		out[sl] = Interval{st.arrMin[sl], st.arrMax[sl]}
+	}
 	state := make([]netTiming, a.nets)
-	for i := 0; i < a.nets; i++ {
-		nt := &state[i]
-		nt.input = Interval{st.inMin[i], st.inMax[i]}
-		nt.worst = int(st.worst[i])
-		n := int(a.outOff[i+1] - a.outOff[i])
-		nt.delay = make(map[string]Interval, n)
-		nt.out = make(map[string]Interval, n)
-		for sl := a.outOff[i]; sl < a.outOff[i+1]; sl++ {
-			name := a.outName[sl]
-			nt.delay[name] = Interval{st.delayMin[sl], st.delayMax[sl]}
-			nt.out[name] = Interval{st.arrMin[sl], st.arrMax[sl]}
+	for i := range state {
+		s0, s1 := a.outOff[i], a.outOff[i+1]
+		state[i] = netTiming{
+			input: Interval{st.inMin[i], st.inMax[i]},
+			names: a.outName[s0:s1:s1],
+			delay: delay[s0:s1:s1],
+			out:   out[s0:s1:s1],
+			worst: int(st.worst[i]),
 		}
 	}
 	return state

@@ -27,13 +27,19 @@ func hammerDesign(t *testing.T, seed int64, levels, width, nodes int) *Graph {
 }
 
 // TestWorkStealAnalyzeRaceHammer slams one shared Graph with concurrent
-// work-stealing analyses (plus level-barrier and sequential interlopers).
-// Every goroutine must reproduce the baseline report bit for bit; run under
-// -race this doubles as the scheduler's memory-visibility proof.
+// work-stealing analyses at 2 to 5 workers (plus sequential interlopers),
+// whatever GOMAXPROCS is. Every goroutine must reproduce the baseline report
+// bit for bit; run under -race this doubles as the scheduler's
+// memory-visibility proof.
 func TestWorkStealAnalyzeRaceHammer(t *testing.T) {
 	g := hammerDesign(t, 99, 5, 3, 20)
 	ctx := context.Background()
-	base, err := g.Analyze(ctx, Options{Threshold: 0.6, Required: 500, Sequential: true})
+	opt := Options{Threshold: 0.6, Required: 500, Sequential: true}
+	base, err := g.Analyze(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := opt.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +51,15 @@ func TestWorkStealAnalyzeRaceHammer(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			opt := Options{Threshold: 0.6, Required: 500, Scheduler: SchedWorkSteal, Workers: 1 + w%5}
-			if w%3 == 1 {
-				opt.Scheduler = SchedLevelBarrier
-			}
+			r := r
+			r.workers = 1 + w%5
 			for it := 0; it < iters; it++ {
-				rep, err := g.Analyze(ctx, opt)
+				state, err := g.computeState(ctx, r)
 				if err != nil {
 					errs <- err
 					return
 				}
+				rep := g.report(state, r.th, r.k, opt.Required)
 				if !reflect.DeepEqual(rep, base) {
 					t.Errorf("worker %d iter %d: report diverged from baseline", w, it)
 					return
@@ -119,10 +124,7 @@ func TestArenaPropagateSeqZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
 	g := hammerDesign(t, 5, 4, 3, 24)
-	da, err := g.arena()
-	if err != nil {
-		t.Fatal(err)
-	}
+	da := g.arena()
 	st := da.newState()
 	var s rctree.Scratch
 	ctx := context.Background()
@@ -140,46 +142,41 @@ func TestArenaPropagateSeqZeroAlloc(t *testing.T) {
 }
 
 // TestArenaPropScratchReuse checks that a propagation scratch recycled across
-// runs (the benchmark/server steady state) keeps producing results identical
-// to a fresh sequential pass, for both parallel schedulers.
+// work-stealing runs (the benchmark/server steady state) keeps producing
+// results identical to a fresh sequential pass.
 func TestArenaPropScratchReuse(t *testing.T) {
 	g := hammerDesign(t, 31, 4, 2, 16)
-	da, err := g.arena()
-	if err != nil {
-		t.Fatal(err)
-	}
+	da := g.arena()
 	want := da.newState()
 	if err := da.propagateSeq(context.Background(), want, 0.55, &rctree.Scratch{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Scheduler{SchedLevelBarrier, SchedWorkSteal} {
-		ps := da.newPropScratch(4)
-		st := da.newState()
-		for run := 0; run < 3; run++ {
-			if err := da.propagate(context.Background(), st, 0.55, sched, 4, ps); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(st, want) {
-				t.Fatalf("scheduler %d run %d: reused-scratch state diverged", sched, run)
-			}
+	ps := da.newPropScratch(4)
+	st := da.newState()
+	for run := 0; run < 3; run++ {
+		if err := da.propagate(context.Background(), st, 0.55, 4, ps); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st, want) {
+			t.Fatalf("run %d: reused-scratch state diverged", run)
 		}
 	}
 }
 
 // TestArenaAnalyzeCanceled verifies the arena paths honor context
-// cancellation for every scheduler.
+// cancellation, sequential and work-stealing alike.
 func TestArenaAnalyzeCanceled(t *testing.T) {
 	g := hammerDesign(t, 13, 4, 2, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := []Options{
-		{Threshold: 0.5, Sequential: true},
-		{Threshold: 0.5, Scheduler: SchedLevelBarrier, Workers: 2},
-		{Threshold: 0.5, Scheduler: SchedWorkSteal, Workers: 2},
-	}
-	for i, opt := range opts {
+	for _, opt := range []Options{{Sequential: true}, {}} {
 		if _, err := g.Analyze(ctx, opt); err == nil {
-			t.Errorf("option set %d: canceled analysis succeeded", i)
+			t.Errorf("%+v: canceled analysis succeeded", opt)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		if _, err := g.computeState(ctx, resolved{th: 0.5, workers: workers}); err == nil {
+			t.Errorf("%d workers: canceled propagation succeeded", workers)
 		}
 	}
 }
@@ -197,10 +194,7 @@ func TestComputeNetErrorOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := g.arena()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := g.arena()
 	if base.outName[1] != "b" {
 		t.Fatalf("slot 1 is %q, want b", base.outName[1])
 	}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/incr"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -15,20 +14,11 @@ import (
 )
 
 // BenchmarkDesignSlack measures chip-level slack computation on a generated
-// 6-level × 40-net design (240 nets), across both compute cores:
+// 6-level × 40-net design (240 nets), graph prebuilt:
 //
-//   - arena-sequential: the flat SoA/CSR arena on one goroutine — the
-//     production default when GOMAXPROCS is 1;
-//   - arena-worksteal / arena-levelbarrier: the arena's two parallel
-//     schedules (work-stealing is the production default on multicore);
-//   - pointer-sequential: the original pointer-tree core, one net at a time —
-//     the baseline the arena_vs_pointer_sequential speedup in
-//     BENCH_timing.json is computed against;
-//   - pointer-parallel: the pointer core fanned across the batch pool with
-//     content-hash memoization warm after the first iteration;
-//   - pointer-parallel-nocache: the same fan-out paying the full per-net
-//     analysis every iteration, so the gap to pointer-sequential is purely
-//     the level sharding (only wins wall-clock when GOMAXPROCS > 1).
+//   - arena-sequential: the flat arena swept on one goroutine
+//     (Options.Sequential);
+//   - arena-parallel: the default, work-stealing across GOMAXPROCS workers.
 func BenchmarkDesignSlack(b *testing.B) {
 	cfg := randnet.DefaultDesignConfig(6, 40)
 	cfg.Net = randnet.DefaultConfig(60)
@@ -49,48 +39,19 @@ func BenchmarkDesignSlack(b *testing.B) {
 			}
 		}
 	}
-
 	b.Run("arena-sequential", func(b *testing.B) {
 		o := opt
-		o.Core = CoreArena
 		o.Sequential = true
 		run(b, o)
 	})
-	b.Run("arena-worksteal", func(b *testing.B) {
-		o := opt
-		o.Core = CoreArena
-		o.Scheduler = SchedWorkSteal
-		run(b, o)
-	})
-	b.Run("arena-levelbarrier", func(b *testing.B) {
-		o := opt
-		o.Core = CoreArena
-		o.Scheduler = SchedLevelBarrier
-		run(b, o)
-	})
-	b.Run("pointer-sequential", func(b *testing.B) {
-		o := opt
-		o.Core = CorePointer
-		o.Sequential = true
-		run(b, o)
-	})
-	b.Run("pointer-parallel", func(b *testing.B) {
-		o := opt
-		o.Engine = batch.New(batch.Options{})
-		run(b, o)
-	})
-	b.Run("pointer-parallel-nocache", func(b *testing.B) {
-		o := opt
-		o.Engine = batch.New(batch.Options{CacheSize: -1})
-		run(b, o)
-	})
+	b.Run("arena-parallel", func(b *testing.B) { run(b, opt) })
 }
 
 // BenchmarkArenaPropagation isolates the arena propagation kernel from graph
 // build and report assembly: one prebuilt arena, one reusable state, one
 // recycled propagation scratch. The sequential pass is the zero-alloc hot
-// path (the allocs/op column must read 0); the parallel passes pay only
-// goroutine startup and scheduler traffic on top, so comparing the three at
+// path (the allocs/op column must read 0); the work-stealing pass pays only
+// goroutine startup and scheduler traffic on top, so comparing the two at
 // GOMAXPROCS=1 vs all cores shows exactly what the work-stealing schedule
 // buys (and costs) on a given machine.
 func BenchmarkArenaPropagation(b *testing.B) {
@@ -101,10 +62,7 @@ func BenchmarkArenaPropagation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	da, err := g.arena()
-	if err != nil {
-		b.Fatal(err)
-	}
+	da := g.arena()
 	ctx := context.Background()
 	const th = 0.7
 	b.Run("sequential", func(b *testing.B) {
@@ -121,35 +79,35 @@ func BenchmarkArenaPropagation(b *testing.B) {
 			}
 		}
 	})
-	for _, bench := range []struct {
-		name  string
-		sched Scheduler
-	}{
-		{"levelbarrier", SchedLevelBarrier},
-		{"worksteal", SchedWorkSteal},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			st := da.newState()
-			ps := da.newPropScratch(runtime.GOMAXPROCS(0))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := da.propagate(ctx, st, th, bench.sched, 0, ps); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("worksteal", func(b *testing.B) {
+		st := da.newState()
+		workers := runtime.GOMAXPROCS(0)
+		ps := da.newPropScratch(workers)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := da.propagate(ctx, st, th, workers, ps); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkArenaPropagationObs measures what the telemetry layer costs the
-// full arena analysis path (computeState: propagation plus state
-// materialization), obs disabled (nil registry: the no-op path every
-// un-instrumented caller pays, one pointer test per phase) vs enabled (a
-// live registry absorbing the spans). scripts/bench_trajectory.sh records
-// the ratio as metrics_overhead in BENCH_timing.json; the no-op path must
-// stay within 2% of a live registry (both are expected to be noise next to
-// the propagation itself).
+// BenchmarkArenaPropagationObs measures what telemetry costs the full
+// sequential analysis path (computeState: propagation plus state
+// materialization):
+//
+//   - disabled: nil registry and no trace in the context, the no-op path
+//     every un-instrumented caller pays (one pointer test per phase, one
+//     context lookup);
+//   - metrics: a live registry absorbing the spans' histograms;
+//   - trace: each iteration wrapped in a live trace, one root span as a
+//     request middleware would open, the engine's child spans recording
+//     into it.
+//
+// scripts/bench_trajectory.sh records metrics/disabled as metrics_overhead
+// (contract <= 1.02) and trace/disabled as trace_overhead (contract <= 1.05)
+// in BENCH_timing.json.
 func BenchmarkArenaPropagationObs(b *testing.B) {
 	cfg := randnet.DefaultDesignConfig(6, 40)
 	cfg.Net = randnet.DefaultConfig(60)
@@ -158,72 +116,30 @@ func BenchmarkArenaPropagationObs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := g.arena(); err != nil {
-		b.Fatal(err) // build the arena outside the measured region
-	}
-	ctx := context.Background()
-	run := func(b *testing.B, reg *obs.Registry) {
-		opt := Options{Threshold: 0.7, Core: CoreArena, Sequential: true, Obs: reg}
-		r, err := opt.resolve()
+	g.arena() // build the arena outside the measured region
+	run := func(b *testing.B, reg *obs.Registry, tracer *trace.Tracer) {
+		r, err := Options{Threshold: 0.7, Sequential: true, Obs: reg}.resolve()
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := g.computeState(ctx, r); err != nil {
-				b.Fatal(err)
+			ctx := context.Background()
+			var root *trace.Span
+			if tracer != nil {
+				ctx, root = tracer.Start(ctx, "bench")
 			}
-		}
-	}
-	b.Run("disabled", func(b *testing.B) { run(b, nil) })
-	b.Run("enabled", func(b *testing.B) { run(b, obs.NewRegistry()) })
-}
-
-// BenchmarkArenaPropagationTrace is the tracing twin of
-// BenchmarkArenaPropagationObs: the same arena analysis path with no trace
-// in the context (the one-context-lookup no-op every untraced request pays)
-// vs wrapped in a live trace, one root span per iteration as a request
-// middleware would do, with the engine's StartOp child spans recording into
-// it. scripts/bench_trajectory.sh records the ratio as trace_overhead in
-// BENCH_timing.json; the contract is trace_overhead <= 1.05.
-func BenchmarkArenaPropagationTrace(b *testing.B) {
-	cfg := randnet.DefaultDesignConfig(6, 40)
-	cfg.Net = randnet.DefaultConfig(60)
-	design := randnet.DesignSeed(123, cfg)
-	g, err := NewGraph(design)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := g.arena(); err != nil {
-		b.Fatal(err) // build the arena outside the measured region
-	}
-	opt := Options{Threshold: 0.7, Core: CoreArena, Sequential: true}
-	r, err := opt.resolve()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("disabled", func(b *testing.B) {
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.computeState(ctx, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("enabled", func(b *testing.B) {
-		tracer := trace.New(trace.Options{Capacity: 4, SlowThreshold: -1})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ctx, root := tracer.Start(context.Background(), "bench")
 			if _, err := g.computeState(ctx, r); err != nil {
 				b.Fatal(err)
 			}
 			root.End()
 		}
+	}
+	b.Run("disabled", func(b *testing.B) { run(b, nil, nil) })
+	b.Run("metrics", func(b *testing.B) { run(b, obs.NewRegistry(), nil) })
+	b.Run("trace", func(b *testing.B) {
+		run(b, nil, trace.New(trace.Options{Capacity: 4, SlowThreshold: -1}))
 	})
 }
 
@@ -232,18 +148,15 @@ func BenchmarkArenaPropagationTrace(b *testing.B) {
 //
 //   - full-reanalyze: the pre-session workflow — re-run the whole levelized
 //     analysis after the edit. The benchmark alternates between two prebuilt
-//     graphs differing in one net so a shared engine's memoization stays as
-//     warm as a production server's would (239 of 240 nets hit the cache);
-//     the residual cost is hashing every net, the full arrival sweep, and
-//     the report build.
+//     graphs differing in one net, each with its arena already built, so
+//     the cost is the full sequential arena sweep, the state cut and the
+//     report build.
 //   - dirty-cone: a Session absorbing the same alternating edit — one
 //     O(depth) EditTree update, per-output bound refresh, and arrival
 //     propagation only through the edited net's downstream cone.
 //
-// Both sides set Options.Engine, which under CoreAuto deliberately selects
-// the pointer core: the memoization cache is the whole point of the
-// full-reanalysis baseline. scripts/bench_trajectory.sh records the ratio in
-// BENCH_timing.json.
+// Both sides run sequentially. scripts/bench_trajectory.sh records the ratio
+// in BENCH_timing.json.
 func BenchmarkDesignECO(b *testing.B) {
 	cfg := randnet.DefaultDesignConfig(6, 40)
 	cfg.Net = randnet.DefaultConfig(60)
@@ -254,9 +167,8 @@ func BenchmarkDesignECO(b *testing.B) {
 	_, r0, _ := tree.Edge(rctree.NodeID(1))
 	rA, rB := r0*1.25, r0*0.8
 
-	// The edited-variant design for the full-reanalysis baseline: same tree
-	// pointers everywhere except the edited net, so the shared cache keeps
-	// serving the other 239 nets.
+	// The edited-variant design for the full-reanalysis baseline: same trees
+	// everywhere except the edited net.
 	variant := func(r float64) *netlist.Design {
 		et := incr.New(tree)
 		id, ok := et.Lookup(node)
@@ -280,7 +192,7 @@ func BenchmarkDesignECO(b *testing.B) {
 		return d
 	}
 	ctx := context.Background()
-	opt := Options{Threshold: 0.7, Required: 1e5, K: 5}
+	opt := Options{Threshold: 0.7, Required: 1e5, K: 5, Sequential: true}
 
 	b.Run("full-reanalyze", func(b *testing.B) {
 		gA, err := NewGraph(variant(rA))
@@ -291,20 +203,19 @@ func BenchmarkDesignECO(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o := opt
-		o.Engine = batch.New(batch.Options{})
 		graphs := [2]*Graph{gA, gB}
+		for _, g := range graphs {
+			g.arena()
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := graphs[i%2].Analyze(ctx, o); err != nil {
+			if _, err := graphs[i%2].Analyze(ctx, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("dirty-cone", func(b *testing.B) {
-		o := opt
-		o.Engine = batch.New(batch.Options{})
-		s, err := NewSession(ctx, design, o)
+		s, err := NewSession(ctx, design, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

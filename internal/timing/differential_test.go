@@ -3,9 +3,11 @@ package timing
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/randnet"
 )
@@ -19,53 +21,123 @@ func diffDesignConfig(rng *rand.Rand) randnet.DesignConfig {
 	return cfg
 }
 
-// stateFor computes the full per-net working state of d under one core.
-func stateFor(t *testing.T, d *netlist.Design, opt Options) (*Graph, []netTiming) {
+// oracleNet is one net's state under the reference evaluation, keyed by
+// output name.
+type oracleNet struct {
+	input Interval
+	worst int
+	delay map[string]Interval
+	out   map[string]Interval
+}
+
+// oracleState times d the slow, obvious way, sharing no code with the arena
+// kernel or the Session: level by level, each net's input arrival is the
+// hull of its drivers' tapped output arrivals shifted by the gate delays,
+// and core.Analyzer on the net's rctree.Tree gives every output's paper
+// bounds, evaluated at th into [TMin, TMax].
+func oracleState(t *testing.T, d *netlist.Design, th float64) (*Graph, []oracleNet) {
 	t.Helper()
 	g, err := NewGraph(d)
 	if err != nil {
 		t.Fatalf("graph: %v", err)
 	}
-	r, err := opt.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := g.computeState(context.Background(), r)
-	if err != nil {
-		t.Fatalf("computeState: %v", err)
+	an := core.NewAnalyzer()
+	state := make([]oracleNet, len(g.nodes))
+	for _, level := range g.levels {
+		for _, i := range level {
+			st := &state[i]
+			st.worst = -1
+			for ei, e := range g.nodes[i].fanin {
+				cand := state[e.driver].out[e.output].add(e.delay)
+				if ei == 0 {
+					st.input, st.worst = cand, 0
+					continue
+				}
+				if cand.Max > st.input.Max {
+					st.worst = ei
+				}
+				st.input = st.input.hull(cand)
+			}
+			results, err := an.Analyze(g.nodes[i].tree)
+			if err != nil {
+				t.Fatalf("oracle: net %q: %v", g.nodes[i].name, err)
+			}
+			st.delay = make(map[string]Interval, len(results))
+			st.out = make(map[string]Interval, len(results))
+			for _, r := range results {
+				dl := Interval{r.Bounds.TMin(th), r.Bounds.TMax(th)}
+				st.delay[r.Name] = dl
+				st.out[r.Name] = st.input.plus(dl)
+			}
+		}
 	}
 	return g, state
 }
 
-// assertStatesClose compares two full working states net by net — input
-// interval, every output's delay and arrival interval, and the worst-fanin
-// choice — to 1e-9.
-func assertStatesClose(t *testing.T, g *Graph, got, want []netTiming, label string) {
+// oracleReport lists the oracle's endpoints with their arrivals and slacks,
+// plus WNS and TNS, under the shared endpoint rule. Endpoints stay unsorted:
+// assertReportsClose matches them by name.
+func oracleReport(g *Graph, state []oracleNet, defRequired float64) *Report {
+	rep := &Report{WNS: math.Inf(1)}
+	for i := range g.nodes {
+		for name, arr := range state[i].out {
+			req, ok := g.endpointRequired(i, name, defRequired)
+			if !ok {
+				continue
+			}
+			ep := g.endpoint(i, name, arr, req)
+			rep.WNS = math.Min(rep.WNS, ep.Slack)
+			if ep.Slack < 0 {
+				rep.TNS += ep.Slack
+			}
+			rep.Endpoints = append(rep.Endpoints, ep)
+		}
+	}
+	return rep
+}
+
+// stateFor runs the full arena sweep of d across the given worker count (1
+// is sequential; more is work-stealing, whatever GOMAXPROCS is).
+func stateFor(t *testing.T, d *netlist.Design, th float64, workers int) []netTiming {
+	t.Helper()
+	g, err := NewGraph(d)
+	if err != nil {
+		t.Fatalf("graph: %v", err)
+	}
+	state, err := g.computeState(context.Background(), resolved{th: th, workers: workers})
+	if err != nil {
+		t.Fatalf("computeState: %v", err)
+	}
+	return state
+}
+
+// assertStatesClose compares a working state against the oracle net by net
+// — input interval, every output's delay and arrival interval, and the
+// worst-fanin choice — to 1e-9.
+func assertStatesClose(t *testing.T, g *Graph, got []netTiming, want []oracleNet, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: state length %d vs %d", label, len(got), len(want))
 	}
 	for i := range want {
 		name := g.nodes[i].name
-		if !intervalsClose(got[i].input, want[i].input) {
-			t.Fatalf("%s: net %s input %+v vs %+v", label, name, got[i].input, want[i].input)
+		gi, wi := &got[i], &want[i]
+		if !intervalsClose(gi.input, wi.input) {
+			t.Fatalf("%s: net %s input %+v vs %+v", label, name, gi.input, wi.input)
 		}
-		if got[i].worst != want[i].worst {
-			t.Fatalf("%s: net %s worst fanin %d vs %d", label, name, got[i].worst, want[i].worst)
+		if gi.worst != wi.worst {
+			t.Fatalf("%s: net %s worst fanin %d vs %d", label, name, gi.worst, wi.worst)
 		}
-		if len(got[i].delay) != len(want[i].delay) || len(got[i].out) != len(want[i].out) {
+		if len(gi.names) != len(wi.delay) || len(gi.delay) != len(gi.names) || len(gi.out) != len(gi.names) {
 			t.Fatalf("%s: net %s output sets differ", label, name)
 		}
-		for out, w := range want[i].delay {
-			gv, ok := got[i].delay[out]
-			if !ok || !intervalsClose(gv, w) {
-				t.Fatalf("%s: net %s/%s delay %+v vs %+v", label, name, out, gv, w)
+		for j, out := range gi.names {
+			wd, ok := wi.delay[out]
+			if !ok || !intervalsClose(gi.delay[j], wd) {
+				t.Fatalf("%s: net %s/%s delay %+v vs %+v", label, name, out, gi.delay[j], wd)
 			}
-		}
-		for out, w := range want[i].out {
-			gv, ok := got[i].out[out]
-			if !ok || !intervalsClose(gv, w) {
-				t.Fatalf("%s: net %s/%s arrival %+v vs %+v", label, name, out, gv, w)
+			if wo := wi.out[out]; !intervalsClose(gi.out[j], wo) {
+				t.Fatalf("%s: net %s/%s arrival %+v vs %+v", label, name, out, gi.out[j], wo)
 			}
 		}
 	}
@@ -98,12 +170,11 @@ func assertReportsClose(t *testing.T, got, want *Report, label string) {
 	}
 }
 
-// TestDifferentialArenaVsPointer is the cross-core property test: 300
-// randomized designs analyzed by the flat arena core (sequential,
-// level-barrier and work-stealing schedules) and by the original
-// pointer-tree core must agree on every net bound, arrival interval,
+// TestDifferentialArenaVsOracle is the cross-check of the arena kernel: 300
+// randomized designs propagated sequentially and work-stealing at 3 and 4
+// workers must agree with the oracle on every net bound, arrival interval,
 // endpoint slack, WNS and TNS to 1e-9.
-func TestDifferentialArenaVsPointer(t *testing.T) {
+func TestDifferentialArenaVsOracle(t *testing.T) {
 	designs := 300
 	if testing.Short() {
 		designs = 60
@@ -117,61 +188,40 @@ func TestDifferentialArenaVsPointer(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			required = 50 + rng.Float64()*1e3
 		}
-		base := Options{Threshold: th, Required: required, K: 3}
-		_, want := stateFor(t, d, Options{Threshold: th, Core: CorePointer, Sequential: true})
-		variants := []Options{
-			{Threshold: th, Core: CoreArena, Sequential: true},
-			{Threshold: th, Core: CoreArena, Scheduler: SchedLevelBarrier, Workers: 3},
-			{Threshold: th, Core: CoreArena, Scheduler: SchedWorkSteal, Workers: 4},
-		}
-		for vi, opt := range variants {
-			g, got := stateFor(t, d, opt)
-			assertStatesClose(t, g, got, want, fmt.Sprintf("design %d variant %d", n, vi))
+		g, want := oracleState(t, d, th)
+		for _, workers := range []int{1, 3, 4} {
+			got := stateFor(t, d, th, workers)
+			assertStatesClose(t, g, got, want, fmt.Sprintf("design %d workers %d", n, workers))
 		}
 		// Reports, through the public entry point.
-		pointerOpt := base
-		pointerOpt.Core = CorePointer
-		pointerOpt.Sequential = true
-		wantRep, err := Analyze(ctx, d, pointerOpt)
+		gotRep, err := Analyze(ctx, d, Options{Threshold: th, Required: required, K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		arenaOpt := base
-		arenaOpt.Core = CoreArena
-		gotRep, err := Analyze(ctx, d, arenaOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertReportsClose(t, gotRep, wantRep, fmt.Sprintf("design %d report", n))
+		assertReportsClose(t, gotRep, oracleReport(g, want, required), fmt.Sprintf("design %d report", n))
 	}
 }
 
-// assertSessionMatchesCore materializes the session's current design and
-// checks the session's incremental state against a from-scratch analysis
-// under the given core.
-func assertSessionMatchesCore(t *testing.T, s *Session, core CoreKind, label string) {
+// assertSessionMatchesOracle materializes the session's current design and
+// checks the session's incremental state and report against the oracle's
+// from-scratch evaluation of it.
+func assertSessionMatchesOracle(t *testing.T, s *Session, label string) {
 	t.Helper()
 	d, err := s.Design()
 	if err != nil {
 		t.Fatalf("%s: materialize: %v", label, err)
 	}
-	_, want := stateFor(t, d, Options{Threshold: s.th, Core: core, Sequential: true})
+	g, want := oracleState(t, d, s.th)
 	assertStatesClose(t, s.g, s.state, want, label)
-	full, err := Analyze(context.Background(), d, Options{
-		Threshold: s.th, Required: s.required, K: s.k, Core: core, Sequential: true,
-	})
-	if err != nil {
-		t.Fatalf("%s: full analysis: %v", label, err)
-	}
-	assertReportsClose(t, s.Report(), full, label)
+	assertReportsClose(t, s.Report(), oracleReport(g, want, s.required), label)
 }
 
-// TestDifferentialECO extends the cross-core check through ECO editing: per
+// TestDifferentialECO extends the oracle check through ECO editing: per
 // design, 50 random edits are absorbed incrementally and after every edit
-// the session state must agree with from-scratch analyses under BOTH cores.
-// Forked sessions are spliced in along the way: the fork absorbs its own
-// edit, must match full analyses of its own materialized design, and the
-// parent must stay bit-identical.
+// the session state must agree with the oracle's evaluation of the
+// materialized design. A forked session is spliced in along the way: the
+// fork absorbs its own edit, must match the oracle on its own materialized
+// design, and the parent must stay bit-identical.
 func TestDifferentialECO(t *testing.T) {
 	designs := 300
 	edits := 50
@@ -188,21 +238,16 @@ func TestDifferentialECO(t *testing.T) {
 			if _, err := s.Apply([]Edit{ed}); err != nil {
 				continue // guarded edit (drain, orphan...) — rejection is fine
 			}
-			core := CorePointer
-			if e%2 == 1 {
-				core = CoreArena
-			}
-			assertSessionMatchesCore(t, s, core, fmt.Sprintf("design %d edit %d", n, e))
+			assertSessionMatchesOracle(t, s, fmt.Sprintf("design %d edit %d", n, e))
 			if e == edits/2 {
-				// Fork differential: edit the fork, check it against both
-				// cores, and pin the parent unchanged.
+				// Fork differential: edit the fork, check it against the
+				// oracle, and pin the parent unchanged.
 				parentWNS, parentTNS := s.Summary()
 				parentGen := s.Gen()
 				f := s.Fork()
 				fe := randomEdit(rng, f, &seq)
 				if _, err := f.Apply([]Edit{fe}); err == nil {
-					assertSessionMatchesCore(t, f, CorePointer, fmt.Sprintf("design %d fork", n))
-					assertSessionMatchesCore(t, f, CoreArena, fmt.Sprintf("design %d fork arena", n))
+					assertSessionMatchesOracle(t, f, fmt.Sprintf("design %d fork", n))
 				}
 				wns, tns := s.Summary()
 				if wns != parentWNS || tns != parentTNS || s.Gen() != parentGen {

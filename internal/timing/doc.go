@@ -5,8 +5,8 @@
 // ("output X of net A drives the input of net B through a gate with
 // intrinsic delay d"). The engine builds the DAG of nets, levelizes it, and
 // computes every net's output delay interval [TMin, TMax] at the switching
-// threshold — the paper's bounds, evaluated through the shared batch worker
-// pool so all nets of a level run concurrently. Interval arrival times then
+// threshold — the paper's bounds, from one sweep of the net's tree, with
+// independent nets timed concurrently. Interval arrival times then
 // propagate along the stage edges:
 //
 //   - a primary-input net (no fanin) is driven by the ideal step at t = 0,
@@ -32,20 +32,18 @@
 //
 // Analyze is the one-call form; NewGraph + Graph.Analyze amortizes graph
 // construction across repeated analyses. Options.Sequential disables the
-// level-parallel fan-out (BenchmarkDesignSlack measures the gap).
+// parallel fan-out (BenchmarkDesignSlack measures the gap).
 //
 // # The flat-arena core
 //
-// Analysis runs on one of two interchangeable compute cores, selected by
-// Options.Core. The default (CoreArena, unless an explicit shared Engine is
-// set) is a flat SoA/CSR arena built once per Graph: every net's RC tree
-// flattened into one concatenated node arena with one contiguous slice per
-// field, and every variable-length relation as a CSR index range:
+// Analysis runs on a flat SoA/CSR arena built once per Graph: every net's
+// RC tree flattened into one concatenated node arena with one contiguous
+// slice per field, and every variable-length relation as a CSR index range:
 //
 //	nodes   net 0 nodes | net 1 nodes | ...     nodeOff CSR per net
 //	        parent/kind/edgeR/edgeC/nodeC       one flat slice per field
 //	slots   net 0 outputs | net 1 outputs | ... outOff CSR per net
-//	fanin   finOff CSR; driver net, driver's global output slot, delay
+//	fanin   finOff CSR; driver's global output slot, stage delay
 //	fanout  foutOff CSR; successor net per stage edge
 //	order   levelized net order with levelOff per level — computed once
 //
@@ -57,22 +55,21 @@
 // eq. 5) and are accumulated once, and only the common-path resistance Rke
 // is carried per output. The results are bit-identical to one sweep per
 // output, and the slots are then validated, bounded and written in slot
-// order, so the first failing output still names the error. The
-// original pointer-tree core (CorePointer) stays intact behind the batch
-// engine — an explicit Options.Engine selects it so repeated nets hit the
-// engine's cross-design memoization cache — and the differential harness
-// pins the two cores to each other to 1e-9 on every quantity the report
-// carries, fresh and across randomized ECO edit sequences.
+// order, so the first failing output still names the error. After the
+// sweep, each net's working state is a window into per-slot delay and
+// arrival arrays: its output names, delays and arrivals as aligned slices
+// in designation order. The differential harness pins the arena and the
+// Session to a test-only oracle (per net, package core's analysis of the
+// pointer-linked tree) to 1e-9 on every quantity the report carries, fresh
+// and across randomized ECO edit sequences.
 //
-// Parallel arena propagation is scheduled by Options.Scheduler.
-// SchedLevelBarrier shards each topological level across workers and
-// barriers between levels — simple, but a deep design with narrow levels
-// serializes on the barriers. SchedWorkSteal (the default) drops them: each
-// net carries an atomic remaining-fanin counter, a finished net pushes the
-// successors that just became ready onto its own deque (popped LIFO, chasing
-// the fanout cone depth-first for locality), and idle workers steal FIFO.
-// Results are bit-identical across cores, schedulers and worker counts —
-// each net's computation is a pure function of its drivers' final state.
+// Parallel propagation is work-stealing across GOMAXPROCS workers, with no
+// level barriers: each net carries an atomic remaining-fanin counter, a
+// finished net pushes the successors that just became ready onto its own
+// deque (popped LIFO, chasing the fanout cone depth-first for locality),
+// and idle workers steal FIFO. Results are bit-identical across worker
+// counts — each net's computation is a pure function of its drivers' final
+// state.
 //
 // # Incremental re-timing (ECO sessions)
 //

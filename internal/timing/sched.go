@@ -2,47 +2,12 @@ package timing
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/rctree"
 )
-
-// Scheduler selects how a parallel arena propagation distributes nets across
-// workers. Sequential analyses (Options.Sequential or Workers == 1) bypass
-// the scheduler entirely.
-type Scheduler int
-
-const (
-	// SchedAuto picks the default parallel schedule (work-stealing).
-	SchedAuto Scheduler = iota
-	// SchedLevelBarrier splits each topological level across the workers and
-	// barriers between levels — simple, but a deep design with narrow levels
-	// serializes on the barriers.
-	SchedLevelBarrier
-	// SchedWorkSteal drops the level barriers: each net carries an atomic
-	// remaining-fanin counter, a finished net releases exactly the successors
-	// that became ready, and workers pop their own deque LIFO (chasing a
-	// fanout cone depth-first for locality) while idle workers steal FIFO
-	// from victims. Narrow-but-deep designs keep every worker busy as long
-	// as any independent cone remains.
-	SchedWorkSteal
-)
-
-// String names the schedule for telemetry labels and logs.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedAuto:
-		return "auto"
-	case SchedLevelBarrier:
-		return "levelbarrier"
-	case SchedWorkSteal:
-		return "worksteal"
-	}
-	return fmt.Sprintf("scheduler(%d)", int(s))
-}
 
 // propScratch holds the reusable allocations of parallel propagation: one
 // characteristic-times scratch per worker, the remaining-fanin counters, and
@@ -55,12 +20,11 @@ type propScratch struct {
 }
 
 func (a *designArena) newPropScratch(workers int) *propScratch {
-	ps := &propScratch{
+	return &propScratch{
 		scratch:   make([]rctree.Scratch, workers),
 		remaining: make([]int32, a.nets),
 		deques:    make([]workDeque, workers),
 	}
-	return ps
 }
 
 // workDeque is a mutex-guarded per-worker deque. Nets are coarse work items
@@ -104,32 +68,21 @@ func (d *workDeque) steal() (int32, bool) {
 	return i, true
 }
 
-// propagate dispatches one full propagation over the arena. ps may be nil
-// for one-shot analyses; reuse it (sized for the same worker count) to keep
-// steady-state runs allocation-lean. Results are bit-identical across
-// schedulers and worker counts: each net's computation is a pure function of
-// its drivers' final state.
-func (a *designArena) propagate(ctx context.Context, st *arenaState, th float64, sched Scheduler, workers int, ps *propScratch) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// propagate dispatches one full propagation over the arena: sequential on
+// the caller's goroutine for one worker, work-stealing across workers
+// otherwise. ps may be nil for one-shot analyses; reuse it (sized for the
+// same worker count) to keep steady-state runs allocation-lean. Results are
+// bit-identical across worker counts: each net's computation is a pure
+// function of its drivers' final state.
+func (a *designArena) propagate(ctx context.Context, st *arenaState, th float64, workers int, ps *propScratch) error {
 	if workers > a.nets {
 		workers = a.nets
 	}
 	if workers <= 1 {
-		var s *rctree.Scratch
-		if ps != nil && len(ps.scratch) > 0 {
-			s = &ps.scratch[0]
-		} else {
-			s = &rctree.Scratch{}
-		}
-		return a.propagateSeq(ctx, st, th, s)
+		return a.propagateSeq(ctx, st, th, &rctree.Scratch{})
 	}
 	if ps == nil || len(ps.scratch) < workers {
 		ps = a.newPropScratch(workers)
-	}
-	if sched == SchedLevelBarrier {
-		return a.propagateLevels(ctx, st, th, workers, ps)
 	}
 	return a.propagateSteal(ctx, st, th, workers, ps)
 }
@@ -146,56 +99,12 @@ func (p *propErr) set(err error) {
 	p.abort.Store(true)
 }
 
-// propagateLevels computes each level with a worker pool behind an atomic
-// claim counter, barriering between levels.
-func (a *designArena) propagateLevels(ctx context.Context, st *arenaState, th float64, workers int, ps *propScratch) error {
-	var pe propErr
-	for l := 0; l+1 < len(a.levelOff); l++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		level := a.order[a.levelOff[l]:a.levelOff[l+1]]
-		w := workers
-		if w > len(level) {
-			w = len(level)
-		}
-		if w <= 1 {
-			for _, i := range level {
-				if err := a.computeNet(st, th, i, &ps.scratch[0]); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(s *rctree.Scratch) {
-				defer wg.Done()
-				for !pe.abort.Load() {
-					k := int(next.Add(1)) - 1
-					if k >= len(level) {
-						return
-					}
-					if err := a.computeNet(st, th, level[k], s); err != nil {
-						pe.set(err)
-						return
-					}
-				}
-			}(&ps.scratch[wi])
-		}
-		wg.Wait()
-		if pe.abort.Load() {
-			return pe.err
-		}
-	}
-	return nil
-}
-
-// propagateSteal runs the barrier-free schedule: per-net atomic
-// remaining-fanin counters gate readiness, finished nets release their
-// fanouts into the finisher's own deque, and idle workers steal.
+// propagateSteal runs the work-stealing schedule: per-net atomic
+// remaining-fanin counters gate readiness (no level barriers), a finished
+// net releases exactly the successors that became ready into the finisher's
+// own deque — popped LIFO, chasing the fanout cone depth-first for locality
+// — and idle workers steal FIFO from victims. Narrow-but-deep designs keep
+// every worker busy as long as any independent cone remains.
 func (a *designArena) propagateSteal(ctx context.Context, st *arenaState, th float64, workers int, ps *propScratch) error {
 	// Mid-flight cancellation is caught in the idle loop; a context canceled
 	// before entry would otherwise slip past workers that never go idle.

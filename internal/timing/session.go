@@ -96,8 +96,8 @@ type Session struct {
 	netNeg []float64
 	// owned is the per-net dirty-range/ownership byte: ownTreeBit marks
 	// trees[i] as exclusively this session's, ownStateBit the same for
-	// state[i]'s arrival map. Fork zeroes the byte on both sides; applyOne
-	// clones a shared tree and refreshOut a shared map before their first
+	// state[i]'s arrival slice. Fork zeroes the byte on both sides; applyOne
+	// clones a shared tree and refreshOut a shared slice before their first
 	// mutation — copy-on-write, so a fork costs O(nets) flag-and-struct
 	// copies instead of O(design) data.
 	owned  []uint8
@@ -105,9 +105,11 @@ type Session struct {
 	report *Report // memoized; nil after any state change
 	// scratch for the dirty-cone sweep, allocated lazily on the first Apply
 	// so read-only forks (closure trials that get discarded early) stay
-	// cheaper to create.
+	// cheaper to create. moved[j] marks the current net's output positions
+	// whose arrival the sweep just changed.
 	queued  []bool
 	buckets [][]int
+	moved   []bool
 	// obs receives per-Apply telemetry (dirty/visited cone sizes, apply
 	// spans); nil disables it. Forks inherit it.
 	obs *obs.Registry
@@ -120,8 +122,8 @@ const (
 )
 
 // NewSession builds the graph, mounts one EditTree per net, and runs the
-// initial full analysis (through opt.Engine's pool unless opt.Sequential).
-// Options are fixed for the session's lifetime.
+// initial full analysis (work-stealing across GOMAXPROCS workers unless
+// opt.Sequential). Options are fixed for the session's lifetime.
 func NewSession(ctx context.Context, d *netlist.Design, opt Options) (*Session, error) {
 	_, op := trace.StartOp(ctx, opt.Obs, "timing_levelize")
 	g, err := NewGraph(d)
@@ -134,8 +136,8 @@ func NewSession(ctx context.Context, d *netlist.Design, opt Options) (*Session, 
 }
 
 // Session mounts an incremental re-timing session on an existing graph. The
-// initial full analysis rides the resolved core (the flat arena by default);
-// the session's own ECO machinery then re-times dirty cones incrementally.
+// initial full analysis runs on the graph's flat arena; the session's own
+// ECO machinery then re-times dirty cones incrementally.
 func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 	r, err := opt.resolve()
 	if err != nil {
@@ -202,29 +204,26 @@ func (s *Session) Fork() *Session {
 		report:    s.report, // reports are immutable once built
 		obs:       s.obs,    // registries are goroutine-safe; forks share one
 	}
-	// The copied netTiming structs still point at the parent's arrival and
-	// delay maps. Delay maps are only ever replaced wholesale, so sharing
-	// them is safe forever; arrival maps are cloned by refreshOut before
-	// their first in-place write. The parent's trees and maps are shared
-	// now too: its next mutation must also clone first, or it would touch
-	// data a live fork reads. Zeroing the ownership bytes on both sides is
-	// the whole dirty-range reset — the underlying arrays stay put.
+	// The copied netTiming structs still point at the parent's name, delay
+	// and arrival slices. Names and delays are only ever replaced wholesale,
+	// so sharing them is safe forever; arrival slices are cloned by
+	// refreshOut before their first in-place write. The parent's trees and
+	// slices are shared now too: its next mutation must also clone first, or
+	// it would touch data a live fork reads. Zeroing the ownership bytes on
+	// both sides is the whole dirty-range reset — the underlying arrays stay
+	// put.
 	for i := range s.owned {
 		s.owned[i] = 0
 	}
 	return f
 }
 
-// ownOut returns net i's arrival map for in-place mutation, cloning it
+// ownOut returns net i's arrival slice for in-place mutation, cloning it
 // first if it is still shared with a fork (or a fork's parent).
-func (s *Session) ownOut(i int) map[string]Interval {
+func (s *Session) ownOut(i int) []Interval {
 	st := &s.state[i]
 	if s.owned[i]&ownStateBit == 0 {
-		m := make(map[string]Interval, len(st.out))
-		for k, v := range st.out {
-			m[k] = v
-		}
-		st.out = m
+		st.out = slices.Clone(st.out)
 		s.owned[i] |= ownStateBit
 	}
 	return st.out
@@ -273,22 +272,30 @@ func (s *Session) netIndex(net string) (int, error) {
 
 // NetDelay returns the current [TMin, TMax] delay interval of one net output.
 func (s *Session) NetDelay(net, output string) (Interval, bool) {
-	i, err := s.netIndex(net)
-	if err != nil {
+	st, j := s.outputAt(net, output)
+	if j < 0 {
 		return Interval{}, false
 	}
-	d, ok := s.state[i].delay[output]
-	return d, ok
+	return st.delay[j], true
 }
 
 // Arrival returns the current arrival interval at one net output.
 func (s *Session) Arrival(net, output string) (Interval, bool) {
-	i, err := s.netIndex(net)
-	if err != nil {
+	st, j := s.outputAt(net, output)
+	if j < 0 {
 		return Interval{}, false
 	}
-	a, ok := s.state[i].out[output]
-	return a, ok
+	return st.out[j], true
+}
+
+// outputAt resolves a net output to its net's working state and the
+// output's position in it (-1 when the net or the output is unknown).
+func (s *Session) outputAt(net, output string) (*netTiming, int) {
+	i, err := s.netIndex(net)
+	if err != nil {
+		return nil, -1
+	}
+	return &s.state[i], s.state[i].output(output)
 }
 
 // InputArrival returns the current arrival interval at the net's driven
@@ -627,32 +634,34 @@ func (s *Session) outputsUnder(i int, q incr.NodeID) int {
 	return count
 }
 
-// recomputeDelay rebuilds net i's delay map from its EditTree: one O(depth)
-// characteristic-times query plus a bound evaluation per designated output.
-func (s *Session) recomputeDelay(i int) error {
+// recomputeDelay derives net i's designated output names and delay
+// intervals from its EditTree: one O(depth) characteristic-times query plus
+// a bound evaluation per output.
+func (s *Session) recomputeDelay(i int) ([]string, []Interval, error) {
 	et := s.trees[i]
 	outs := et.Outputs()
-	delay := make(map[string]Interval, len(outs))
-	for _, o := range outs {
+	names := make([]string, len(outs))
+	delay := make([]Interval, len(outs))
+	for j, o := range outs {
+		names[j] = et.Name(o)
 		tm, err := et.Times(o)
 		if err != nil {
-			return fmt.Errorf("timing: net %q output %q: %w", s.g.nodes[i].name, et.Name(o), err)
+			return nil, nil, fmt.Errorf("timing: net %q output %q: %w", s.g.nodes[i].name, names[j], err)
 		}
 		b, err := core.New(tm)
 		if err != nil {
-			return fmt.Errorf("timing: net %q output %q: %w", s.g.nodes[i].name, et.Name(o), err)
+			return nil, nil, fmt.Errorf("timing: net %q output %q: %w", s.g.nodes[i].name, names[j], err)
 		}
-		delay[et.Name(o)] = Interval{b.TMin(s.th), b.TMax(s.th)}
+		delay[j] = Interval{b.TMin(s.th), b.TMax(s.th)}
 	}
-	s.state[i].delay = delay
-	return nil
+	return names, delay, nil
 }
 
-// propagate re-times the dirty cone: the edited nets re-derive their delay
-// maps from their EditTrees, then arrivals sweep level by level through the
-// downstream fanout, early-exiting any net whose input interval (and delay)
-// came back unchanged. Only fanouts tapping an output whose arrival actually
-// moved are enqueued, so a mid-cone settle stops the wave.
+// propagate re-times the dirty cone: the edited nets re-derive their output
+// delays from their EditTrees, then arrivals sweep level by level through
+// the downstream fanout, early-exiting any net whose input interval (and
+// delay) came back unchanged. Only fanouts tapping an output whose arrival
+// actually moved are enqueued, so a mid-cone settle stops the wave.
 func (s *Session) propagate(edited map[int]bool, res *ApplyResult) error {
 	var firstErr error
 	if s.queued == nil {
@@ -684,21 +693,25 @@ func (s *Session) propagate(edited map[int]bool, res *ApplyResult) error {
 				continue
 			}
 			st.input, st.worst = in, worst
+			var moved bool
 			if delayDirty {
-				if err := s.recomputeDelay(i); err != nil {
+				names, delay, err := s.recomputeDelay(i)
+				if err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
 					continue
 				}
+				s.rebuildOut(i, names, delay)
+			} else {
+				moved = s.refreshOut(i)
 			}
-			changed := s.refreshOut(i, delayDirty)
-			if len(changed) > 0 || delayDirty {
+			if moved || delayDirty {
 				dirty[i] = true
 				s.refreshSummary(i)
 			}
 			for _, fe := range s.g.nodes[i].fanout {
-				if changed[fe.output] {
+				if j := st.output(fe.output); j >= 0 && s.moved[j] {
 					push(fe.to)
 				}
 			}
@@ -720,39 +733,40 @@ func (s *Session) propagate(edited map[int]bool, res *ApplyResult) error {
 	return firstErr
 }
 
-// refreshOut recomputes net i's output arrivals from the current input and
-// delay map, returning the set of output names whose interval moved. With
-// rebuild set (an edited net) the map is rebuilt so grown or pruned outputs
-// appear and vanish; otherwise it is updated in place.
-func (s *Session) refreshOut(i int, rebuild bool) map[string]bool {
+// rebuildOut installs an edited net's freshly derived names and delays and
+// rebuilds its arrivals from them, so grown or pruned outputs appear and
+// vanish. An output is marked moved in s.moved when its arrival differs
+// from before or it is new; a pruned output needs no mark, since it cannot
+// be stage-tapped (tapped outputs are protected).
+func (s *Session) rebuildOut(i int, names []string, delay []Interval) {
 	st := &s.state[i]
-	changed := map[string]bool{}
-	if rebuild {
-		newOut := make(map[string]Interval, len(st.delay))
-		for name, d := range st.delay {
-			nv := st.input.plus(d)
-			newOut[name] = nv
-			if ov, ok := st.out[name]; !ok || ov != nv {
-				changed[name] = true
-			}
-		}
-		for name := range st.out {
-			if _, ok := newOut[name]; !ok {
-				changed[name] = true // output pruned (never stage-tapped: protected)
-			}
-		}
-		st.out = newOut
-		s.owned[i] |= ownStateBit // freshly built, private by construction
-		return changed
+	out := make([]Interval, len(delay))
+	s.moved = slices.Grow(s.moved[:0], len(delay))[:len(delay)]
+	for j, d := range delay {
+		out[j] = st.input.plus(d)
+		k := st.output(names[j])
+		s.moved[j] = k < 0 || st.out[k] != out[j]
 	}
-	for name, d := range st.delay {
+	st.names, st.delay, st.out = names, delay, out
+	s.owned[i] |= ownStateBit // freshly built, private by construction
+}
+
+// refreshOut recomputes net i's output arrivals in place from the current
+// input and delays, marks in s.moved the outputs whose arrival moved, and
+// reports whether any did.
+func (s *Session) refreshOut(i int) bool {
+	st := &s.state[i]
+	s.moved = slices.Grow(s.moved[:0], len(st.delay))[:len(st.delay)]
+	moved := false
+	for j, d := range st.delay {
 		nv := st.input.plus(d)
-		if st.out[name] != nv {
-			s.ownOut(i)[name] = nv
-			changed[name] = true
+		s.moved[j] = st.out[j] != nv
+		if s.moved[j] {
+			s.ownOut(i)[j] = nv
+			moved = true
 		}
 	}
-	return changed
+	return moved
 }
 
 // refreshSummary recomputes net i's endpoint-slack aggregates from its
@@ -760,14 +774,13 @@ func (s *Session) refreshOut(i int, rebuild bool) map[string]bool {
 // designation order, over constrained endpoints only.
 func (s *Session) refreshSummary(i int) {
 	minS, neg := math.Inf(1), 0.0
-	et := s.trees[i]
-	for _, o := range et.Outputs() {
-		name := et.Name(o)
+	st := &s.state[i]
+	for j, name := range st.names {
 		req, ok := s.g.endpointRequired(i, name, s.required)
 		if !ok || math.IsInf(req, 1) {
 			continue
 		}
-		slack := req - s.state[i].out[name].Max
+		slack := req - st.out[j].Max
 		if slack < minS {
 			minS = slack
 		}
@@ -799,7 +812,7 @@ func (s *Session) Summary() (wns, tns float64) {
 // WorstEndpoints and Summary instead.
 func (s *Session) Report() *Report {
 	if s.report == nil {
-		s.report = s.g.report(s.state, s.th, s.k, s.required, s.outputNames)
+		s.report = s.g.report(s.state, s.th, s.k, s.required)
 	}
 	return s.report
 }
@@ -830,11 +843,10 @@ func (s *Session) WorstEndpoints(k int) []EndpointSlack {
 		if math.IsInf(m, 1) || !(m <= cut) {
 			continue
 		}
-		et := s.trees[i]
-		for _, o := range et.Outputs() {
-			name := et.Name(o)
+		st := &s.state[i]
+		for j, name := range st.names {
 			if req, ok := s.g.endpointRequired(i, name, s.required); ok && !math.IsInf(req, 1) {
-				eps = append(eps, s.g.endpoint(i, name, s.state[i].out[name], req))
+				eps = append(eps, s.g.endpoint(i, name, st.out[j], req))
 			}
 		}
 	}
@@ -843,19 +855,6 @@ func (s *Session) WorstEndpoints(k int) []EndpointSlack {
 		eps = eps[:k]
 	}
 	return eps
-}
-
-// outputNames lists net i's current designated output names, off the
-// session's EditTrees (Analyze-time reports read the immutable trees
-// instead).
-func (s *Session) outputNames(i int) []string {
-	et := s.trees[i]
-	outs := et.Outputs()
-	names := make([]string, len(outs))
-	for j, o := range outs {
-		names[j] = et.Name(o)
-	}
-	return names
 }
 
 // Design materializes the current session state back into a standalone

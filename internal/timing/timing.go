@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -38,28 +37,9 @@ func (iv Interval) hull(o Interval) Interval {
 	return Interval{math.Min(iv.Min, o.Min), math.Max(iv.Max, o.Max)}
 }
 
-// CoreKind selects the compute core an analysis runs on.
-type CoreKind int
-
-const (
-	// CoreAuto uses the flat arena core, unless a shared Engine is supplied
-	// (an explicit engine means the caller wants its memoization cache, which
-	// only the pointer core consults).
-	CoreAuto CoreKind = iota
-	// CoreArena forces the flat SoA/CSR arena core: index-based node storage,
-	// allocation-free levelized propagation, and (when parallel) the chosen
-	// Scheduler. Engine is ignored.
-	CoreArena
-	// CorePointer forces the original pointer-tree core: per-net
-	// rctree.Tree walks fanned across a batch engine (or computed inline
-	// when Sequential). Kept as the independent reference implementation the
-	// differential harness compares the arena against.
-	CorePointer
-)
-
 // Options configures an analysis. The zero value uses threshold 0.5, no
-// default required time, 5 critical paths, the flat arena core, and
-// work-stealing parallel execution across GOMAXPROCS workers.
+// default required time, 5 critical paths, and work-stealing parallel
+// propagation across GOMAXPROCS workers.
 type Options struct {
 	// Threshold is the receiving gates' switching threshold as a fraction of
 	// the step (0 means 0.5).
@@ -70,24 +50,11 @@ type Options struct {
 	// K is how many critical paths to backtrack (0 means 5; negative means
 	// none).
 	K int
-	// Engine is the batch engine the pointer core fans per-net bound
-	// computations across. Setting it selects the pointer core under
-	// CoreAuto, so repeated nets hit the engine's memoization cache; the
-	// arena core computes bounds in place and never consults it.
-	Engine *batch.Engine
-	// Sequential computes each net one at a time on the caller's goroutine,
-	// whichever core is selected.
+	// Sequential computes each net one at a time on the caller's goroutine.
 	Sequential bool
-	// Core picks the compute core; see CoreKind.
-	Core CoreKind
-	// Scheduler picks the parallel arena schedule (SchedAuto means
-	// work-stealing). Ignored by the pointer core and in sequential mode.
-	Scheduler Scheduler
-	// Workers caps arena propagation parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// Obs receives engine-phase telemetry (graph/arena build spans,
-	// per-scheduler propagation timings, dirty-cone sweep sizes). Nil — the
-	// default — disables it at the cost of one pointer test per phase.
+	// propagation timings, dirty-cone sweep sizes). Nil — the default —
+	// disables it at the cost of one pointer test per phase.
 	Obs *obs.Registry
 }
 
@@ -133,11 +100,10 @@ type Graph struct {
 	// analysis and session mounted on this graph (it is immutable).
 	arenaOnce sync.Once
 	arenaVal  *designArena
-	arenaErr  error
 }
 
 // arena returns the graph's flat compute core, building it on first use.
-func (g *Graph) arena() (*designArena, error) {
+func (g *Graph) arena() *designArena {
 	return g.arenaWith(context.Background(), nil)
 }
 
@@ -145,14 +111,13 @@ func (g *Graph) arena() (*designArena, error) {
 // per graph) records a timing_arena_build_seconds histogram on reg and a
 // timing_arena_build trace span under ctx when it is the call that actually
 // constructs the core.
-func (g *Graph) arenaWith(ctx context.Context, reg *obs.Registry) (*designArena, error) {
+func (g *Graph) arenaWith(ctx context.Context, reg *obs.Registry) *designArena {
 	g.arenaOnce.Do(func() {
 		_, op := trace.StartOp(ctx, reg, "timing_arena_build")
-		g.arenaVal, g.arenaErr = newDesignArena(g)
-		op.SetError(g.arenaErr)
+		g.arenaVal = newDesignArena(g)
 		op.End()
 	})
-	return g.arenaVal, g.arenaErr
+	return g.arenaVal
 }
 
 // NewGraph resolves a design into a levelized DAG. Stage edges must form no
@@ -277,86 +242,81 @@ func (g *Graph) Nets() int { return len(g.nodes) }
 // Levels reports the number of pipeline levels (longest net chain).
 func (g *Graph) Levels() int { return len(g.levels) }
 
-// netTiming is the per-net working state of one analysis.
+// netTiming is the per-net working state of one analysis. The three output
+// slices are aligned and in designation order: names[j]'s delay interval is
+// delay[j] and its arrival out[j]. After a full sweep they are windows into
+// per-slot arrays (cut with a full slice expression, so no append can spill
+// into the next net's window); a Session replaces an edited net's slices
+// wholesale.
 type netTiming struct {
-	input Interval            // arrival interval at the net's driven input
-	out   map[string]Interval // arrival interval at each designated output
-	delay map[string]Interval // [TMin, TMax] of each output at the threshold
+	input Interval   // arrival interval at the net's driven input
+	names []string   // designated output names
+	delay []Interval // [TMin, TMax] of each output at the threshold
+	out   []Interval // arrival interval at each output
 	// worst is the fanin edge realizing input.Max, the critical-path
 	// predecessor (-1 for primary inputs).
 	worst int
+}
+
+// output returns the position of the designated output name, or -1. Nets
+// designate a handful of outputs, so a scan beats hashing.
+func (nt *netTiming) output(name string) int {
+	for j, n := range nt.names {
+		if n == name {
+			return j
+		}
+	}
+	return -1
 }
 
 // resolved is the fully-defaulted execution plan of one analysis.
 type resolved struct {
 	th      float64
 	k       int
-	core    CoreKind
-	sched   Scheduler
-	workers int
-	// Pointer-core machinery: the analyzer is non-nil exactly in sequential
-	// mode, the engine otherwise.
-	engine   *batch.Engine
-	analyzer *core.Analyzer
-	obs      *obs.Registry
+	workers int // 1 means sequential
+	obs     *obs.Registry
+}
+
+// resolveThreshold applies the threshold default (0 means 0.5) and rejects
+// anything outside (0,1). The check is written so that NaN fails it too.
+func resolveThreshold(th float64) (float64, error) {
+	if th == 0 {
+		return 0.5, nil
+	}
+	if !(th > 0 && th < 1) {
+		return 0, fmt.Errorf("timing: threshold %g outside (0,1)", th)
+	}
+	return th, nil
 }
 
 // resolve applies the Options defaults: threshold 0.5, 5 critical paths, and
-// the arena core with work-stealing parallelism — unless a shared Engine (or
-// an explicit Core) selects the pointer core, which keeps its original
-// engine/analyzer split.
+// work-stealing parallelism across GOMAXPROCS workers unless Sequential.
 func (opt Options) resolve() (resolved, error) {
-	r := resolved{th: opt.Threshold, k: opt.K, obs: opt.Obs}
-	if r.th == 0 {
-		r.th = 0.5
+	th, err := resolveThreshold(opt.Threshold)
+	if err != nil {
+		return resolved{}, err
 	}
-	if r.th <= 0 || r.th >= 1 {
-		return resolved{}, fmt.Errorf("timing: threshold %g outside (0,1)", r.th)
-	}
+	r := resolved{th: th, k: opt.K, workers: runtime.GOMAXPROCS(0), obs: opt.Obs}
 	if r.k == 0 {
 		r.k = 5
 	}
-	r.core = opt.Core
-	if r.core == CoreAuto {
-		if opt.Engine != nil {
-			r.core = CorePointer
-		} else {
-			r.core = CoreArena
-		}
-	}
-	switch r.core {
-	case CorePointer:
-		if opt.Sequential {
-			r.analyzer = core.NewAnalyzer()
-		} else if r.engine = opt.Engine; r.engine == nil {
-			r.engine = batch.New(batch.Options{})
-		}
-	case CoreArena:
-		r.sched = opt.Scheduler
-		if r.sched == SchedAuto {
-			r.sched = SchedWorkSteal
-		}
-		r.workers = opt.Workers
-		if r.workers <= 0 {
-			r.workers = runtime.GOMAXPROCS(0)
-		}
-		if opt.Sequential {
-			r.workers = 1
-		}
-	default:
-		return resolved{}, fmt.Errorf("timing: unknown core %d", r.core)
+	if opt.Sequential {
+		r.workers = 1
 	}
 	return r, nil
 }
 
 // gatherInput recomputes net i's input arrival interval and worst fanin edge
 // from its drivers' (already final) output arrivals. Primary-input nets get
-// the degenerate [0, 0] interval and worst -1.
+// the degenerate [0, 0] interval and worst -1. A tapped output is always
+// found: NewGraph checks every stage's tap, and a Session refuses to prune
+// or undesignate one.
 func (g *Graph) gatherInput(state []netTiming, i int) (Interval, int) {
 	var in Interval
 	worst := -1
 	for ei, e := range g.nodes[i].fanin {
-		cand := state[e.driver].out[e.output].add(e.delay)
+		drv := &state[e.driver]
+		cand := drv.out[drv.output(e.output)].add(e.delay)
 		if ei == 0 {
 			in, worst = cand, 0
 			continue
@@ -369,8 +329,7 @@ func (g *Graph) gatherInput(state []netTiming, i int) (Interval, int) {
 	return in, worst
 }
 
-// Analyze propagates interval arrivals over the selected core — the flat
-// arena by default, or the pointer-tree core behind a batch engine — and
+// Analyze propagates interval arrivals over the graph's flat arena and
 // assembles the chip report; see the package comment for the model.
 func (g *Graph) Analyze(ctx context.Context, opt Options) (*Report, error) {
 	r, err := opt.resolve()
@@ -381,114 +340,31 @@ func (g *Graph) Analyze(ctx context.Context, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.report(state, r.th, r.k, opt.Required, g.treeOutputNames), nil
+	return g.report(state, r.th, r.k, opt.Required), nil
 }
 
-// computeState runs the full sweep on the resolved core and returns the
-// complete per-net working state a Session continues from. On the arena core
-// the propagation happens entirely in flat arrays; the map-form state is
-// materialized once at the end.
+// computeState runs the full sweep and returns the complete per-net working
+// state a Session continues from. The propagation happens entirely in the
+// arena's flat arrays; the per-net slices are cut from them once at the end.
 func (g *Graph) computeState(ctx context.Context, r resolved) ([]netTiming, error) {
-	if r.core == CoreArena {
-		da, err := g.arenaWith(ctx, r.obs)
-		if err != nil {
-			return nil, err
-		}
-		st := da.newState()
-		sched := r.sched.String()
-		if r.workers <= 1 {
-			sched = "sequential"
-		}
-		pctx, op := trace.StartOp(ctx, r.obs, "timing_propagate", "core", "arena", "sched", sched)
-		if err := da.propagate(pctx, st, r.th, r.sched, r.workers, nil); err != nil {
-			op.SetError(err)
-			op.End()
-			return nil, err
-		}
-		op.End()
-		return da.netTimings(st), nil
-	}
-	sched := "batch"
-	if r.analyzer != nil {
+	da := g.arenaWith(ctx, r.obs)
+	st := da.newState()
+	sched := "worksteal"
+	if r.workers <= 1 {
 		sched = "sequential"
 	}
-	ctx, op := trace.StartOp(ctx, r.obs, "timing_propagate", "core", "pointer", "sched", sched)
-	defer op.End()
-	state := make([]netTiming, len(g.nodes))
-	for _, level := range g.levels {
-		// Arrivals first: every driver sits in a shallower level, so its
-		// output arrivals are already final.
-		for _, i := range level {
-			state[i].input, state[i].worst = g.gatherInput(state, i)
-		}
-		if err := g.computeDelays(ctx, level, state, r.th, r.engine, r.analyzer); err != nil {
-			return nil, err
-		}
-		for _, i := range level {
-			st := &state[i]
-			st.out = make(map[string]Interval, len(st.delay))
-			for name, d := range st.delay {
-				st.out[name] = st.input.plus(d)
-			}
-		}
+	pctx, op := trace.StartOp(ctx, r.obs, "timing_propagate", "sched", sched)
+	err := da.propagate(pctx, st, r.th, r.workers, nil)
+	op.SetError(err)
+	op.End()
+	if err != nil {
+		return nil, err
 	}
-	return state, nil
-}
-
-// treeOutputNames lists net i's designated output names in designation
-// order — the Analyze-time source; Sessions substitute their EditTrees'.
-func (g *Graph) treeOutputNames(i int) []string {
-	t := g.nodes[i].tree
-	outs := t.Outputs()
-	names := make([]string, len(outs))
-	for j, o := range outs {
-		names[j] = t.Name(o)
-	}
-	return names
-}
-
-// computeDelays fills state[i].delay for every net of the level: the
-// threshold-crossing interval [TMin, TMax] of each designated output.
-func (g *Graph) computeDelays(ctx context.Context, level []int, state []netTiming, th float64, engine *batch.Engine, analyzer *core.Analyzer) error {
-	fill := func(i int, results []core.Result) {
-		st := &state[i]
-		st.delay = make(map[string]Interval, len(results))
-		for _, r := range results {
-			st.delay[r.Name] = Interval{r.Bounds.TMin(th), r.Bounds.TMax(th)}
-		}
-	}
-	if analyzer != nil {
-		for _, i := range level {
-			results, err := analyzer.Analyze(g.nodes[i].tree)
-			if err != nil {
-				return fmt.Errorf("timing: net %q: %w", g.nodes[i].name, err)
-			}
-			fill(i, results)
-		}
-		return nil
-	}
-	jobs := make([]batch.Job, len(level))
-	for j, i := range level {
-		jobs[j] = batch.Job{Tree: g.nodes[i].tree, Tag: g.nodes[i].name, Thresholds: []float64{th}}
-	}
-	for j, res := range engine.Run(ctx, jobs) {
-		i := level[j]
-		if res.Err != nil {
-			return fmt.Errorf("timing: net %q: %w", g.nodes[i].name, res.Err)
-		}
-		st := &state[i]
-		st.delay = make(map[string]Interval, len(res.Outputs))
-		for _, rep := range res.Outputs {
-			st.delay[rep.Name] = Interval{rep.Delay[0].TMin, rep.Delay[0].TMax}
-		}
-	}
-	return nil
+	return da.netTimings(st), nil
 }
 
 // report assembles endpoint slacks, WNS/TNS and the K critical paths.
-// outputNames supplies net i's designated output names (treeOutputNames at
-// Analyze time; a Session's current EditTree outputs after edits).
-func (g *Graph) report(state []netTiming, th float64, k int, defRequired float64, outputNames func(i int) []string) *Report {
+func (g *Graph) report(state []netTiming, th float64, k int, defRequired float64) *Report {
 	rep := &Report{
 		Design:    g.design.Name,
 		Threshold: th,
@@ -500,12 +376,13 @@ func (g *Graph) report(state []netTiming, th float64, k int, defRequired float64
 	var eps []EndpointSlack
 	for i := range g.nodes {
 		neg := 0.0
-		for _, name := range outputNames(i) {
+		st := &state[i]
+		for j, name := range st.names {
 			req, ok := g.endpointRequired(i, name, defRequired)
 			if !ok {
 				continue
 			}
-			ep := g.endpoint(i, name, state[i].out[name], req)
+			ep := g.endpoint(i, name, st.out[j], req)
 			if ep.Slack < rep.WNS {
 				rep.WNS = ep.Slack
 			}
@@ -603,23 +480,24 @@ func (g *Graph) backtrack(state []netTiming, ep EndpointSlack) Path {
 	cur, out, delay := ep.net, ep.Output, 0.0
 	for {
 		chain = append(chain, rev{cur, out, delay})
-		st := state[cur]
-		if st.worst < 0 {
+		w := state[cur].worst
+		if w < 0 {
 			break
 		}
-		e := g.nodes[cur].fanin[st.worst]
+		e := g.nodes[cur].fanin[w]
 		cur, out, delay = e.driver, e.output, e.delay
 	}
 	p := Path{Endpoint: ep.Net + "/" + ep.Output, Slack: ep.Slack}
 	for i := len(chain) - 1; i >= 0; i-- {
 		h := chain[i]
-		st := state[h.net]
+		st := &state[h.net]
+		j := st.output(h.output) // the endpoint or a tapped output: always found
 		p.Hops = append(p.Hops, PathHop{
 			Net:           g.nodes[h.net].name,
 			Output:        h.output,
 			InputArrival:  st.input,
-			NetDelay:      st.delay[h.output],
-			OutputArrival: st.out[h.output],
+			NetDelay:      st.delay[j],
+			OutputArrival: st.out[j],
 			StageDelay:    h.delay,
 		})
 	}

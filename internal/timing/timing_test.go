@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/randnet"
@@ -295,18 +294,14 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	}
 }
 
-func TestSharedEngineAndContext(t *testing.T) {
+func TestAnalyzeContext(t *testing.T) {
 	d := randnet.DesignSeed(3, randnet.DefaultDesignConfig(3, 4))
-	eng := batch.New(batch.Options{Workers: 2})
-	if _, err := Analyze(context.Background(), d, Options{Engine: eng}); err != nil {
+	if _, err := Analyze(context.Background(), d, Options{}); err != nil {
 		t.Fatal(err)
-	}
-	if eng.CacheStats().Misses == 0 {
-		t.Error("shared engine cache untouched")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Analyze(ctx, d, Options{Engine: eng}); err == nil {
+	if _, err := Analyze(ctx, d, Options{}); err == nil {
 		t.Error("canceled context not surfaced")
 	}
 }
@@ -454,5 +449,49 @@ C1 far 0 0.013
 	}
 	if ep.Arrival.Min <= 25 || ep.Arrival.Max <= ep.Arrival.Min {
 		t.Errorf("arrival = %+v", ep.Arrival)
+	}
+}
+
+// TestThresholdValidation: Analyze, NewSession and VarArena share one rule —
+// 0 means the default 0.5, and anything else outside the open interval
+// (0,1), NaN included, is refused.
+func TestThresholdValidation(t *testing.T) {
+	d := randnet.DesignSeed(3, randnet.DefaultDesignConfig(2, 2))
+	g, err := NewGraph(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		v    float64
+		want float64 // resolved threshold; 0 means refused
+	}{
+		{"NaN", math.NaN(), 0},
+		{"+Inf", math.Inf(1), 0},
+		{"-Inf", math.Inf(-1), 0},
+		{"one", 1, 0},
+		{"negative", -0.1, 0},
+		{"zero", 0, 0.5},
+		{"inside", 0.7, 0.7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := g.Analyze(ctx, Options{Threshold: tc.v})
+			s, serr := g.Session(ctx, Options{Threshold: tc.v})
+			va, verr := g.VarArena(tc.v, 0)
+			if tc.want == 0 {
+				if err == nil || serr == nil || verr == nil {
+					t.Fatalf("threshold %g accepted: Analyze %v, Session %v, VarArena %v", tc.v, err, serr, verr)
+				}
+				return
+			}
+			if err != nil || serr != nil || verr != nil {
+				t.Fatalf("threshold %g refused: Analyze %v, Session %v, VarArena %v", tc.v, err, serr, verr)
+			}
+			if rep.Threshold != tc.want || s.Threshold() != tc.want || va.Threshold() != tc.want {
+				t.Errorf("threshold %g resolved to %g / %g / %g, want %g",
+					tc.v, rep.Threshold, s.Threshold(), va.Threshold(), tc.want)
+			}
+		})
 	}
 }

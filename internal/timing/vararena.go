@@ -47,16 +47,11 @@ type VarEndpoint struct {
 // SetFactors are indexed by the design's net order (d.Nets), which is also
 // the graph's node order.
 func (g *Graph) VarArena(threshold, defRequired float64) (*VarArena, error) {
-	if threshold == 0 {
-		threshold = 0.5
-	}
-	if threshold <= 0 || threshold >= 1 {
-		return nil, fmt.Errorf("timing: threshold %g outside (0,1)", threshold)
-	}
-	a, err := g.arena()
+	threshold, err := resolveThreshold(threshold)
 	if err != nil {
 		return nil, err
 	}
+	a := g.arena()
 	va := &VarArena{base: a, work: *a, th: threshold, st: a.newState()}
 	va.work.edgeR = append([]float64(nil), a.edgeR...)
 	va.work.edgeC = append([]float64(nil), a.edgeC...)

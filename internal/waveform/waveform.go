@@ -160,7 +160,7 @@ func stepResponse(r *sim.Response, i int, t float64) float64 {
 // [0, horizon]. A returned upper bound of +Inf means the lower envelope
 // never reaches the threshold within the horizon.
 func CrossingBounds(b *core.Bounds, p PWL, vth, horizon float64, quad int) (tLo, tHi float64, err error) {
-	if vth <= 0 || vth >= 1 {
+	if !(vth > 0 && vth < 1) {
 		return 0, 0, fmt.Errorf("waveform: threshold %g outside (0,1)", vth)
 	}
 	if horizon <= 0 {

@@ -262,3 +262,28 @@ func TestResponseBoundsValidation(t *testing.T) {
 		t.Error("ExactResponse accepted empty PWL")
 	}
 }
+
+// TestCrossingBoundsThreshold: every threshold outside the open interval
+// (0,1), NaN included, is refused; there is no default, so 0 is too.
+func TestCrossingBoundsThreshold(t *testing.T) {
+	tr, out := singleRC(t)
+	tm, _ := tr.CharacteristicTimes(out)
+	b := core.MustNew(tm)
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+		{"one", 1},
+		{"negative", -0.1},
+		{"zero", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := CrossingBounds(b, Ramp(2), tc.v, 50, 8); err == nil {
+				t.Errorf("threshold %g accepted", tc.v)
+			}
+		})
+	}
+}

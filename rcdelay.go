@@ -223,16 +223,8 @@ type (
 	// Require pins a required arrival time on one endpoint.
 	Require = netlist.Require
 	// DesignOptions configures AnalyzeDesign (threshold, default required
-	// time, critical-path count, compute core, parallel scheduler, shared
-	// engine, sequential mode).
+	// time, critical-path count, sequential mode, telemetry registry).
 	DesignOptions = timing.Options
-	// DesignCore selects the compute core of a design analysis: the flat
-	// SoA/CSR arena (the default) or the original pointer-tree core behind
-	// the batch engine.
-	DesignCore = timing.CoreKind
-	// DesignScheduler selects how a parallel arena propagation distributes
-	// nets across workers: level barriers or work-stealing (the default).
-	DesignScheduler = timing.Scheduler
 	// DesignReport is the chip-level analysis: per-endpoint arrival
 	// intervals and slack, WNS/TNS, and the K most critical paths.
 	DesignReport = timing.Report
@@ -258,26 +250,6 @@ type (
 	EcoReport = timing.EcoReport
 )
 
-// Compute-core and scheduler selectors for DesignOptions.
-const (
-	// CoreAuto picks the flat arena core unless DesignOptions.Engine is set
-	// (an explicit shared engine selects the pointer core, whose per-net
-	// computations hit the engine's memoization cache).
-	CoreAuto = timing.CoreAuto
-	// CoreArena forces the flat SoA/CSR arena core.
-	CoreArena = timing.CoreArena
-	// CorePointer forces the original pointer-tree core.
-	CorePointer = timing.CorePointer
-	// SchedAuto picks the default parallel schedule (work-stealing).
-	SchedAuto = timing.SchedAuto
-	// SchedLevelBarrier shards each topological level across workers with a
-	// barrier between levels.
-	SchedLevelBarrier = timing.SchedLevelBarrier
-	// SchedWorkSteal drops the barriers: fanin counters gate readiness and
-	// idle workers steal pending cones.
-	SchedWorkSteal = timing.SchedWorkSteal
-)
-
 // ParseDesign reads a multi-net design deck (.net/.endnet sections plus
 // .stage and .require cards) and returns the design it describes.
 func ParseDesign(src string) (*Design, error) { return netlist.ParseDesign(src) }
@@ -294,10 +266,9 @@ func NewTimingGraph(d *Design) (*TimingGraph, error) { return timing.NewGraph(d)
 // net's output bounds are computed in levelized order and interval arrival
 // times (min of the paper's lower bounds, max of the upper bounds) propagate
 // along the stage edges to every endpoint. The zero DesignOptions use
-// threshold 0.5 on the flat arena core with the work-stealing schedule
-// across GOMAXPROCS workers; pass a shared BatchEngine to route per-net
-// computations through the pointer core instead, so repeated nets hit the
-// engine's memoization cache.
+// threshold 0.5 and propagate over the design's flat arena, work-stealing
+// across GOMAXPROCS workers (DesignOptions.Sequential keeps it on the
+// caller's goroutine).
 func AnalyzeDesign(ctx context.Context, d *Design, opt DesignOptions) (*DesignReport, error) {
 	return timing.Analyze(ctx, d, opt)
 }

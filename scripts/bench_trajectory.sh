@@ -3,8 +3,8 @@
 # the derived speedups) at the repo root:
 #
 #   BENCH_incremental.json  full-vs-incremental EditTree sweeps
-#   BENCH_timing.json       arena vs pointer chip-slack cores, the arena
-#                           propagation kernel under its three schedules,
+#   BENCH_timing.json       sequential vs work-stealing chip slack and
+#                           arena propagation kernel, telemetry overheads,
 #                           full-reanalyze vs dirty-cone ECO re-timing,
 #                           sequential vs concurrent closure-trial evaluation,
 #                           and the corner sweep's in-place arena rescale vs
@@ -118,13 +118,10 @@ END {
             bname[k], bmp[k], ns[k], (i < n-1 ? "," : "")
     }
     printf "  ],\n"
-    speedup("arena_vs_pointer_sequential", "DesignSlack/pointer-sequential@1", "DesignSlack/arena-sequential@1")
-    speedup("worksteal_vs_sequential_singlecore", "DesignSlack/arena-sequential@1", "DesignSlack/arena-worksteal@1")
+    speedup("worksteal_vs_sequential_singlecore", "DesignSlack/arena-sequential@1", "DesignSlack/arena-parallel@1")
     if (maxmp > 1) {
         speedup("worksteal_vs_sequential_multicore", \
-            "DesignSlack/arena-sequential@" maxmp, "DesignSlack/arena-worksteal@" maxmp)
-        speedup("worksteal_vs_levelbarrier_multicore", \
-            "DesignSlack/arena-levelbarrier@" maxmp, "DesignSlack/arena-worksteal@" maxmp)
+            "DesignSlack/arena-sequential@" maxmp, "DesignSlack/arena-parallel@" maxmp)
         speedup("propagation_worksteal_vs_sequential_multicore", \
             "ArenaPropagation/sequential@" maxmp, "ArenaPropagation/worksteal@" maxmp)
     }
@@ -134,11 +131,12 @@ END {
     # Ratio of instrumented to bare propagation: a registry-enabled pass per
     # the observability contract must stay within 2% of the no-op path
     # (metrics_overhead <= 1.02).
-    speedup("metrics_overhead", "ArenaPropagationObs/enabled@1", "ArenaPropagationObs/disabled@1")
-    # Same contract for the tracer: an analysis wrapped in a live trace (one
-    # root span per request plus the engine child spans) must stay within 5%
-    # of the untraced path (trace_overhead <= 1.05).
-    speedup("trace_overhead", "ArenaPropagationTrace/enabled@1", "ArenaPropagationTrace/disabled@1")
+    speedup("metrics_overhead", "ArenaPropagationObs/metrics@1", "ArenaPropagationObs/disabled@1")
+    # Same contract for the tracer, against the same disabled run: an
+    # analysis wrapped in a live trace (one root span per request plus the
+    # engine child spans) must stay within 5% of the untraced path
+    # (trace_overhead <= 1.05).
+    speedup("trace_overhead", "ArenaPropagationObs/trace@1", "ArenaPropagationObs/disabled@1")
     printf "  \"speedup\": {\n"
     for (i = 0; i < sn; i++) printf "%s%s\n", sl[i], (i < sn-1 ? "," : "")
     printf "  }\n}\n"
