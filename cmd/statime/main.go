@@ -43,9 +43,10 @@
 // With -corners (which also implies -design), the multi-corner variation
 // engine sweeps the design across the slow/typ/fast process corners with
 // per-net Gaussian derating (-rsigma/-csigma relative spreads, -samples Monte
-// Carlo draws per corner, -seed for reproducibility). Each sample is an
-// in-place rescale of the flat timing arena — no per-sample netlist rebuild —
-// and the report carries, per corner, nominal and sampled WNS/TNS,
+// Carlo draws per corner, -seed for reproducibility). The trees are swept
+// once; each corner and sample is a DAG arrival pass over the nominal net
+// delays scaled by each net's R·C factor — no per-sample tree sweep or
+// netlist rebuild — and the report carries, per corner, nominal and sampled WNS/TNS,
 // per-endpoint slack distributions, and criticality probability.
 //
 // The deadline accepts SPICE suffixes (2n = 2e-9) and is interpreted in the

@@ -10,11 +10,12 @@ import (
 )
 
 // BenchmarkCornerSweep compares the two ways to evaluate one corner's Monte
-// Carlo samples: the in-place arena sweep (SetFactors + re-propagate over
-// flat columns) versus rebuilding an explicitly-scaled netlist and running a
-// full analysis per sample — the internal/mc approach lifted naively to
-// designs. Both paths are single-threaded so the ratio is per-sample work,
-// not parallelism; scripts/bench_trajectory.sh records the ratio as
+// Carlo samples: the arena path (one nominal tree sweep, then per sample a
+// DAG pass over λ-scaled nominal delays) versus rebuilding an
+// explicitly-scaled netlist and running a full analysis per sample — the
+// internal/mc approach lifted naively to designs. Both paths are
+// single-threaded so the ratio is per-sample work, not parallelism;
+// scripts/bench_trajectory.sh records the ratio as
 // corner_sweep_arena_vs_rebuild.
 func BenchmarkCornerSweep(b *testing.B) {
 	d := randnet.Design(rand.New(rand.NewSource(17)), randnet.DefaultDesignConfig(6, 4))

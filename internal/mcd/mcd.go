@@ -15,15 +15,18 @@
 // # Execution
 //
 // Where internal/mc rebuilds a pointer tree per sample, mcd mounts a
-// timing.VarArena over the design's flat arena: one sample is one in-place
-// rescale of three float64 columns plus one levelized re-propagation, with
-// zero tree construction, and each net of that propagation is one fused
-// sweep over its tree for all of its outputs (rctree.TimesFlatAll). Workers
-// each own a VarArena clone and write disjoint sample rows of the arrival
-// and slack matrices; the per-endpoint statistics then fan out over the
-// same workers, strided over endpoints, each summarizing whole endpoint
-// columns with its own sort buffer. Every value is reduced from the same
-// inputs in the same order whichever worker computes it, so results are
+// timing.VarArena over the design's flat arena, which sweeps every tree once,
+// at nominal values. The paper's bounds are degree-1 homogeneous in the
+// characteristic times, which are sums of R·C products, so a corner's global
+// scales and a sample's per-net factors scale each net's nominal delay
+// intervals by one λ per net: a corner or sample is a DAG arrival pass over
+// λ-scaled nominal delays, with no tree sweep and no tree construction.
+// Workers each own a VarArena clone and write disjoint sample rows of one
+// arrival matrix, reused across corners; the per-endpoint statistics then
+// fan out over the same workers, strided over endpoints, each sorting an
+// endpoint's arrival column once in its own buffer and deriving the slack
+// distribution from that sort. Every value is reduced from the same inputs
+// in the same order whichever worker computes it, so results are
 // bit-identical for a given seed regardless of worker count — the
 // determinism test pins this.
 //
@@ -141,6 +144,27 @@ func distOf(vals, buf []float64) Dist {
 	}
 	sorted := append(buf[:0], vals...)
 	sort.Float64s(sorted)
+	return distSorted(&w, sorted)
+}
+
+// slackDistOf is distOf over the slacks req − arr[s], given sorted, a sorted
+// copy of arr, which it overwrites. fl(req − x) is non-increasing in x, so
+// the sorted slacks are the sorted arrivals reversed and mapped through
+// req − x, bit for bit; the moments still run over the slacks in sample
+// order. One sort per endpoint thus serves both of its distributions.
+func slackDistOf(req float64, arr, sorted []float64) Dist {
+	var w stats.Welford
+	for _, x := range arr {
+		w.Add(req - x)
+	}
+	for i, j := 0, len(sorted)-1; i <= j; i, j = i+1, j-1 {
+		sorted[i], sorted[j] = req-sorted[j], req-sorted[i]
+	}
+	return distSorted(&w, sorted)
+}
+
+// distSorted assembles a Dist from accumulated moments and the sorted values.
+func distSorted(w *stats.Welford, sorted []float64) Dist {
 	return Dist{
 		Mean: w.Mean(), Std: w.Std(), Min: w.Min(), Max: w.Max(),
 		P50: stats.Quantile(sorted, 0.50),
@@ -308,9 +332,11 @@ func AnalyzeGraph(ctx context.Context, g *timing.Graph, name string, opt Options
 		Variation: opt.Variation,
 		Clipped:   clipped,
 	}
+	// The sample-major arrival matrix, reused by every corner.
+	arrAll := make([]float64, opt.Samples*len(eps))
 	for _, c := range opt.Corners {
 		sctx, op := trace.StartOp(ctx, opt.Obs, "mcd_corner_sweep", "corner", c.Name)
-		cr, err := sweepCorner(sctx, va, c, eps, rF, cF, opt.Samples, opt.Workers)
+		cr, err := sweepCorner(sctx, va, c, eps, rF, cF, arrAll, opt.Samples, opt.Workers)
 		op.SetError(err)
 		op.End()
 		if err != nil {
@@ -343,12 +369,14 @@ func parallel(workers int, fn func(w int)) {
 }
 
 // sweepCorner runs one corner: a nominal pass (no derating) on va itself,
-// then the per-sample sweep fanned across workers, each on its own clone
-// writing disjoint sample rows, then the per-endpoint statistics fanned
-// across the same number of workers, each writing disjoint endpoint rows.
-// Every value is computed from the same inputs in the same order whichever
-// worker computes it, so the result is independent of the worker count.
-func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timing.VarEndpoint, rF, cF [][]float64, samples, workers int) (*CornerResult, error) {
+// then the per-sample DAG passes fanned across workers, each on its own clone
+// writing disjoint sample rows of arrAll, then the per-endpoint statistics
+// fanned across the same number of workers, each writing disjoint endpoint
+// rows and sorting each endpoint's arrival column once for both of its
+// distributions. Every value is computed from the same inputs in the same
+// order whichever worker computes it, so the result is independent of the
+// worker count.
+func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timing.VarEndpoint, rF, cF [][]float64, arrAll []float64, samples, workers int) (*CornerResult, error) {
 	if err := va.SetFactors(c.RScale, c.CScale, nil, nil); err != nil {
 		return nil, err
 	}
@@ -370,11 +398,9 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 			}
 		}
 	}
-	// Per-sample matrices, sample-major: each sample's row is one contiguous
-	// run written by the worker that owns the sample, so two workers' writes
-	// meet only at row boundaries, not in every cache line.
-	arrAll := make([]float64, samples*len(eps))
-	slackAll := make([]float64, samples*len(eps))
+	// arrAll is sample-major: each sample's row is one contiguous run written
+	// by the worker that owns the sample, so two workers' writes meet only at
+	// row boundaries, not in every cache line.
 	wns := make([]float64, samples)
 	tns := make([]float64, samples)
 	crit := make([]int, samples)
@@ -405,11 +431,9 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 			}
 			sWNS, sTNS, sCrit := math.Inf(1), 0.0, -1
 			arrRow := arrAll[s*len(eps) : (s+1)*len(eps)]
-			slackRow := slackAll[s*len(eps) : (s+1)*len(eps)]
 			for e, ep := range eps {
 				arrRow[e] = wa.Arrival(ep.Slot).Max
 				sl := wa.Slack(ep)
-				slackRow[e] = sl
 				if math.IsInf(ep.Required, 1) {
 					continue
 				}
@@ -471,27 +495,25 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 	cr.Endpoints = make([]EndpointDist, len(eps))
 	parallel(workers, func(w int) {
 		col, buf := make([]float64, samples), make([]float64, samples)
-		// column gathers endpoint e's samples in sample order.
-		column := func(m []float64, e int) []float64 {
-			for s := range col {
-				col[s] = m[s*len(eps)+e]
-			}
-			return col
-		}
 		for r := w; r < len(order); r += workers {
 			e := order[r]
 			ep := eps[e]
+			// col gathers endpoint e's arrivals in sample order; its one
+			// sorted copy in buf serves the slack distribution too.
+			for s := range col {
+				col[s] = arrAll[s*len(eps)+e]
+			}
 			ed := EndpointDist{
 				Net:            ep.Net,
 				Output:         ep.Output,
 				Required:       ep.Required,
 				NominalArrival: nomArr[e],
 				NominalSlack:   nomSlack[e],
-				Arrival:        distOf(column(arrAll, e), buf),
+				Arrival:        distOf(col, buf),
 				Criticality:    float64(critCount[e]) / float64(samples),
 			}
 			if !math.IsInf(ep.Required, 1) {
-				d := distOf(column(slackAll, e), buf)
+				d := slackDistOf(ep.Required, col, buf)
 				ed.Slack = &d
 			}
 			cr.Endpoints[r] = ed

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -26,6 +27,9 @@ func uniform(n int, v float64) []float64 {
 	return f
 }
 
+// distClose compares every field of two Dists relative to the reference's
+// magnitude, |got − want| ≤ tol·max(1, |want|): values with |want| ≤ 1 are
+// judged absolutely, and a TNS of millions is not held to a few ulps.
 func distClose(t *testing.T, ctxt string, got, want Dist, tol float64) {
 	t.Helper()
 	pairs := [][2]float64{
@@ -35,7 +39,7 @@ func distClose(t *testing.T, ctxt string, got, want Dist, tol float64) {
 	}
 	names := []string{"mean", "std", "min", "max", "p50", "p95", "p99"}
 	for i, p := range pairs {
-		if math.Abs(p[0]-p[1]) > tol {
+		if math.Abs(p[0]-p[1]) > tol*math.Max(1, math.Abs(p[1])) {
 			t.Errorf("%s: %s = %.15g, want %.15g", ctxt, names[i], p[0], p[1])
 		}
 	}
@@ -313,5 +317,96 @@ func TestScaleDesignValidation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Endpoints, b.Endpoints) {
 		t.Error("identity ScaleDesign changed the analysis")
+	}
+}
+
+// TestSlackDistFromOneSort: the slack Dist derived from the arrivals' one
+// sorted copy equals distOf over the slack column bit for bit, on random
+// columns with ties and negative values, at sizes from 1 to 257.
+func TestSlackDistFromOneSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 2, 32, 257} {
+		for trial := 0; trial < 50; trial++ {
+			arr := make([]float64, n)
+			for s := range arr {
+				switch trial % 3 {
+				case 0: // heavy ties
+					arr[s] = float64(rng.Intn(4)) - 1.5
+				case 1: // wide spread around zero
+					arr[s] = 1e3 * rng.NormFloat64()
+				default: // tiny spread on a large offset: rounding collides
+					arr[s] = 2.5e6 + 1e-9*float64(rng.Intn(8))
+				}
+			}
+			req := []float64{0, -3.25, 700, 2.5e6}[trial%4]
+			slack := make([]float64, n)
+			for s, x := range arr {
+				slack[s] = req - x
+			}
+			want := distOf(slack, nil)
+			sorted := append([]float64(nil), arr...)
+			sort.Float64s(sorted)
+			if got := slackDistOf(req, arr, sorted); got != want {
+				t.Errorf("n=%d trial %d req %g: one-sort slack dist %+v, distOf %+v", n, trial, req, got, want)
+			}
+		}
+	}
+}
+
+// TestReportSlackDistsMatchTwoSorts: on one design, every endpoint's arrival
+// and slack Dist in the report equals distOf over the columns replayed on the
+// same VarArena — the report the one-sort statistics produce is the report a
+// separate slack sort produces, bit for bit.
+func TestReportSlackDistsMatchTwoSorts(t *testing.T) {
+	ctx := context.Background()
+	d := testDesign(t, 6, 4, 3)
+	const samples = 33
+	v := Variation{RSigma: 0.07, CSigma: 0.04}
+	opt := Options{Samples: samples, Seed: 3, Variation: v, Threshold: 0.6, Required: 300, Sequential: true}
+	rep, err := Analyze(ctx, d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := timing.NewGraph(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := g.VarArena(opt.Threshold, opt.Required)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := va.Endpoints()
+	rF, cF, _ := drawFactors(va.Nets(), samples, v, opt.Seed)
+	for ci, c := range DefaultCorners() {
+		arr := make([][]float64, len(eps))
+		slack := make([][]float64, len(eps))
+		for s := 0; s < samples; s++ {
+			if err := va.SetFactors(c.RScale, c.CScale, rF[s], cF[s]); err != nil {
+				t.Fatal(err)
+			}
+			if err := va.Propagate(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for e, ep := range eps {
+				arr[e] = append(arr[e], va.Arrival(ep.Slot).Max)
+				slack[e] = append(slack[e], va.Slack(ep))
+			}
+		}
+		want := map[[2]string]int{}
+		for e, ep := range eps {
+			want[[2]string{ep.Net, ep.Output}] = e
+		}
+		for _, ed := range rep.Corners[ci].Endpoints {
+			e := want[[2]string{ed.Net, ed.Output}]
+			if got := distOf(arr[e], nil); ed.Arrival != got {
+				t.Errorf("corner %s %s/%s: arrival %+v, two-sort %+v", c.Name, ed.Net, ed.Output, ed.Arrival, got)
+			}
+			if ed.Slack == nil {
+				t.Fatalf("corner %s %s/%s: constrained endpoint without slack dist", c.Name, ed.Net, ed.Output)
+			}
+			if got := distOf(slack[e], nil); *ed.Slack != got {
+				t.Errorf("corner %s %s/%s: slack %+v, two-sort %+v", c.Name, ed.Net, ed.Output, *ed.Slack, got)
+			}
+		}
 	}
 }

@@ -25,10 +25,11 @@ type Budget struct {
 }
 
 func (b Budget) validate() error {
-	if b.V <= 0 || b.V >= 1 {
+	// The negated comparisons also reject NaN, which v <= 0 || v >= 1 lets by.
+	if !(b.V > 0 && b.V < 1) {
 		return fmt.Errorf("opt: threshold %g outside (0,1)", b.V)
 	}
-	if b.Deadline <= 0 {
+	if !(b.Deadline > 0) {
 		return fmt.Errorf("opt: deadline must be positive, got %g", b.Deadline)
 	}
 	return nil
@@ -294,7 +295,7 @@ type RepeaterPlan struct {
 // repeaterIn is the input capacitance a stage presents as load; the final
 // stage drives loadC instead. maxStages caps the search.
 func InsertRepeaters(d mos.Driver, l Line, length, repeaterIn, loadC, v float64, maxStages int) (RepeaterPlan, error) {
-	if v <= 0 || v >= 1 {
+	if !(v > 0 && v < 1) {
 		return RepeaterPlan{}, fmt.Errorf("opt: threshold %g outside (0,1)", v)
 	}
 	if err := l.validate(); err != nil {

@@ -415,3 +415,27 @@ func TestSizeDriverTreeSingleNodeEdges(t *testing.T) {
 		t.Error("deep edge accepted as the driver")
 	}
 }
+
+// TestThresholdAndDeadlineRejectNonFinite: a threshold outside (0,1) or a
+// deadline that is not positive is refused, NaN included — NaN fails every
+// ordered comparison, so a plain v <= 0 || v >= 1 test lets it through.
+func TestThresholdAndDeadlineRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	d := mos.Superbuffer()
+	for _, v := range []float64{nan, inf, -inf, 0, 1, -0.1} {
+		if err := (Budget{V: v, Deadline: 1}).validate(); err == nil {
+			t.Errorf("Budget threshold %g accepted", v)
+		}
+		if _, err := InsertRepeaters(d, polyLine, 1000, 0.05, 0.013, v, 8); err == nil {
+			t.Errorf("InsertRepeaters threshold %g accepted", v)
+		}
+	}
+	for _, dl := range []float64{nan, -inf, 0, -0.1} {
+		if err := (Budget{V: 0.5, Deadline: dl}).validate(); err == nil {
+			t.Errorf("Budget deadline %g accepted", dl)
+		}
+	}
+	if err := (Budget{V: 0.5, Deadline: 1}).validate(); err != nil {
+		t.Errorf("valid budget refused: %v", err)
+	}
+}

@@ -130,7 +130,7 @@ type Point struct {
 // count, reproducing Figure 13 (the paper uses threshold 0.7·VDD and
 // minterm counts up to 100).
 func Sweep(p Params, minterms []int, threshold float64) ([]Point, error) {
-	if threshold <= 0 || threshold >= 1 {
+	if !(threshold > 0 && threshold < 1) { // also rejects NaN
 		return nil, fmt.Errorf("pla: threshold must be in (0,1), got %g", threshold)
 	}
 	pts := make([]Point, 0, len(minterms))

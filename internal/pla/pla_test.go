@@ -234,3 +234,14 @@ func TestValidationErrors(t *testing.T) {
 	zero := Params{Driver: mos.Driver{}}
 	_ = zero
 }
+
+// TestSweepRejectsBadThreshold: thresholds outside (0,1) are refused, NaN
+// included (a plain threshold <= 0 || threshold >= 1 test lets NaN through
+// and the sweep prints NaN bounds).
+func TestSweepRejectsBadThreshold(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1, -0.1} {
+		if _, err := Sweep(PaperParams(), []int{2, 4}, v); err == nil {
+			t.Errorf("threshold %g accepted", v)
+		}
+	}
+}

@@ -162,16 +162,14 @@ func (a *designArena) newState() *arenaState {
 	}
 }
 
-// computeNet fully times net i: gather the input interval from the (already
-// final) driver slots, recompute every output slot's delay interval from one
-// sweep of the flat tree, and write the output arrivals. Slots are written
-// in slot order, and the first failing slot's error is returned, exactly as
-// one TimesFlat call per slot would. Allocation-free once s has grown to
-// the widest net.
-func (a *designArena) computeNet(st *arenaState, th float64, i int32, s *rctree.Scratch) error {
+// gather hulls net i's fanin from the (already final) driver slots: the
+// earliest and latest input arrival over its stage edges, and the local index
+// of the first edge carrying the latest (-1 and [0, 0] at primary inputs).
+// The full sweep and the variation view both call it, so their hull order
+// and worst-fanin choice cannot drift apart.
+func (a *designArena) gather(st *arenaState, i int32) (inMin, inMax float64, worst int32) {
 	f0, f1 := a.finOff[i], a.finOff[i+1]
-	var inMin, inMax float64
-	worst := int32(-1)
+	worst = -1
 	for e := f0; e < f1; e++ {
 		slot := a.finSlot[e]
 		cMin := st.arrMin[slot] + a.finDelay[e]
@@ -188,6 +186,17 @@ func (a *designArena) computeNet(st *arenaState, th float64, i int32, s *rctree.
 			inMin = cMin
 		}
 	}
+	return inMin, inMax, worst
+}
+
+// computeNet fully times net i: gather the input interval from the (already
+// final) driver slots, recompute every output slot's delay interval from one
+// sweep of the flat tree, and write the output arrivals. Slots are written
+// in slot order, and the first failing slot's error is returned, exactly as
+// one TimesFlat call per slot would. Allocation-free once s has grown to
+// the widest net.
+func (a *designArena) computeNet(st *arenaState, th float64, i int32, s *rctree.Scratch) error {
+	inMin, inMax, worst := a.gather(st, i)
 	st.inMin[i], st.inMax[i], st.worst[i] = inMin, inMax, worst
 	base, end := a.nodeOff[i], a.nodeOff[i+1]
 	s0, s1 := a.outOff[i], a.outOff[i+1]

@@ -283,7 +283,8 @@ func BenchmarkWorstEndpoints(b *testing.B) {
 
 // BenchmarkVarArenaPropagate isolates the variation sweep's kernel layer on
 // the corners shape (6 levels × 40 nets × 30 nodes): one SetFactors with
-// per-net factors plus one sequential Propagate, the work of one Monte Carlo
+// per-net factors plus one sequential Propagate — a DAG arrival pass over
+// λ-scaled nominal delays, no tree sweep — the work of one Monte Carlo
 // sample. The allocs/op column must read 0.
 func BenchmarkVarArenaPropagate(b *testing.B) {
 	cfg := randnet.DefaultDesignConfig(6, 40)

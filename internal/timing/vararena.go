@@ -7,26 +7,30 @@ import (
 	"repro/internal/rctree"
 )
 
-// VarArena is a variation view over a graph's flat arena: the shared
-// immutable topology plus a private copy of the R/C value columns that can be
-// rescaled in place — global corner factors times per-net derating factors —
-// and re-propagated without rebuilding a single tree. It is the compute core
-// of design-level Monte Carlo (internal/mcd): one sample is one SetFactors
-// call (a linear sweep over three float64 columns) plus one Propagate.
+// VarArena is a variation view over a graph's flat arena. The paper's
+// characteristic times TP, TD and TR are sums of R·C products and the bounds
+// TMin/TMax (eqs. 13–17) are degree-1 homogeneous in them, so scaling every
+// resistance of a net by r and every capacitance by c scales each of that
+// net's output delay intervals by exactly r·c in real arithmetic (stage
+// delays are gate-intrinsic and never scale). The view therefore sweeps the
+// trees once, at construction, and keeps the nominal per-slot delays; a
+// corner or Monte Carlo sample is then one SetFactors call (one λ per net)
+// plus one Propagate, a DAG arrival pass over λ-scaled nominal delays with no
+// tree sweep. It is the compute core of design-level Monte Carlo
+// (internal/mcd).
 //
 // A VarArena is single-goroutine; parallel sweeps give each worker its own
-// Clone, which shares the topology and base values and allocates only the
-// working columns and propagation state.
+// Clone, which shares the topology, nominal delays and endpoint table and
+// allocates only its λ vector and propagation state.
 type VarArena struct {
-	base *designArena // the graph's immutable arena (base R/C columns)
-	work designArena  // shallow copy with private edgeR/edgeC/nodeC
-	// nodeNet maps a global node index to its net index, so SetFactors can
-	// apply per-net factors in one flat pass.
-	nodeNet []int32
-	th      float64
-	st      *arenaState
-	scratch rctree.Scratch
-	eps     []VarEndpoint
+	a *designArena
+	// nomMin/nomMax are the nominal per-slot delay bounds, shared read-only
+	// by every clone.
+	nomMin, nomMax []float64
+	lambda         []float64 // per net: rScale·rNet[i] · cScale·cNet[i]
+	th             float64
+	st             *arenaState // Propagate writes only the arrival columns
+	eps            []VarEndpoint
 }
 
 // VarEndpoint is one timing endpoint of the design as the arena sees it:
@@ -43,7 +47,9 @@ type VarEndpoint struct {
 
 // VarArena builds a variation view for the graph at the given threshold (0
 // means 0.5) and default required time (<= 0 leaves endpoints without an
-// explicit .require card unconstrained). Per-net factor slices passed to
+// explicit .require card unconstrained). It runs the view's one tree sweep,
+// so a tree or bound error is returned here; the view starts at factors 1,
+// already propagated. Per-net factor slices passed to
 // SetFactors are indexed by the design's net order (d.Nets), which is also
 // the graph's node order.
 func (g *Graph) VarArena(threshold, defRequired float64) (*VarArena, error) {
@@ -52,15 +58,17 @@ func (g *Graph) VarArena(threshold, defRequired float64) (*VarArena, error) {
 		return nil, err
 	}
 	a := g.arena()
-	va := &VarArena{base: a, work: *a, th: threshold, st: a.newState()}
-	va.work.edgeR = append([]float64(nil), a.edgeR...)
-	va.work.edgeC = append([]float64(nil), a.edgeC...)
-	va.work.nodeC = append([]float64(nil), a.nodeC...)
-	va.nodeNet = make([]int32, len(a.parent))
-	for i := 0; i < a.nets; i++ {
-		for n := a.nodeOff[i]; n < a.nodeOff[i+1]; n++ {
-			va.nodeNet[n] = int32(i)
-		}
+	// The one tree sweep: its state holds the nominal delays and, at λ = 1,
+	// the nominal arrivals, so the view starts out propagated.
+	st := a.newState()
+	var s rctree.Scratch
+	if err := a.propagateSeq(context.TODO(), st, threshold, &s); err != nil {
+		return nil, err
+	}
+	va := &VarArena{a: a, nomMin: st.delayMin, nomMax: st.delayMax,
+		lambda: make([]float64, a.nets), th: threshold, st: st}
+	for i := range va.lambda {
+		va.lambda[i] = 1
 	}
 	// Endpoints are classified by the same rule Graph.report applies.
 	for i := 0; i < a.nets; i++ {
@@ -83,7 +91,7 @@ func (g *Graph) VarArena(threshold, defRequired float64) (*VarArena, error) {
 
 // Nets reports the number of nets (the required length of per-net factor
 // slices).
-func (va *VarArena) Nets() int { return va.base.nets }
+func (va *VarArena) Nets() int { return va.a.nets }
 
 // Threshold returns the switching threshold the view propagates at.
 func (va *VarArena) Threshold() float64 { return va.th }
@@ -92,37 +100,49 @@ func (va *VarArena) Threshold() float64 { return va.th }
 // not mutate.
 func (va *VarArena) Endpoints() []VarEndpoint { return va.eps }
 
-// SetFactors rewrites the working value columns as base value × global scale
-// × per-net factor: resistances get rScale·rNet[net], capacitances (edge and
-// node) get cScale·cNet[net]. Nil per-net slices mean factor 1 everywhere;
+// SetFactors sets each net's delay scale λᵢ = (rScale·rNet[i])·(cScale·cNet[i]):
+// the net's resistances scale by rScale·rNet[i] and its capacitances (edge
+// and node) by cScale·cNet[i]. Nil per-net slices mean factor 1 everywhere;
 // non-nil slices must have one entry per net, indexed by design net order.
 func (va *VarArena) SetFactors(rScale, cScale float64, rNet, cNet []float64) error {
-	if rNet != nil && len(rNet) != va.base.nets {
-		return fmt.Errorf("timing: rNet has %d factors for %d nets", len(rNet), va.base.nets)
+	if rNet != nil && len(rNet) != va.a.nets {
+		return fmt.Errorf("timing: rNet has %d factors for %d nets", len(rNet), va.a.nets)
 	}
-	if cNet != nil && len(cNet) != va.base.nets {
-		return fmt.Errorf("timing: cNet has %d factors for %d nets", len(cNet), va.base.nets)
+	if cNet != nil && len(cNet) != va.a.nets {
+		return fmt.Errorf("timing: cNet has %d factors for %d nets", len(cNet), va.a.nets)
 	}
-	for n := range va.nodeNet {
+	for i := range va.lambda {
 		rf, cf := rScale, cScale
 		if rNet != nil {
-			rf *= rNet[va.nodeNet[n]]
+			rf *= rNet[i]
 		}
 		if cNet != nil {
-			cf *= cNet[va.nodeNet[n]]
+			cf *= cNet[i]
 		}
-		va.work.edgeR[n] = va.base.edgeR[n] * rf
-		va.work.edgeC[n] = va.base.edgeC[n] * cf
-		va.work.nodeC[n] = va.base.nodeC[n] * cf
+		va.lambda[i] = rf * cf
 	}
 	return nil
 }
 
-// Propagate runs the full levelized sweep over the current working values on
-// the caller's goroutine. Arrivals and slacks read afterwards reflect this
-// propagation.
+// Propagate walks the levelized order on the caller's goroutine: per net it
+// hulls the fanin exactly as the full sweep does, then writes each output's
+// arrival as input + λ·nominal delay. At λ = 1 the arrivals are bit-identical
+// to Graph.Analyze's. Tree and bound errors surface from Graph.VarArena, not
+// here. Arrivals and slacks read afterwards reflect this propagation.
 func (va *VarArena) Propagate(ctx context.Context) error {
-	return va.work.propagateSeq(ctx, va.st, va.th, &va.scratch)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	a, st := va.a, va.st
+	for _, i := range a.order {
+		inMin, inMax, _ := a.gather(st, i)
+		l := va.lambda[i]
+		for sl := a.outOff[i]; sl < a.outOff[i+1]; sl++ {
+			st.arrMin[sl] = inMin + va.nomMin[sl]*l
+			st.arrMax[sl] = inMax + va.nomMax[sl]*l
+		}
+	}
+	return nil
 }
 
 // Arrival returns the [min, max] arrival interval at an output slot after
@@ -137,21 +157,12 @@ func (va *VarArena) Slack(ep VarEndpoint) float64 {
 	return ep.Required - va.st.arrMax[ep.Slot]
 }
 
-// Clone returns an independent view sharing the immutable topology, base
-// values, and endpoint table, with its own working columns (copied from the
-// receiver's current factors) and propagation state. Use one clone per
-// worker goroutine.
+// Clone returns an independent view sharing the topology, nominal delays and
+// endpoint table, with its own copy of the receiver's current factors and
+// its own propagation state. Use one clone per worker goroutine.
 func (va *VarArena) Clone() *VarArena {
-	c := &VarArena{
-		base:    va.base,
-		work:    va.work,
-		nodeNet: va.nodeNet,
-		th:      va.th,
-		st:      va.base.newState(),
-		eps:     va.eps,
-	}
-	c.work.edgeR = append([]float64(nil), va.work.edgeR...)
-	c.work.edgeC = append([]float64(nil), va.work.edgeC...)
-	c.work.nodeC = append([]float64(nil), va.work.nodeC...)
-	return c
+	c := *va
+	c.lambda = append([]float64(nil), va.lambda...)
+	c.st = va.a.newState()
+	return &c
 }

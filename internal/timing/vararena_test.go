@@ -102,60 +102,108 @@ func TestVarArenaNominalMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestVarArenaScaledMatchesScaledDesign: arbitrary global + per-net factors
-// applied through SetFactors must match a from-scratch analysis of a design
-// whose element values were explicitly rebuilt with those factors. This is
-// the in-place-sweep soundness proof the mcd property test builds on.
+// TestVarArenaScaledMatchesScaledDesign: global + per-net factors applied
+// through SetFactors (λ-scaled nominal delays) must match a from-scratch
+// analysis of a design whose element values were explicitly rebuilt with
+// those factors, to 1e-9·max(1, |want|). 32 random designs, half of them
+// with 30-node nets, all with distributed lines; per-net factors include the
+// 0.01 clip floor mcd applies, and the global scales span 0.5–2. This is the
+// homogeneity proof the mcd property test builds on.
 func TestVarArenaScaledMatchesScaledDesign(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	d := randnet.Design(rng, randnet.DefaultDesignConfig(5, 2))
-	g, err := NewGraph(d)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	scales := []float64{0.5, 0.85, 1.15, 2}
+	near := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
 	}
-	const th, req = 0.55, 600.0
-	va, err := g.VarArena(th, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rScale, cScale = 1.15, 0.9
-	rNet := make([]float64, len(d.Nets))
-	cNet := make([]float64, len(d.Nets))
-	frng := rand.New(rand.NewSource(5))
-	for i := range rNet {
-		rNet[i] = 1 + 0.2*frng.NormFloat64()
-		cNet[i] = 1 + 0.2*frng.NormFloat64()
-	}
-	if err := va.SetFactors(rScale, cScale, rNet, cNet); err != nil {
-		t.Fatal(err)
-	}
-	if err := va.Propagate(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Reference: rebuild the trees with the combined factors baked in.
-	rf := make([]float64, len(d.Nets))
-	cf := make([]float64, len(d.Nets))
-	for i := range rf {
-		rf[i] = rScale * rNet[i]
-		cf[i] = cScale * cNet[i]
-	}
-	rep, err := Analyze(context.Background(), scaleTestDesign(t, d, rf, cf), Options{Threshold: th, Required: req, K: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[[2]string]EndpointSlack{}
-	for _, e := range rep.Endpoints {
-		byKey[[2]string{e.Net, e.Output}] = e
-	}
-	for _, ep := range va.Endpoints() {
-		want := byKey[[2]string{ep.Net, ep.Output}]
-		got := va.Arrival(ep.Slot)
-		if math.Abs(got.Min-want.Arrival.Min) > 1e-9 || math.Abs(got.Max-want.Arrival.Max) > 1e-9 {
-			t.Errorf("%s/%s arrival = %+v, scaled-design analysis %+v", ep.Net, ep.Output, got, want.Arrival)
+	for seed := int64(1); seed <= 32; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := randnet.DefaultDesignConfig(2+rng.Intn(4), 1+rng.Intn(4))
+		if seed%2 == 0 {
+			cfg.Net = randnet.DefaultConfig(30)
 		}
-		if s := va.Slack(ep); !math.IsInf(s, 1) && math.Abs(s-want.Slack) > 1e-9 {
-			t.Errorf("%s/%s slack = %g, scaled-design analysis %g", ep.Net, ep.Output, s, want.Slack)
+		d := randnet.Design(rng, cfg)
+		g, err := NewGraph(d)
+		if err != nil {
+			t.Fatal(err)
 		}
+		th, req := 0.1+0.8*rng.Float64(), 50+500*rng.Float64()
+		va, err := g.VarArena(th, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rNet := make([]float64, len(d.Nets))
+		cNet := make([]float64, len(d.Nets))
+		for i := range rNet {
+			rNet[i] = math.Max(0.01, 1+0.3*rng.NormFloat64())
+			cNet[i] = math.Max(0.01, 1+0.3*rng.NormFloat64())
+		}
+		rNet[0] = 0.01 // the clip floor, on a primary input
+		cNet[len(cNet)-1] = 0.01
+		for k, rScale := range scales {
+			cScale := scales[(k+1)%len(scales)]
+			if err := va.SetFactors(rScale, cScale, rNet, cNet); err != nil {
+				t.Fatal(err)
+			}
+			if err := va.Propagate(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// Reference: rebuild the trees with the combined factors baked in.
+			rf := make([]float64, len(d.Nets))
+			cf := make([]float64, len(d.Nets))
+			for i := range rf {
+				rf[i] = rScale * rNet[i]
+				cf[i] = cScale * cNet[i]
+			}
+			rep, err := Analyze(ctx, scaleTestDesign(t, d, rf, cf), Options{Threshold: th, Required: req, K: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			byKey := map[[2]string]EndpointSlack{}
+			for _, e := range rep.Endpoints {
+				byKey[[2]string{e.Net, e.Output}] = e
+			}
+			for _, ep := range va.Endpoints() {
+				want := byKey[[2]string{ep.Net, ep.Output}]
+				got := va.Arrival(ep.Slot)
+				if !near(got.Min, want.Arrival.Min) || !near(got.Max, want.Arrival.Max) {
+					t.Errorf("seed %d scales %g/%g %s/%s: arrival = %+v, scaled-design analysis %+v",
+						seed, rScale, cScale, ep.Net, ep.Output, got, want.Arrival)
+				}
+				if s := va.Slack(ep); !math.IsInf(s, 1) && !near(s, want.Slack) {
+					t.Errorf("seed %d scales %g/%g %s/%s: slack = %g, scaled-design analysis %g",
+						seed, rScale, cScale, ep.Net, ep.Output, s, want.Slack)
+				}
+			}
+		}
+	}
+}
+
+// TestVarArenaPropagateAllocs pins one Monte Carlo sample — SetFactors with
+// per-net factors plus Propagate — at zero allocations.
+func TestVarArenaPropagateAllocs(t *testing.T) {
+	g, err := NewGraph(randnet.Design(rand.New(rand.NewSource(9)), randnet.DefaultDesignConfig(4, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := g.VarArena(0.5, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := make([]float64, va.Nets())
+	for i := range f {
+		f[i] = 1 + 0.01*float64(i%5)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := va.SetFactors(1.15, 0.85, f, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := va.Propagate(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SetFactors + Propagate allocates %.1f times per sample, want 0", allocs)
 	}
 }
 

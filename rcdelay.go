@@ -465,9 +465,10 @@ func DefaultCorners() []Corner { return mcd.DefaultCorners() }
 
 // AnalyzeCorners runs the multi-corner Monte Carlo variation analysis of a
 // design: each corner's global R/C scales, compounded with per-net Gaussian
-// factors drawn once per sample and shared across corners, are applied as
-// in-place rescales of the flat timing arena's element columns followed by a
-// levelized re-propagation — no per-sample tree rebuild. The report carries,
+// factors drawn once per sample and shared across corners, scale each net's
+// nominal delays by one R·C factor: the trees are swept once, and every
+// corner and sample is a levelized arrival pass over the scaled delays — no
+// per-sample tree sweep or rebuild. The report carries,
 // per corner, nominal and sampled WNS/TNS, per-endpoint arrival and slack
 // distributions, and each endpoint's criticality (the fraction of samples in
 // which it is the WNS endpoint). Results are bit-identical for a given seed
