@@ -241,7 +241,10 @@ func (s *server) handleDesignEdit(w http.ResponseWriter, r *http.Request) {
 // endpoint slack table (worst first) and the critical paths, re-derived
 // incrementally after edits. The {"gen","id","report"} envelope is written
 // directly around the report's own JSON, byte for byte what writeJSON would
-// produce for it, without marshaling the report through a map.
+// produce for it, without marshaling the report through a map. The report
+// is encoded under the session lock, because the session keeps the last
+// read's rows and formats only the endpoints of nets changed since; the body
+// is freshly allocated per request.
 func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_slack_queries_total", 1)
@@ -255,16 +258,13 @@ func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.designs.release(ent)
+	id, _ := json.Marshal(ent.id) // a string always marshals
 	ds := ent.val
 	ds.mu.Lock()
-	// Reports are immutable once built (edits build fresh ones), so the
-	// snapshot can be marshaled outside the lock.
-	gen, report := ds.sess.Gen(), ds.sess.Report()
-	ds.mu.Unlock()
-	id, _ := json.Marshal(ent.id) // a string always marshals
-	body := strconv.AppendUint([]byte("{\n  \"gen\": "), gen, 10)
+	body := strconv.AppendUint([]byte("{\n  \"gen\": "), ds.sess.Gen(), 10)
 	body = append(append(append(body, ",\n  \"id\": "...), id...), ",\n  \"report\": "...)
-	body, err := report.AppendJSON(body, 1)
+	body, err := ds.sess.AppendReportJSON(body, 1)
+	ds.mu.Unlock()
 	if err != nil {
 		httpError(w, r, fmt.Sprintf("encode report: %v", err), http.StatusInternalServerError)
 		return

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/netlist"
 )
 
 // walServer mounts a design server over dir's durability store and replays
@@ -320,5 +322,93 @@ func TestDesignCloseLogsMoves(t *testing.T) {
 	}
 	if info2["edits"] != info["edits"] {
 		t.Errorf("recovered edits = %v, want %v", info2["edits"], info["edits"])
+	}
+}
+
+// TestDesignRecoveryAfterOutputAndStructuralEdits: with a snapshot every two
+// edits, rotations land right after output-only edits (addOutput,
+// removeOutput) and after grows and prunes. Each snapshot re-renders only
+// the nets whose trees changed, so a change to a net's output set alone must
+// still reach the deck. The newest snapshot must equal the live design's
+// deck, and after a crash the recovered slack table must have the same
+// endpoints and slacks to 1e-9.
+func TestDesignRecoveryAfterOutputAndStructuralEdits(t *testing.T) {
+	dir := t.TempDir()
+	srv1, _ := walServer(t, dir)
+	srv1.snapEvery = 2
+
+	body, _ := json.Marshal(map[string]any{"design": chipDeck, "threshold": 0.7, "required": 700})
+	code, created := serveJSON(t, srv1, http.MethodPost, "/design", string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	edits := []string{
+		`{"op": "grow", "net": "bus", "parent": "far", "name": "tap1", "kind": "line", "r": 50, "c": 0.01}`,
+		`{"op": "addOutput", "net": "bus", "node": "tap1"}`, // rotation after an output-only edit
+		`{"op": "grow", "net": "bus", "parent": "in", "name": "tap2", "r": 30}`,
+		`{"op": "addOutput", "net": "bus", "node": "tap2"}`, // rotation
+		`{"op": "removeOutput", "net": "bus", "node": "tap1"}`,
+		`{"op": "setR", "net": "drv", "node": "o", "r": 350}`, // rotation
+		`{"op": "prune", "net": "bus", "node": "tap1"}`,
+		`{"op": "removeOutput", "net": "bus", "node": "tap2"}`, // rotation after a prune and an output edit
+		`{"op": "addOutput", "net": "bus", "node": "tap2"}`,
+	}
+	for i, e := range edits {
+		code, resp := serveJSON(t, srv1, http.MethodPost, "/design/"+id+"/edit", `{"edits": [`+e+`]}`)
+		if code != http.StatusOK || resp["applied"].(float64) != 1 {
+			t.Fatalf("edit %d = %d: %v", i, code, resp)
+		}
+		if i%2 == 0 {
+			continue
+		}
+		// A rotation just landed: the snapshot is the live design's deck.
+		ent, _ := srv1.designs.get(id)
+		ent.val.mu.Lock()
+		d, err := ent.val.sess.Design()
+		seq := ent.val.wlog.Seq()
+		ent.val.mu.Unlock()
+		srv1.designs.release(ent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(filepath.Join(dir, id, fmt.Sprintf("snap.%d.ckt", seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := netlist.WriteDesign(d); string(snap) != want {
+			t.Fatalf("after edit %d the snapshot differs from the live design:\n%s\nwant:\n%s", i, snap, want)
+		}
+	}
+	code, slackBody := serveJSON(t, srv1, http.MethodGet, "/design/"+id+"/slack", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET slack = %d: %v", code, slackBody)
+	}
+	wantWNS, wantTNS, wantSlacks := slackNumbers(t, slackBody)
+	if _, ok := wantSlacks["bus.tap2"]; !ok {
+		t.Fatalf("bus.tap2 is not an endpoint: %v", wantSlacks)
+	}
+
+	// Crash: srv1 is abandoned with one edit in the live log's tail.
+	srv2, n := walServer(t, dir)
+	if n != 1 {
+		t.Fatalf("recovered %d designs, want 1", n)
+	}
+	code, slackBody2 := serveJSON(t, srv2, http.MethodGet, "/design/"+id+"/slack", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET recovered slack = %d", code)
+	}
+	gotWNS, gotTNS, gotSlacks := slackNumbers(t, slackBody2)
+	const tol = 1e-9
+	if math.Abs(gotWNS-wantWNS) > tol || math.Abs(gotTNS-wantTNS) > tol {
+		t.Errorf("recovered WNS/TNS (%g, %g), want (%g, %g)", gotWNS, gotTNS, wantWNS, wantTNS)
+	}
+	if len(gotSlacks) != len(wantSlacks) {
+		t.Fatalf("recovered endpoints %v, want %v", gotSlacks, wantSlacks)
+	}
+	for key, want := range wantSlacks {
+		if got, ok := gotSlacks[key]; !ok || math.Abs(got-want) > tol {
+			t.Errorf("endpoint %s slack = %g, want %g", key, got, want)
+		}
 	}
 }

@@ -397,3 +397,44 @@ func TestHealthzSessionCounters(t *testing.T) {
 		t.Errorf("/debug/vars status %d, want 404", gone.StatusCode)
 	}
 }
+
+// TestSessionOutputEditsBumpGen: an output-only batch changes the session's
+// output set, so its answer carries a new generation; a batch whose only
+// edit is refused does not.
+func TestSessionOutputEditsBumpGen(t *testing.T) {
+	_, ts := testServer(t)
+	id := openSession(t, ts, fig7Deck)
+	gen := func(body map[string]any) float64 {
+		t.Helper()
+		g, ok := body["gen"].(float64)
+		if !ok {
+			t.Fatalf("no gen in %v", body)
+		}
+		return g
+	}
+	_, info := doJSON(t, http.MethodGet, ts.URL+"/session/"+id, "")
+	last := gen(info)
+	for _, edit := range []string{
+		`{"op": "addOutput", "node": "b"}`,
+		`{"op": "removeOutput", "node": "n2"}`,
+		`{"op": "addOutput", "node": "n2"}`,
+	} {
+		status, body := post(t, ts.URL+"/session/"+id+"/edit", `{"edits": [`+edit+`]}`)
+		if status != http.StatusOK || body["applied"].(float64) != 1 {
+			t.Fatalf("%s: status %d: %v", edit, status, body)
+		}
+		if g := gen(body); g <= last {
+			t.Fatalf("%s: gen %v after gen %v, want an increase", edit, g, last)
+		} else {
+			last = g
+		}
+	}
+	status, body := post(t, ts.URL+"/session/"+id+"/edit", `{"edits": [{"op": "addOutput", "node": "b"}]}`)
+	if status == http.StatusOK && body["applied"].(float64) != 0 {
+		t.Fatalf("double addOutput applied: %v", body)
+	}
+	_, info = doJSON(t, http.MethodGet, ts.URL+"/session/"+id, "")
+	if g := gen(info); g != last {
+		t.Errorf("refused addOutput moved gen %v -> %v", last, g)
+	}
+}

@@ -54,8 +54,8 @@ func (s *server) walCreate(ent *entry[*designSession], design *rcdelay.Design) e
 // walAppend logs an accepted edit batch. Callers hold ds.mu, so append
 // order is apply order; the append fsyncs before the client sees its
 // response. When the log grows past -snapshot-every edits the session is
-// snapshotted inline (one materialize + atomic rename) so replay length
-// stays bounded.
+// snapshotted inline (the nets edited since the last snapshot materialized,
+// then an atomic rename) so replay length stays bounded.
 func (s *server) walAppend(ctx context.Context, ds *designSession, edits []rcdelay.DesignEdit) error {
 	if ds.wlog == nil || len(edits) == 0 {
 		return nil
@@ -70,13 +70,14 @@ func (s *server) walAppend(ctx context.Context, ds *designSession, edits []rcdel
 }
 
 // walSnapshotLocked rotates ds's log onto a fresh snapshot of the
-// materialized design. Callers hold ds.mu.
+// materialized design. The session re-renders only the nets whose trees
+// changed since its previous deck and copies the rest. Callers hold ds.mu.
 func (s *server) walSnapshotLocked(ctx context.Context, ds *designSession) error {
-	d, err := ds.sess.Design()
+	deck, err := ds.sess.AppendDeck(nil)
 	if err != nil {
 		return fmt.Errorf("materialize: %w", err)
 	}
-	return ds.wlog.RotateCtx(ctx, rcdelay.WriteDesign(d), ds.edits)
+	return ds.wlog.RotateCtx(ctx, deck, ds.edits)
 }
 
 // snapshotAll snapshots every live design with pending WAL edits; the

@@ -593,6 +593,7 @@ func (et *EditTree) AddOutput(id NodeID) error {
 		}
 	}
 	et.outputs = append(et.outputs, id)
+	et.gen++
 	return nil
 }
 
@@ -601,6 +602,7 @@ func (et *EditTree) RemoveOutput(id NodeID) bool {
 	for i, o := range et.outputs {
 		if o == id {
 			et.outputs = append(et.outputs[:i], et.outputs[i+1:]...)
+			et.gen++
 			return true
 		}
 	}

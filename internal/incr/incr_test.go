@@ -482,6 +482,41 @@ func TestEditErrors(t *testing.T) {
 	}
 }
 
+// TestOutputEditsBumpGen: designating or undesignating an output changes
+// what Materialize emits, so each success bumps the generation exactly once;
+// a rejected AddOutput or a RemoveOutput of a non-output leaves it alone.
+func TestOutputEditsBumpGen(t *testing.T) {
+	et := New(ladder(t, 4))
+	n2, _ := et.Lookup("n2")
+	step := func(what string, want uint64) {
+		t.Helper()
+		if got := et.Gen(); got != want {
+			t.Fatalf("%s: gen %d, want %d", what, got, want)
+		}
+	}
+	step("fresh", 0)
+	if err := et.AddOutput(n2); err != nil {
+		t.Fatal(err)
+	}
+	step("AddOutput", 1)
+	if err := et.AddOutput(n2); err == nil {
+		t.Fatal("double AddOutput: expected error")
+	}
+	step("rejected AddOutput", 1)
+	if err := et.AddOutput(NodeID(99)); err == nil {
+		t.Fatal("AddOutput out of range: expected error")
+	}
+	step("out-of-range AddOutput", 1)
+	if !et.RemoveOutput(n2) {
+		t.Fatal("RemoveOutput of an output reported false")
+	}
+	step("RemoveOutput", 2)
+	if et.RemoveOutput(n2) {
+		t.Fatal("RemoveOutput of a non-output reported true")
+	}
+	step("RemoveOutput of a non-output", 2)
+}
+
 // TestTransientSpikeCancellation: a huge edit that is immediately reverted
 // must not leave catastrophic-cancellation residue in the aggregates — the
 // magnitude trigger forces a full recompute, keeping queries within 1e-9.

@@ -293,33 +293,51 @@ func hasOutput(t *rctree.Tree, name string) bool {
 
 // WriteDesign renders a design back into deck form; the result round-trips
 // through ParseDesign. Nets keep declaration order; stages and requires are
-// emitted sorted for a canonical form.
+// emitted sorted for a canonical form. The deck is AppendDesignHeader, one
+// AppendNet section per net, then AppendDesignTail.
 func WriteDesign(d *Design) string {
 	size := 64 + 64*(len(d.Stages)+len(d.Requires))
 	for _, n := range d.Nets {
 		size += 32 + treeSizeHint(n.Tree)
 	}
-	b := make([]byte, 0, size)
-	b = append(b, "* design: "...)
-	b = strconv.AppendInt(b, int64(len(d.Nets)), 10)
-	b = append(b, " nets, "...)
-	b = strconv.AppendInt(b, int64(len(d.Stages)), 10)
-	b = append(b, " stages\n"...)
-	if d.Name != "" {
-		b = appendLine(b, ".design ", d.Name)
-	}
+	b := AppendDesignHeader(make([]byte, 0, size), d.Name, len(d.Nets), len(d.Stages))
 	for _, n := range d.Nets {
-		b = appendLine(b, ".net ", n.Name)
-		b = appendTree(b, n.Tree)
-		b = append(b, ".endnet\n"...)
+		b = AppendNet(b, n.Name, n.Tree)
 	}
-	for _, s := range canonicalStages(d.Stages) {
+	return string(AppendDesignTail(b, d.Stages, d.Requires))
+}
+
+// AppendDesignHeader appends a deck's leading comment and, for a named
+// design, its .design card.
+func AppendDesignHeader(b []byte, name string, nets, stages int) []byte {
+	b = append(b, "* design: "...)
+	b = strconv.AppendInt(b, int64(nets), 10)
+	b = append(b, " nets, "...)
+	b = strconv.AppendInt(b, int64(stages), 10)
+	b = append(b, " stages\n"...)
+	if name != "" {
+		b = appendLine(b, ".design ", name)
+	}
+	return b
+}
+
+// AppendNet appends one net's .net ... .endnet section.
+func AppendNet(b []byte, name string, t *rctree.Tree) []byte {
+	b = appendLine(b, ".net ", name)
+	b = appendTree(b, t)
+	return append(b, ".endnet\n"...)
+}
+
+// AppendDesignTail appends the stage and require cards in canonical order
+// and the closing .end card.
+func AppendDesignTail(b []byte, stages []Stage, requires []Require) []byte {
+	for _, s := range canonicalStages(stages) {
 		b = appendNodes(append(b, ".stage"...), s.FromNet, s.FromOutput)
 		b = append(append(b, ' '), s.ToNet...)
 		b = appendVal(b, s.Delay)
 		b = append(b, '\n')
 	}
-	requires := append([]Require(nil), d.Requires...)
+	requires = append([]Require(nil), requires...)
 	sort.SliceStable(requires, func(i, j int) bool {
 		if requires[i].Net != requires[j].Net {
 			return requires[i].Net < requires[j].Net
@@ -331,8 +349,7 @@ func WriteDesign(d *Design) string {
 		b = appendVal(b, r.Time)
 		b = append(b, '\n')
 	}
-	b = append(b, ".end\n"...)
-	return string(b)
+	return append(b, ".end\n"...)
 }
 
 // appendLine appends a directive, its argument and a newline.

@@ -2,6 +2,8 @@ package timing
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -229,10 +231,10 @@ func BenchmarkDesignECO(b *testing.B) {
 	})
 }
 
-// benchSession mounts a session on the closure workload's shape: 6×40 nets
-// of 60 nodes, required time 0.8 × the latest arrival, so most endpoints
-// fail.
-func benchSession(b *testing.B) *Session {
+// benchSession mounts a session on the closure and eco workloads' shape:
+// 6×40 nets of 60 nodes, required time 0.8 × the latest arrival, so most
+// endpoints fail, and k critical paths per report.
+func benchSession(b *testing.B, k int) *Session {
 	b.Helper()
 	cfg := randnet.DefaultDesignConfig(6, 40)
 	cfg.Net = randnet.DefaultConfig(60)
@@ -245,7 +247,7 @@ func benchSession(b *testing.B) *Session {
 	for _, ep := range probe.Endpoints {
 		latest = max(latest, ep.Arrival.Max)
 	}
-	s, err := NewSession(context.Background(), d, Options{Threshold: 0.7, Required: 0.8 * latest, K: -1})
+	s, err := NewSession(context.Background(), d, Options{Threshold: 0.7, Required: 0.8 * latest, K: k})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func benchSession(b *testing.B) *Session {
 // paths) on every iteration: classification, slack rows and the report
 // sort. It is the per-read cost of the report, the memo cleared each time.
 func BenchmarkSessionReport(b *testing.B) {
-	s := benchSession(b)
+	s := benchSession(b, -1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,13 +273,122 @@ func BenchmarkSessionReport(b *testing.B) {
 // from its per-net aggregates — what the closure engine reads per
 // iteration in place of BenchmarkSessionReport's full table.
 func BenchmarkWorstEndpoints(b *testing.B) {
-	s := benchSession(b)
+	s := benchSession(b, -1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if w := s.WorstEndpoints(4); len(w) != 4 {
 			b.Fatalf("got %d endpoints", len(w))
 		}
+	}
+}
+
+// ecoBatches returns a generator of the eco workload's edit batches on s:
+// one to four setR, setC or scaleDriver edits on random nets, with values
+// that always apply.
+func ecoBatches(s *Session, seed int64) func() []Edit {
+	rng := rand.New(rand.NewSource(seed))
+	return func() []Edit {
+		edits := make([]Edit, 1+rng.Intn(4))
+		for i := range edits {
+			n := rng.Intn(len(s.trees))
+			net, et := s.g.nodes[n].name, s.trees[n]
+			node := et.Name(incr.NodeID(1 + rng.Intn(et.Slots()-1)))
+			switch rng.Intn(3) {
+			case 0:
+				edits[i] = Edit{Op: "setR", Net: net, Node: node, R: f64(1e-3 + 100*rng.Float64())}
+			case 1:
+				edits[i] = Edit{Op: "setC", Net: net, Node: node, C: f64(1e-6 + 10*rng.Float64())}
+			default:
+				edits[i] = Edit{Op: "scaleDriver", Net: net, Factor: f64(math.Exp(0.4*rng.Float64() - 0.2))}
+			}
+		}
+		return edits
+	}
+}
+
+// BenchmarkDesignSlackRead times one slack read on the eco workload's shape
+// (240 nets × 60 nodes, most endpoints failing, 5 paths) after 9 eco-style
+// edit batches, which run outside the timer:
+//
+//   - incremental: Session.AppendReportJSON, which re-derives and formats
+//     only the endpoints of nets the batches changed;
+//   - full: Report().AppendJSON, which assembles, sorts and formats the
+//     whole table.
+//
+// Both render into a fresh body, as the rcserve slack handler does.
+func BenchmarkDesignSlackRead(b *testing.B) {
+	for _, mode := range []string{"incremental", "full"} {
+		b.Run(mode, func(b *testing.B) {
+			s := benchSession(b, 5)
+			next := ecoBatches(s, 1)
+			read := func() {
+				var err error
+				if mode == "full" {
+					_, err = s.Report().AppendJSON(nil, 1)
+				} else {
+					_, err = s.AppendReportJSON(nil, 1)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			read() // the incremental renderer builds its state on its first call
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for range 9 {
+					if _, err := s.Apply(next()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				read()
+			}
+		})
+	}
+}
+
+// BenchmarkDesignSnapshot times one WAL snapshot deck on the same shape
+// after 64 eco-style edits, which run outside the timer:
+//
+//   - incremental: Session.AppendDeck, which materializes and formats only
+//     the nets whose trees changed;
+//   - full: netlist.WriteDesign(Design()), which materializes and formats
+//     all 240.
+func BenchmarkDesignSnapshot(b *testing.B) {
+	for _, mode := range []string{"incremental", "full"} {
+		b.Run(mode, func(b *testing.B) {
+			s := benchSession(b, 5)
+			next := ecoBatches(s, 1)
+			snapshot := func() {
+				if mode == "full" {
+					d, err := s.Design()
+					if err != nil {
+						b.Fatal(err)
+					}
+					_ = netlist.WriteDesign(d)
+				} else if _, err := s.AppendDeck(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			snapshot() // the incremental renderer builds its state on its first call
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for edits := 0; edits < 64; {
+					batch := next()
+					if _, err := s.Apply(batch); err != nil {
+						b.Fatal(err)
+					}
+					edits += len(batch)
+				}
+				b.StartTimer()
+				snapshot()
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -217,11 +218,15 @@ func assertSessionMatchesOracle(t *testing.T, s *Session, label string) {
 }
 
 // TestDifferentialECO extends the oracle check through ECO editing: per
-// design, 50 random edits are absorbed incrementally and after every edit
-// the session state must agree with the oracle's evaluation of the
-// materialized design. A forked session is spliced in along the way: the
-// fork absorbs its own edit, must match the oracle on its own materialized
-// design, and the parent must stay bit-identical.
+// design, 50 random edit batches are absorbed incrementally and after every
+// batch the session state must agree with the oracle's evaluation of the
+// materialized design. A batch is output edits only, grows only, prunes
+// only, or any mix. Slack reads and snapshot decks land at random, so the
+// live renderers absorb anything from zero to several batches between two
+// calls, and must equal full renders of the same state byte for byte. A
+// forked session is spliced in along the way: the fork absorbs its own
+// batches, must match the oracle and full renders on its own design, and
+// the parent must stay bit-identical.
 func TestDifferentialECO(t *testing.T) {
 	designs := 300
 	edits := 50
@@ -234,26 +239,101 @@ func TestDifferentialECO(t *testing.T) {
 		s := newTestSession(t, d, Options{Threshold: 0.6, Required: 200})
 		seq := 0
 		for e := 0; e < edits; e++ {
-			ed := randomEdit(rng, s, &seq)
-			if _, err := s.Apply([]Edit{ed}); err != nil {
-				continue // guarded edit (drain, orphan...) — rejection is fine
+			label := fmt.Sprintf("design %d edit %d", n, e)
+			if _, err := s.Apply(randomBatch(rng, s, &seq)); err != nil && rng.Intn(2) == 0 {
+				continue // guarded edit (drain, orphan...): the applied prefix stands
 			}
-			assertSessionMatchesOracle(t, s, fmt.Sprintf("design %d edit %d", n, e))
+			renderAtRandom(t, rng, s, label)
+			assertSessionMatchesOracle(t, s, label)
 			if e == edits/2 {
 				// Fork differential: edit the fork, check it against the
 				// oracle, and pin the parent unchanged.
 				parentWNS, parentTNS := s.Summary()
 				parentGen := s.Gen()
 				f := s.Fork()
-				fe := randomEdit(rng, f, &seq)
-				if _, err := f.Apply([]Edit{fe}); err == nil {
-					assertSessionMatchesOracle(t, f, fmt.Sprintf("design %d fork", n))
+				for k := 0; k < 3; k++ {
+					f.Apply(randomBatch(rng, f, &seq))
+					label := fmt.Sprintf("design %d fork batch %d", n, k)
+					renderAtRandom(t, rng, f, label)
+					assertSessionMatchesOracle(t, f, label)
 				}
 				wns, tns := s.Summary()
 				if wns != parentWNS || tns != parentTNS || s.Gen() != parentGen {
 					t.Fatalf("design %d: fork edit leaked into parent", n)
 				}
+				assertLiveReport(t, s, fmt.Sprintf("design %d parent after fork", n))
+				assertLiveDeck(t, s, fmt.Sprintf("design %d parent after fork", n))
 			}
 		}
+		assertLiveReport(t, s, fmt.Sprintf("design %d final", n))
+		assertLiveDeck(t, s, fmt.Sprintf("design %d final", n))
+	}
+}
+
+// randomBatch draws one to three edits of one kind: output edits, grows,
+// prunes, or any op.
+func randomBatch(rng *rand.Rand, s *Session, seq *int) []Edit {
+	op := []int{opOutput, opGrow, opPrune, -1}[rng.Intn(4)]
+	batch := make([]Edit, 1+rng.Intn(3))
+	for k := range batch {
+		batch[k] = randomEditOf(rng, s, seq, op)
+	}
+	return batch
+}
+
+// renderAtRandom runs the live renderers at random against full renders:
+// sometimes a full Report is memoized first, half the time the slack JSON
+// is read (now and then twice, the second read after zero edits), and a
+// third of the time a snapshot deck is taken.
+func renderAtRandom(t *testing.T, rng *rand.Rand, s *Session, label string) {
+	t.Helper()
+	if rng.Intn(4) == 0 {
+		s.Report()
+	}
+	if rng.Intn(2) == 0 {
+		assertLiveReport(t, s, label)
+		if rng.Intn(4) == 0 {
+			assertLiveReport(t, s, label+" (re-read)")
+		}
+	}
+	if rng.Intn(3) == 0 {
+		assertLiveDeck(t, s, label)
+	}
+}
+
+// assertLiveReport requires Session.AppendReportJSON at depths 0 and 1 to
+// equal a full report assembly of the same state, encoded by AppendJSON.
+func assertLiveReport(t *testing.T, s *Session, label string) {
+	t.Helper()
+	full := s.g.report(s.state, s.th, s.k, s.required)
+	for _, depth := range []int{0, 1} {
+		want, werr := full.AppendJSON([]byte("{"), depth)
+		got, gerr := s.AppendReportJSON([]byte("{"), depth)
+		if gerr != nil || werr != nil {
+			t.Fatalf("%s: depth %d: errors %v (live) and %v (full)", label, depth, gerr, werr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: depth %d: live slack JSON differs from the full render at byte %d of %d",
+				label, depth, firstDiff(got, want), len(want))
+		}
+	}
+}
+
+// assertLiveDeck requires Session.AppendDeck to equal
+// netlist.WriteDesign(Design()).
+func assertLiveDeck(t *testing.T, s *Session, label string) {
+	t.Helper()
+	d, err := s.Design()
+	if err != nil {
+		t.Fatalf("%s: materialize: %v", label, err)
+	}
+	want := "*\n" + netlist.WriteDesign(d)
+	got, err := s.AppendDeck([]byte("*\n"))
+	if err != nil {
+		t.Fatalf("%s: AppendDeck: %v", label, err)
+	}
+	if string(got) != want {
+		t.Fatalf("%s: live deck differs from WriteDesign at byte %d of %d",
+			label, firstDiff(got, []byte(want)), len(want))
 	}
 }

@@ -85,7 +85,12 @@
 // which previously reported critical paths the edit invalidated; Report
 // rebuilds the full endpoint table and paths lazily, while WorstEndpoints
 // ranks the k worst endpoints from the same aggregates, expanding only the
-// nets that can hold them. The property tests pin Session equivalence to a
+// nets that can hold them. A live session's slack reads and snapshot decks
+// cost what changed too: AppendReportJSON merges the re-derived endpoints
+// of the nets an Apply changed into the last read's order and formats only
+// their numbers, and AppendDeck materializes only the nets whose EditTree
+// changed; both are byte-identical to the full renders, and forks never
+// carry their state. The property tests pin Session equivalence to a
 // from-scratch Analyze of the materialized design to 1e-9 over randomized
 // edit sequences, and BenchmarkDesignECO measures the dirty-cone speedup
 // against a full re-analysis.

@@ -194,7 +194,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // MarshalJSON makes the report JSON-safe anywhere it is embedded (the
 // rcserve design endpoints embed it in their envelopes).
 func (r *Report) MarshalJSON() ([]byte, error) {
-	return r.appendJSON(nil, false, 0)
+	return r.appendJSON(nil, false, 0, nil, nil)
 }
 
 // AppendJSON appends the report as WriteJSON renders it, without the
@@ -202,7 +202,7 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 // the same way (depth 0 for a top-level value). dst is grown once up front
 // to fit the report.
 func (r *Report) AppendJSON(dst []byte, depth int) ([]byte, error) {
-	return r.appendJSON(dst, true, depth)
+	return r.appendJSON(dst, true, depth, nil, nil)
 }
 
 // jsonSizeHint estimates the indented JSON size of the report.
@@ -214,8 +214,16 @@ func (r *Report) jsonSizeHint() int {
 	return n
 }
 
-func (r *Report) appendJSON(dst []byte, indent bool, depth int) ([]byte, error) {
+// appendJSON renders the report. rows, when not nil, locates each
+// endpoint's numbers in text, formatted ahead by appendEndpointText (a live
+// session keeps them between reads); otherwise each row's numbers are
+// formatted into text as scratch.
+func (r *Report) appendJSON(dst []byte, indent bool, depth int, rows []epText, text []byte) ([]byte, error) {
+	var scratch [80]byte // one row's numbers, when rows is nil
 	w := jsonWriter{b: slices.Grow(dst, r.jsonSizeHint()), indent: indent, depth: depth}
+	if rows == nil {
+		text = scratch[:0]
+	}
 	p, u, f := r.CountByVerdict()
 	w.open('{')
 	if r.Design != "" {
@@ -237,14 +245,15 @@ func (r *Report) appendJSON(dst []byte, indent bool, depth int) ([]byte, error) 
 		w.open('[')
 		for i := range r.Endpoints {
 			e := &r.Endpoints[i]
-			w.elem()
-			w.str("net", e.Net)
-			w.str("output", e.Output)
-			w.interval("arrival", e.Arrival)
-			w.finite("required", e.Required)
-			w.finite("slack", e.Slack)
-			w.str("verdict", e.Verdict.String())
-			w.close('}')
+			var t epText
+			if rows != nil {
+				t = rows[i]
+			} else {
+				var err error
+				text, t, err = appendEndpointText(text[:0], e)
+				w.fail(err)
+			}
+			w.endpoint(e, text, t)
 		}
 		w.close(']')
 	}
@@ -286,12 +295,25 @@ func (r *Report) appendJSON(dst []byte, indent bool, depth int) ([]byte, error) 
 
 // jsonWriter appends JSON to b, compact or indented two spaces per level.
 // first is whether the innermost open container is still empty.
+// reqText[:reqLen], when not empty, is the text of the last endpoint
+// required time, whose bits are reqBits: most endpoints share the default
+// one.
 type jsonWriter struct {
-	b      []byte
-	indent bool
-	depth  int
-	first  bool
-	err    error
+	b       []byte
+	indent  bool
+	depth   int
+	first   bool
+	err     error
+	reqBits uint64
+	reqLen  int
+	reqText [32]byte
+}
+
+// fail records the first error.
+func (w *jsonWriter) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
 }
 
 // newlineIndent holds a newline and the indentation of up to 15 levels.
@@ -366,24 +388,94 @@ func (w *jsonWriter) int(k string, v int) {
 // ±Inf are errors.
 func (w *jsonWriter) float(k string, v float64) {
 	w.key(k)
+	var err error
+	w.b, err = appendJSONFloat(w.b, v)
+	w.fail(err)
+}
+
+// raw writes the member k with text, a number already formatted.
+func (w *jsonWriter) raw(k string, text []byte) {
+	w.key(k)
+	w.b = append(w.b, text...)
+}
+
+// appendJSONFloat appends v formatted as encoding/json does; NaN and ±Inf
+// are errors.
+func appendJSONFloat(b []byte, v float64) ([]byte, error) {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
-		if w.err == nil {
-			w.err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		return
+		return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
 	}
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	w.b = strconv.AppendFloat(w.b, v, format, -1, 64)
+	b = strconv.AppendFloat(b, v, format, -1, 64)
 	if format == 'e' {
 		// e-07 -> e-7, as in ES6 number formatting.
-		if n := len(w.b); n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-			w.b[n-2] = w.b[n-1]
-			w.b = w.b[:n-1]
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
 		}
 	}
+	return b, nil
+}
+
+// epText locates one endpoint's numbers in a text buffer: the arrival min
+// and max from off, then the slack, whose length is 0 when it is infinite
+// (the member is omitted then).
+type epText struct {
+	off             uint32
+	min, max, slack uint8
+}
+
+// appendEndpointText appends e's arrival min, arrival max and finite slack
+// in the JSON number form and returns where they landed. Like the writer,
+// it refuses a non-finite arrival and a NaN slack.
+func appendEndpointText(b []byte, e *EndpointSlack) ([]byte, epText, error) {
+	t := epText{off: uint32(len(b))}
+	n := len(b)
+	var err error
+	if b, err = appendJSONFloat(b, e.Arrival.Min); err != nil {
+		return b, t, err
+	}
+	t.min, n = uint8(len(b)-n), len(b)
+	if b, err = appendJSONFloat(b, e.Arrival.Max); err != nil {
+		return b, t, err
+	}
+	t.max, n = uint8(len(b)-n), len(b)
+	if !math.IsInf(e.Slack, 0) {
+		b, err = appendJSONFloat(b, e.Slack)
+		t.slack = uint8(len(b) - n)
+	}
+	return b, t, err
+}
+
+// endpoint writes the endpoint row e, whose numbers t locates in text.
+func (w *jsonWriter) endpoint(e *EndpointSlack, text []byte, t epText) {
+	w.elem()
+	w.str("net", e.Net)
+	w.str("output", e.Output)
+	w.key("arrival")
+	w.open('{')
+	at := int(t.off)
+	w.raw("min", text[at:at+int(t.min)])
+	at += int(t.min)
+	w.raw("max", text[at:at+int(t.max)])
+	at += int(t.max)
+	w.close('}')
+	if !math.IsInf(e.Required, 0) {
+		if bits := math.Float64bits(e.Required); w.reqLen == 0 || bits != w.reqBits {
+			text, err := appendJSONFloat(w.reqText[:0], e.Required)
+			w.reqLen, w.reqBits = copy(w.reqText[:], text), bits
+			w.fail(err)
+		}
+		w.raw("required", w.reqText[:w.reqLen])
+	}
+	if t.slack > 0 {
+		w.raw("slack", text[at:at+int(t.slack)])
+	}
+	w.str("verdict", e.Verdict.String())
+	w.close('}')
 }
 
 // finite writes the member k = v unless v is infinite.

@@ -113,6 +113,10 @@ type Session struct {
 	// obs receives per-Apply telemetry (dirty/visited cone sizes, apply
 	// spans); nil disables it. Forks inherit it.
 	obs *obs.Registry
+	// live and deck are the incremental renderers' state (live.go), built on
+	// the first AppendReportJSON and AppendDeck; forks start without them.
+	live *liveReport
+	deck *liveDeck
 }
 
 // Ownership bits of Session.owned.
@@ -203,6 +207,7 @@ func (s *Session) Fork() *Session {
 		gen:       s.gen,
 		report:    s.report, // reports are immutable once built
 		obs:       s.obs,    // registries are goroutine-safe; forks share one
+		// live and deck stay nil: a fork renders from scratch if ever asked.
 	}
 	// The copied netTiming structs still point at the parent's name, delay
 	// and arrival slices. Names and delays are only ever replaced wholesale,
@@ -447,9 +452,16 @@ func (s *Session) applyOne(e Edit) (int, error) {
 	}
 	// A net whose total capacitance hits zero has undefined characteristic
 	// times (the full analyzer rejects such a tree outright), so edits that
-	// would drain the last capacitance are refused up front.
-	drained := func(newTotal float64) error {
-		if newTotal <= 0 {
+	// would drain the last capacitance are refused up front. The running
+	// aggregates carry rounding residue, which must not decide a total that
+	// lands near zero: the tree re-derives them exactly first. Summed from
+	// nonnegative terms, they give exactly 0 when nothing would remain.
+	drained := func(newTotal func() float64) error {
+		if newTotal() > 1e-9*et.TotalCap() {
+			return nil
+		}
+		et.Recompute()
+		if newTotal() <= 0 {
 			return fmt.Errorf("edit would leave net %q with no capacitance", e.Net)
 		}
 		return nil
@@ -474,7 +486,7 @@ func (s *Session) applyOne(e Edit) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := drained(et.TotalCap() - et.NodeCap(id) + c); err != nil {
+		if err := drained(func() float64 { return et.TotalCap() - et.NodeCap(id) + c }); err != nil {
 			return 0, err
 		}
 		return i, et.SetCapacitance(id, c)
@@ -487,7 +499,7 @@ func (s *Session) applyOne(e Edit) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := drained(et.TotalCap() + c); err != nil {
+		if err := drained(func() float64 { return et.TotalCap() + c }); err != nil {
 			return 0, err
 		}
 		return i, et.AddCapacitance(id, c)
@@ -505,7 +517,7 @@ func (s *Session) applyOne(e Edit) (int, error) {
 			return 0, err
 		}
 		_, _, oldC := et.Edge(id)
-		if err := drained(et.TotalCap() - oldC + c); err != nil {
+		if err := drained(func() float64 { return et.TotalCap() - oldC + c }); err != nil {
 			return 0, err
 		}
 		return i, et.SetLine(id, r, c)
@@ -545,7 +557,7 @@ func (s *Session) applyOne(e Edit) (int, error) {
 		if s.outputsUnder(i, id) == len(et.Outputs()) {
 			return 0, fmt.Errorf("cannot prune %q: net %q would be left without designated outputs", e.Node, e.Net)
 		}
-		if err := drained(et.TotalCap() - et.SubtreeCap(id)); err != nil {
+		if err := drained(func() float64 { return et.TotalCap() - et.SubtreeCap(id) }); err != nil {
 			return 0, err
 		}
 		return i, et.Prune(id)
@@ -708,6 +720,7 @@ func (s *Session) propagate(edited map[int]bool, res *ApplyResult) error {
 			}
 			if moved || delayDirty {
 				dirty[i] = true
+				s.mark(i)
 				s.refreshSummary(i)
 			}
 			for _, fe := range s.g.nodes[i].fanout {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/incr"
 	"repro/internal/netlist"
 	"repro/internal/randnet"
+	"repro/internal/rctree"
 )
 
 // closeEnough compares to 1e-9 relative tolerance, treating equal
@@ -367,6 +369,19 @@ func TestSessionParallelInitMatchesSequential(t *testing.T) {
 // current state. It may still be rejected (e.g. pruning a protected output);
 // the caller skips those.
 func randomEdit(rng *rand.Rand, s *Session, seq *int) Edit {
+	return randomEditOf(rng, s, seq, -1)
+}
+
+// Op indices of randomEditOf beyond the node-value edits 0-4.
+const (
+	opGrow   = 5
+	opPrune  = 6
+	opOutput = 7 // addOutput or removeOutput, whichever applies
+)
+
+// randomEditOf is randomEdit with the op index fixed; op < 0 draws one of
+// 0-6 (every op but the output edits).
+func randomEditOf(rng *rand.Rand, s *Session, seq *int, op int) Edit {
 	i := rng.Intn(len(s.trees))
 	et := s.trees[i]
 	net := s.g.nodes[i].name
@@ -379,7 +394,10 @@ func randomEdit(rng *rand.Rand, s *Session, seq *int) Edit {
 		}
 	}
 	pick := func() string { return nodes[rng.Intn(len(nodes))] }
-	switch rng.Intn(7) {
+	if op < 0 {
+		op = rng.Intn(7)
+	}
+	switch op {
 	case 0:
 		return Edit{Op: "setR", Net: net, Node: pick(), R: f64(1 + rng.Float64()*199)}
 	case 1:
@@ -390,7 +408,7 @@ func randomEdit(rng *rand.Rand, s *Session, seq *int) Edit {
 		return Edit{Op: "setLine", Net: net, Node: pick(), R: f64(1 + rng.Float64()*99), C: f64(rng.Float64() * 10)}
 	case 4:
 		return Edit{Op: "scaleDriver", Net: net, Factor: f64(0.2 + rng.Float64()*3)}
-	case 5:
+	case opGrow:
 		*seq++
 		kind := "resistor"
 		var c *float64
@@ -399,8 +417,15 @@ func randomEdit(rng *rand.Rand, s *Session, seq *int) Edit {
 			c = f64(0.5 + rng.Float64()*5)
 		}
 		return Edit{Op: "grow", Net: net, Parent: pick(), Name: fmt.Sprintf("g%d", *seq), Kind: kind, R: f64(1 + rng.Float64()*50), C: c}
-	default:
+	case opPrune:
 		return Edit{Op: "prune", Net: net, Node: pick()}
+	default:
+		node := pick()
+		id, _ := et.Lookup(node)
+		if slices.Contains(et.Outputs(), id) {
+			return Edit{Op: "removeOutput", Net: net, Node: node}
+		}
+		return Edit{Op: "addOutput", Net: net, Node: node}
 	}
 }
 
@@ -614,4 +639,59 @@ func TestSessionClosureAccessors(t *testing.T) {
 	if _, ok := s.CloneNetTree("ghost"); ok {
 		t.Error("CloneNetTree on an unknown net should fail")
 	}
+}
+
+// TestDrainGuardIgnoresRoundingResidue: the running capacitance aggregate
+// of a net keeps rounding residue after edits (0.1 + 0.2 − 0.2 is not 0.1),
+// so pruning the subtree that holds the last capacitance leaves a positive
+// residue of about 3e-17 there. The edit must still be refused: a net with
+// no capacitance cannot be materialized, so the session would no longer
+// render a deck or a snapshot.
+func TestDrainGuardIgnoresRoundingResidue(t *testing.T) {
+	b := rctree.NewBuilder("in")
+	a := b.Resistor(rctree.Root, "a", 1)
+	c := b.Resistor(rctree.Root, "b", 1)
+	b.Capacitor(a, 0.1)
+	b.Capacitor(c, 0.2)
+	b.Output(a)
+	b.Output(c)
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &netlist.Design{Nets: []netlist.DesignNet{{Name: "n", Tree: tree}}}
+	s := newTestSession(t, d, Options{Required: 10})
+	if _, err := s.Apply([]Edit{{Op: "setC", Net: "n", Node: "b", C: f64(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Apply([]Edit{{Op: "prune", Net: "n", Node: "a"}})
+	if err == nil || !strings.Contains(err.Error(), "no capacitance") {
+		t.Fatalf("prune of the last capacitance: err = %v, want a drain refusal", err)
+	}
+	if _, err := s.Design(); err != nil {
+		t.Fatalf("session no longer materializes: %v", err)
+	}
+}
+
+// TestAppendReportJSONNonFinite: a chain of 52 nets of about 3.47e306 each
+// overflows the latest arrival to +Inf, which the JSON form cannot carry.
+// The live renderer must fail exactly as the full one does, then recover
+// once an edit brings the arrival back.
+func TestAppendReportJSONNonFinite(t *testing.T) {
+	d := &netlist.Design{}
+	for i := range 52 {
+		d.Nets = append(d.Nets, simpleNet(t, fmt.Sprint("n", i), 1, 5e306))
+		if i > 0 {
+			d.Stages = append(d.Stages, netlist.Stage{FromNet: fmt.Sprint("n", i-1), FromOutput: "o", ToNet: fmt.Sprint("n", i), Delay: 1})
+		}
+	}
+	s := newTestSession(t, d, Options{Required: 10})
+	_, want := s.Report().AppendJSON(nil, 0)
+	if _, got := s.AppendReportJSON(nil, 0); want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("live error %v, full error %v: want the same unsupported-value error", got, want)
+	}
+	if _, err := s.Apply([]Edit{{Op: "setC", Net: "n0", Node: "o", C: f64(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	assertLiveReport(t, s, "after the overflow")
 }

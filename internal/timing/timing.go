@@ -365,14 +365,7 @@ func (g *Graph) computeState(ctx context.Context, r resolved) ([]netTiming, erro
 
 // report assembles endpoint slacks, WNS/TNS and the K critical paths.
 func (g *Graph) report(state []netTiming, th float64, k int, defRequired float64) *Report {
-	rep := &Report{
-		Design:    g.design.Name,
-		Threshold: th,
-		Nets:      len(g.nodes),
-		Stages:    len(g.design.Stages),
-		Levels:    len(g.levels),
-		WNS:       math.Inf(1),
-	}
+	wns, tns := math.Inf(1), 0.0
 	var eps []EndpointSlack
 	for i := range g.nodes {
 		neg := 0.0
@@ -383,8 +376,8 @@ func (g *Graph) report(state []netTiming, th float64, k int, defRequired float64
 				continue
 			}
 			ep := g.endpoint(i, name, st.out[j], req)
-			if ep.Slack < rep.WNS {
-				rep.WNS = ep.Slack
+			if ep.Slack < wns {
+				wns = ep.Slack
 			}
 			if ep.Slack < 0 {
 				neg += ep.Slack
@@ -393,11 +386,26 @@ func (g *Graph) report(state []netTiming, th float64, k int, defRequired float64
 		}
 		// Per net first, then across nets: the fold Session.Summary runs over
 		// its per-net aggregates, so both TNS forms agree to the bit.
-		rep.TNS += neg
+		tns += neg
 	}
-	rep.Endpoints = sortEndpoints(eps)
-	for i := 0; i < len(rep.Endpoints) && i < k; i++ {
-		rep.Paths = append(rep.Paths, g.backtrack(state, rep.Endpoints[i]))
+	return g.assemble(state, th, k, sortEndpoints(eps), wns, tns)
+}
+
+// assemble builds the report of state from its endpoints in report order
+// and its WNS/TNS, backtracking the k most critical paths.
+func (g *Graph) assemble(state []netTiming, th float64, k int, eps []EndpointSlack, wns, tns float64) *Report {
+	rep := &Report{
+		Design:    g.design.Name,
+		Threshold: th,
+		Nets:      len(g.nodes),
+		Stages:    len(g.design.Stages),
+		Levels:    len(g.levels),
+		Endpoints: eps,
+		WNS:       wns,
+		TNS:       tns,
+	}
+	for i := 0; i < len(eps) && i < k; i++ {
+		rep.Paths = append(rep.Paths, g.backtrack(state, eps[i]))
 	}
 	return rep
 }
@@ -429,11 +437,9 @@ func (g *Graph) endpoint(i int, name string, arr Interval, req float64) Endpoint
 	return ep
 }
 
-// sortEndpoints returns eps in report order: constrained endpoints by
-// ascending slack, then unconstrained ones by descending latest arrival,
-// with net and output names breaking exact ties. It sorts flat (slack,
-// arrival, index) keys rather than the large structs, and reads the names
-// only on a tie.
+// sortEndpoints returns eps in report order (cmpEndpoints). It sorts flat
+// (slack, arrival, index) keys rather than the large structs, and reads the
+// names only on a tie.
 func sortEndpoints(eps []EndpointSlack) []EndpointSlack {
 	type key struct {
 		slack, arr float64
@@ -444,27 +450,52 @@ func sortEndpoints(eps []EndpointSlack) []EndpointSlack {
 		keys[i] = key{eps[i].Slack, eps[i].Arrival.Max, i}
 	}
 	slices.SortFunc(keys, func(a, b key) int {
-		switch {
-		case a.slack < b.slack:
-			return -1
-		case a.slack > b.slack:
-			return 1
-		case a.arr > b.arr:
-			return -1
-		case a.arr < b.arr:
-			return 1
-		}
-		ea, eb := &eps[a.idx], &eps[b.idx]
-		if c := strings.Compare(ea.Net, eb.Net); c != 0 {
+		if c := cmpRank(a.slack, a.arr, b.slack, b.arr); c != 0 {
 			return c
 		}
-		return strings.Compare(ea.Output, eb.Output)
+		return cmpNames(&eps[a.idx], &eps[b.idx])
 	})
 	sorted := make([]EndpointSlack, len(eps))
 	for i, kk := range keys {
 		sorted[i] = eps[kk.idx]
 	}
 	return sorted
+}
+
+// cmpEndpoints is the report order: constrained endpoints by ascending
+// slack, then unconstrained ones by descending latest arrival, with net and
+// output names breaking exact ties. Names are unique per endpoint, so the
+// order is total for non-NaN keys: any sort or merge yields the same
+// sequence.
+func cmpEndpoints(a, b *EndpointSlack) int {
+	if c := cmpRank(a.Slack, a.Arrival.Max, b.Slack, b.Arrival.Max); c != 0 {
+		return c
+	}
+	return cmpNames(a, b)
+}
+
+// cmpRank compares the numeric keys of cmpEndpoints: slack ascending, then
+// latest arrival descending.
+func cmpRank(aSlack, aArr, bSlack, bArr float64) int {
+	switch {
+	case aSlack < bSlack:
+		return -1
+	case aSlack > bSlack:
+		return 1
+	case aArr > bArr:
+		return -1
+	case aArr < bArr:
+		return 1
+	}
+	return 0
+}
+
+// cmpNames breaks a cmpRank tie by net, then output name.
+func cmpNames(a, b *EndpointSlack) int {
+	if c := strings.Compare(a.Net, b.Net); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Output, b.Output)
 }
 
 // backtrack reconstructs the critical path ending at ep: from the endpoint

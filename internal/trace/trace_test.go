@@ -242,13 +242,13 @@ func TestParseTraceparent(t *testing.T) {
 	}
 	bad := []string{
 		"",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", // missing flags
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // reserved version
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span id
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase
-		"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01",    // short trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0z",  // bad flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",      // missing flags
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // reserved version
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",   // zero trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",   // zero span id
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",   // uppercase
+		"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01",     // short trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0z",   // bad flags
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x", // v00 extra field
 	}
 	for _, h := range bad {

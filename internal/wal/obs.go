@@ -41,7 +41,7 @@ func (l *Log) AppendCtx(ctx context.Context, edits []timing.Edit) error {
 
 // RotateCtx is Rotate with trace propagation: the snapshot write gets a
 // wal_snapshot span under ctx in addition to its histogram.
-func (l *Log) RotateCtx(ctx context.Context, deck string, totalEdits int) error {
+func (l *Log) RotateCtx(ctx context.Context, deck []byte, totalEdits int) error {
 	return l.rotate(ctx, deck, totalEdits)
 }
 

@@ -29,7 +29,7 @@ func TestInstrumentedLifecycle(t *testing.T) {
 	if err := l.Append(testEdits()); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Rotate(testDeck, 2); err != nil {
+	if err := l.Rotate([]byte(testDeck), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(testEdits()); err != nil {

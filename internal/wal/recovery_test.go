@@ -71,11 +71,11 @@ func runRecoveryTrial(t *testing.T, seed int64) {
 			t.Fatalf("append edit %d: %v", i, err)
 		}
 		if rng.Float64() < 0.15 {
-			d, err := live.Design()
+			deck, err := live.AppendDeck(nil)
 			if err != nil {
 				t.Fatalf("materialize at edit %d: %v", i, err)
 			}
-			if err := l.Rotate(netlist.WriteDesign(d), accepted); err != nil {
+			if err := l.Rotate(deck, accepted); err != nil {
 				t.Fatalf("rotate at edit %d: %v", i, err)
 			}
 		}

@@ -390,20 +390,21 @@ func (l *Log) Seq() uint64 { return l.meta.Seq }
 // Rotate makes deck the new recovery point: it writes snapshot N+1
 // atomically, switches appends to the (empty) log N+1, rewrites meta, and
 // retires the old pair. A crash anywhere in between leaves a complete pair
-// on disk — old before the snapshot rename commits, new after.
-func (l *Log) Rotate(deck string, totalEdits int) error {
+// on disk — old before the snapshot rename commits, new after. deck is
+// written as is and not retained.
+func (l *Log) Rotate(deck []byte, totalEdits int) error {
 	return l.rotate(context.Background(), deck, totalEdits)
 }
 
 // rotate is the Rotate body; the snapshot write + rename (the bulk of a
 // rotation's IO) records wal_snapshot_seconds and a wal_snapshot trace span,
 // and a completed rotation bumps wal_rotations_total.
-func (l *Log) rotate(ctx context.Context, deck string, totalEdits int) error {
+func (l *Log) rotate(ctx context.Context, deck []byte, totalEdits int) error {
 	next := l.meta.Seq + 1
 	tmp := filepath.Join(l.dir, snapName(next)+".tmp")
 	_, op := trace.StartOp(ctx, l.obs, "wal_snapshot")
 	op.Span().SetAttr("seq", strconv.FormatUint(next, 10))
-	if err := writeFileSync(tmp, []byte(deck)); err != nil {
+	if err := writeFileSync(tmp, deck); err != nil {
 		op.SetError(err)
 		op.End()
 		return err

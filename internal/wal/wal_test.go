@@ -74,7 +74,7 @@ func TestRotateRetiresOldPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	const newDeck = testDeck + "* rotated\n"
-	if err := l.Rotate(newDeck, 2); err != nil {
+	if err := l.Rotate([]byte(newDeck), 2); err != nil {
 		t.Fatal(err)
 	}
 	if l.Pending() != 0 || l.Seq() != 2 {
