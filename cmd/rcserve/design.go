@@ -74,19 +74,14 @@ func designSummary(e *entry[*designSession]) designSummaryJSON {
 	ds := e.val
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	r := ds.sess.Report()
-	p, u, f := r.CountByVerdict()
-	var wns *float64
-	if !math.IsInf(r.WNS, 0) { // +Inf: no constrained endpoint
-		wns = &r.WNS
-	}
+	h := ds.sess.Headline()
 	return designSummaryJSON{
-		ID: e.id, Design: r.Design,
-		Nets: r.Nets, Stages: r.Stages, Levels: r.Levels,
-		Endpoints: len(r.Endpoints), Threshold: r.Threshold,
+		ID: e.id, Design: h.Design,
+		Nets: h.Nets, Stages: h.Stages, Levels: h.Levels,
+		Endpoints: h.Endpoints, Threshold: h.Threshold,
 		Gen: ds.sess.Gen(), Edits: ds.edits,
-		WNS: wns, TNS: r.TNS,
-		Passes: p, Unknown: u, Fails: f,
+		WNS: finitePtr(h.WNS), TNS: h.TNS, // WNS +Inf: no constrained endpoint
+		Passes: h.Passes, Unknown: h.Unknown, Fails: h.Fails,
 	}
 }
 

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +15,9 @@ import (
 	"time"
 
 	rcdelay "repro"
+	"repro/internal/netlist"
+	"repro/internal/randnet"
+	"repro/internal/rctree"
 )
 
 const chipDeck = `
@@ -699,6 +705,90 @@ func TestDesignSlackBodyMatchesEnvelope(t *testing.T) {
 		}
 		if !strings.Contains(w.Body.String(), `"design": "\u003cchip\u0026co\u003e"`) {
 			t.Errorf("design name not HTML-escaped:\n%s", w.Body.String())
+		}
+	}
+}
+
+// summaryFromReport is the GET /design/{id} answer as it was built before
+// Session.Headline: from the fully assembled report.
+func summaryFromReport(id string, gen uint64, edits int, r *rcdelay.DesignReport) designSummaryJSON {
+	p, u, f := r.CountByVerdict()
+	return designSummaryJSON{
+		ID: id, Design: r.Design,
+		Nets: r.Nets, Stages: r.Stages, Levels: r.Levels,
+		Endpoints: len(r.Endpoints), Threshold: r.Threshold,
+		Gen: gen, Edits: edits,
+		WNS: finitePtr(r.WNS), TNS: r.TNS,
+		Passes: p, Unknown: u, Fails: f,
+	}
+}
+
+// TestDesignSummaryMatchesReport: after each of a run of random edit
+// batches (value edits, output additions and removals, some batches failing
+// part way), interleaved with slack reads, the GET /design/{id} body equals
+// the body the fully assembled report gives, byte for byte.
+func TestDesignSummaryMatchesReport(t *testing.T) {
+	cfg := randnet.DefaultDesignConfig(3, 4)
+	cfg.Net = randnet.DefaultConfig(8)
+	d := randnet.DesignSeed(21, cfg)
+	ref, err := rcdelay.AnalyzeDesign(context.Background(), d, rcdelay.DesignOptions{Threshold: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest := 0.0
+	for _, ep := range ref.Endpoints {
+		latest = math.Max(latest, ep.Arrival.Max)
+	}
+	srv := designServer()
+	body, _ := json.Marshal(map[string]any{"design": netlist.WriteDesign(d), "threshold": 0.7, "required": 0.35 * latest})
+	code, created := postDesign(t, srv, string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	get := func(path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, w.Code, w.Body.String())
+		}
+		return w
+	}
+	rng := rand.New(rand.NewSource(5))
+	for batch := 0; batch < 60; batch++ {
+		var edits []map[string]any
+		for range 1 + rng.Intn(3) {
+			n := d.Nets[rng.Intn(len(d.Nets))]
+			node := n.Tree.Name(rctree.NodeID(1 + rng.Intn(n.Tree.NumNodes()-1)))
+			switch rng.Intn(4) {
+			case 0:
+				edits = append(edits, map[string]any{"op": "scaleDriver", "net": n.Name, "factor": 0.5 + rng.Float64()})
+			case 1:
+				edits = append(edits, map[string]any{"op": "setC", "net": n.Name, "node": node, "c": 0.2 * rng.Float64()})
+			case 2:
+				edits = append(edits, map[string]any{"op": "addOutput", "net": n.Name, "node": node})
+			default:
+				edits = append(edits, map[string]any{"op": "removeOutput", "net": n.Name, "node": node})
+			}
+		}
+		eb, _ := json.Marshal(map[string]any{"edits": edits})
+		postEdits(t, srv, id, string(eb)) // a batch may stop part way; its prefix stays
+		if rng.Intn(3) == 0 {
+			get("/design/" + id + "/slack")
+		}
+		got := get("/design/" + id)
+		e, ok := srv.designs.get(id)
+		if !ok {
+			t.Fatal("design vanished")
+		}
+		e.val.mu.Lock()
+		want := summaryFromReport(id, e.val.sess.Gen(), e.val.edits, e.val.sess.Report())
+		e.val.mu.Unlock()
+		srv.designs.release(e)
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, want)
+		if got.Body.String() != w.Body.String() {
+			t.Fatalf("batch %d: GET /design/{id} body differs from the report's:\n%s\nwant:\n%s", batch, got.Body.String(), w.Body.String())
 		}
 	}
 }

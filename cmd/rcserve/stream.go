@@ -100,9 +100,9 @@ func (s *server) streamDesignClose(w http.ResponseWriter, r *http.Request, ent *
 
 	ds := ent.val
 	ds.mu.Lock()
-	rep := ds.sess.Report()
+	wns, tns := ds.sess.Summary()
 	sse.event("start", closeStartEvent{
-		ID: ent.id, Gen: ds.sess.Gen(), WNS: finitePtr(rep.WNS), TNS: rep.TNS,
+		ID: ent.id, Gen: ds.sess.Gen(), WNS: finitePtr(wns), TNS: tns,
 	})
 	report, err := rcdelay.CloseSession(r.Context(), ds.sess, rcdelay.ClosureOptions{
 		MaxMoves:     req.MaxMoves,

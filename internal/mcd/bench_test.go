@@ -64,3 +64,41 @@ func BenchmarkCornerSweep(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCornersOp times the two calls of the corners workload's op on its
+// design shape (randnet 6×40 nets of 30 nodes, 2,230 endpoints): analyze is
+// AnalyzeGraph over 3 corners × 32 samples on GOMAXPROCS workers, summary is
+// the text rendering of that report. BenchmarkCornerSweep's 6×4 design hides
+// the per-endpoint statistics this shape spends most of its time in.
+func BenchmarkCornersOp(b *testing.B) {
+	cfg := randnet.DefaultDesignConfig(6, 40)
+	cfg.Net = randnet.DefaultConfig(30)
+	d := randnet.DesignSeed(7, cfg)
+	g, err := timing.NewGraph(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Options{
+		Samples: 32, Seed: 7, Variation: Variation{RSigma: 0.05, CSigma: 0.05},
+		Threshold: 0.7, Required: 1e5,
+	}
+	ctx := context.Background()
+	rep, err := AnalyzeGraph(ctx, g, d.Name, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("analyze", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := AnalyzeGraph(ctx, g, d.Name, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("summary", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			rep.Summary()
+		}
+	})
+}

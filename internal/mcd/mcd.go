@@ -22,13 +22,29 @@
 // intervals by one λ per net: a corner or sample is a DAG arrival pass over
 // λ-scaled nominal delays, with no tree sweep and no tree construction.
 // Workers each own a VarArena clone and write disjoint sample rows of one
-// arrival matrix, reused across corners; the per-endpoint statistics then
-// fan out over the same workers, strided over endpoints, each sorting an
-// endpoint's arrival column once in its own buffer and deriving the slack
-// distribution from that sort. Every value is reduced from the same inputs
-// in the same order whichever worker computes it, so results are
-// bit-identical for a given seed regardless of worker count — the
-// determinism test pins this.
+// arrival matrix; the matrix and the clones are allocated once and reused
+// by every corner. The per-endpoint statistics then fan out over the same
+// workers, each owning a contiguous range of endpoints, which it takes in
+// blocks of statsBlock:
+//
+//   - Moments: the worker walks the block's part of the matrix
+//     sample-major, folding each row's values into the block's Welford
+//     accumulators for arrival and slack, so the endpoints' division chains
+//     interleave and rows are read in order. Each endpoint still sees its
+//     samples in sample order.
+//   - Quantiles: per endpoint, the worker gathers the arrival column and
+//     selects in place only the ranks stats.Quantile reads for P50/P95/P99
+//     and their mirrors n−1−r (selectRanks), instead of sorting it; mapping
+//     the column reversed through req − x then puts the slack quantiles'
+//     ranks in place too, so one selection serves both distributions.
+//   - Rows: the worker writes each endpoint's row straight to its report
+//     index, and every slack Dist of a corner lives in one slab.
+//
+// Every value is reduced from the same inputs in the same order whichever
+// worker computes it, and the selected ranks hold exactly what a full sort
+// would put there, so results are bit-identical for a given seed regardless
+// of worker count, and to the sort-based statistics this replaced — the
+// determinism and oracle tests pin both.
 //
 // # Results
 //
@@ -45,6 +61,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -134,42 +151,182 @@ type Dist struct {
 	P99  float64 `json:"p99"`
 }
 
-// distOf summarizes vals (not required sorted). The sorted copy the
-// quantiles need is built in buf's storage when it is large enough, so a
-// caller summarizing many columns reuses one buffer.
-func distOf(vals, buf []float64) Dist {
+// quantiles are the levels a Dist reports as P50, P95 and P99. distSorted
+// reads them, and quantileRanks derives from them the order statistics they
+// read, so the two cannot drift apart.
+var quantiles = [3]float64{0.50, 0.95, 0.99}
+
+// quantileRanks returns, ascending and without repeats, every rank
+// stats.Quantile reads for the levels in quantiles from a sample of n
+// (⌊q(n−1)⌋ and ⌈q(n−1)⌉, computed as it computes them), together with each
+// rank's mirror n−1−r, which the slack side reads (see mirrorSlack).
+func quantileRanks(n int) []int {
+	var ranks []int
+	for _, q := range quantiles {
+		pos := q * float64(n-1)
+		lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+		ranks = append(ranks, lo, hi, n-1-lo, n-1-hi)
+	}
+	slices.Sort(ranks)
+	return slices.Compact(ranks)
+}
+
+// distSorted assembles a Dist from accumulated moments and values ordered
+// at the ranks quantileRanks names: stats.Quantile reads nothing else.
+func distSorted(w *stats.Welford, sorted []float64) Dist {
+	return Dist{
+		Mean: w.Mean(), Std: w.Std(), Min: w.Min(), Max: w.Max(),
+		P50: stats.Quantile(sorted, quantiles[0]),
+		P95: stats.Quantile(sorted, quantiles[1]),
+		P99: stats.Quantile(sorted, quantiles[2]),
+	}
+}
+
+// distOf summarizes vals, which it reorders: moments in the given order,
+// then the quantile ranks selected in place.
+func distOf(vals []float64, ranks []int) Dist {
 	var w stats.Welford
 	for _, v := range vals {
 		w.Add(v)
 	}
-	sorted := append(buf[:0], vals...)
-	sort.Float64s(sorted)
-	return distSorted(&w, sorted)
+	selectRanks(vals, ranks)
+	return distSorted(&w, vals)
 }
 
-// slackDistOf is distOf over the slacks req − arr[s], given sorted, a sorted
-// copy of arr, which it overwrites. fl(req − x) is non-increasing in x, so
-// the sorted slacks are the sorted arrivals reversed and mapped through
-// req − x, bit for bit; the moments still run over the slacks in sample
-// order. One sort per endpoint thus serves both of its distributions.
-func slackDistOf(req float64, arr, sorted []float64) Dist {
-	var w stats.Welford
-	for _, x := range arr {
-		w.Add(req - x)
+// mirrorSlack turns arrivals ordered at ranks r into slacks req − x ordered
+// at ranks n−1−r: fl(req − x) is non-increasing in x, so reversing the
+// column and mapping it through req − x puts at each mirrored rank exactly
+// the value a sort of the slacks would, bit for bit. One selection thus
+// serves both of an endpoint's distributions.
+func mirrorSlack(req float64, col []float64) {
+	for i, j := 0, len(col)-1; i <= j; i, j = i+1, j-1 {
+		col[i], col[j] = req-col[j], req-col[i]
 	}
-	for i, j := 0, len(sorted)-1; i <= j; i, j = i+1, j-1 {
-		sorted[i], sorted[j] = req-sorted[j], req-sorted[i]
-	}
-	return distSorted(&w, sorted)
 }
 
-// distSorted assembles a Dist from accumulated moments and the sorted values.
-func distSorted(w *stats.Welford, sorted []float64) Dist {
-	return Dist{
-		Mean: w.Mean(), Std: w.Std(), Min: w.Min(), Max: w.Max(),
-		P50: stats.Quantile(sorted, 0.50),
-		P95: stats.Quantile(sorted, 0.95),
-		P99: stats.Quantile(sorted, 0.99),
+// selectRanks permutes a so that a[r], for each r in ranks (ascending and
+// in range), holds the value sort.Float64s would put there, bit for bit.
+// A NaN or a zero in a falls back to that sort: NaN lies outside <'s order
+// and the sort puts it first, and −0 and +0 compare equal but differ in
+// bits, so only the sort itself places them as it does. Every other pair
+// of equal values is bit-identical, so any correct selection agrees.
+func selectRanks(a []float64, ranks []int) {
+	for _, v := range a {
+		if v != v || v == 0 {
+			sort.Float64s(a)
+			return
+		}
+	}
+	selectIn(a, 0, ranks, 2*bits.Len(uint(len(a))))
+}
+
+// selectIn is selectRanks on the part a of the whole, whose first value has
+// rank off. Wanted ranks among a's first or last 8 are placed by a partial
+// insertion sort of that end (smallest, largest), which for random data
+// costs about one comparison per value; the ranks left in between are found
+// by quickselect, whose three-way partition settles the ranks in its equal
+// band and whose loop descends only into sides that hold a wanted rank.
+// After budget partitions the part is sorted outright, which bounds the
+// worst case.
+func selectIn(a []float64, off int, ranks []int, budget int) {
+	for len(ranks) > 0 {
+		if last := ranks[len(ranks)-1] - off; last < 8 {
+			smallest(a, last+1)
+			return
+		}
+		if first := ranks[0] - off; len(a)-first <= 8 {
+			largest(a, len(a)-first)
+			return
+		}
+		if len(a) <= 12 || budget == 0 {
+			slices.Sort(a)
+			return
+		}
+		budget--
+		lt, gt := partition3(a)
+		i, _ := slices.BinarySearch(ranks, off+lt)
+		j, _ := slices.BinarySearch(ranks, off+gt)
+		selectIn(a[:lt], off, ranks[:i], budget)
+		a, off, ranks = a[gt:], off+gt, ranks[j:]
+	}
+}
+
+// partition3 rearranges a around the median of its first, middle and last
+// values into the values below it, those equal to it and those above it,
+// and returns the bounds [lt, gt) of the equal band. Each of its two passes
+// swaps unconditionally and adds the comparison's outcome as 0 or 1, which
+// compiles to a set-on-condition instead of a branch that random data
+// mispredicts half the time. Ties collapse into the band, so a column of
+// equal values is settled in one partition.
+func partition3(a []float64) (lt, gt int) {
+	x, p, z := a[0], a[len(a)/2], a[len(a)-1]
+	if x > p {
+		x, p = p, x
+	}
+	if p > z {
+		p = max(x, z)
+	}
+	for i, v := range a {
+		a[i] = a[lt]
+		a[lt] = v
+		var below int
+		if v < p {
+			below = 1
+		}
+		lt += below
+	}
+	gt = lt
+	for i := lt; i < len(a); i++ {
+		v := a[i]
+		a[i] = a[gt]
+		a[gt] = v
+		var equal int
+		if v == p {
+			equal = 1
+		}
+		gt += equal
+	}
+	return lt, gt
+}
+
+// smallest permutes a so that a[:k] holds its k smallest values in
+// ascending order: an insertion sort that keeps only a k-value prefix.
+func smallest(a []float64, k int) {
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := min(i, k)
+		if j == k {
+			if !(v < a[k-1]) {
+				continue
+			}
+			a[i] = a[k-1] // the displaced largest of the prefix
+			j--
+		}
+		for ; j > 0 && a[j-1] > v; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = v
+	}
+}
+
+// largest permutes a so that a[len(a)−k:] holds its k largest values in
+// ascending order, mirroring smallest.
+func largest(a []float64, k int) {
+	n := len(a)
+	for i := n - 2; i >= 0; i-- {
+		v := a[i]
+		j := max(i, n-1-k)
+		if j == n-1-k {
+			if !(v > a[n-k]) {
+				continue
+			}
+			a[i] = a[n-k]
+			j++
+		}
+		for ; j < n-1 && a[j+1] < v; j++ {
+			a[j] = a[j+1]
+		}
+		a[j] = v
 	}
 }
 
@@ -332,11 +489,24 @@ func AnalyzeGraph(ctx context.Context, g *timing.Graph, name string, opt Options
 		Variation: opt.Variation,
 		Clipped:   clipped,
 	}
-	// The sample-major arrival matrix, reused by every corner.
-	arrAll := make([]float64, opt.Samples*len(eps))
+	// The sample-major arrival matrix and the sample workers' views, reused
+	// by every corner.
+	sw := &sweep{
+		va: va, eps: eps, rF: rF, cF: cF,
+		samples: opt.Samples, workers: min(opt.Workers, opt.Samples),
+		ranks:  quantileRanks(opt.Samples),
+		arrAll: make([]float64, opt.Samples*len(eps)),
+		views:  []*timing.VarArena{va},
+	}
+	if sw.workers > 1 {
+		sw.views = sw.views[:0]
+		for range sw.workers {
+			sw.views = append(sw.views, va.Clone())
+		}
+	}
 	for _, c := range opt.Corners {
 		sctx, op := trace.StartOp(ctx, opt.Obs, "mcd_corner_sweep", "corner", c.Name)
-		cr, err := sweepCorner(sctx, va, c, eps, rF, cF, arrAll, opt.Samples, opt.Workers)
+		cr, err := sw.corner(sctx, c)
 		op.SetError(err)
 		op.End()
 		if err != nil {
@@ -368,15 +538,41 @@ func parallel(workers int, fn func(w int)) {
 	wg.Wait()
 }
 
-// sweepCorner runs one corner: a nominal pass (no derating) on va itself,
-// then the per-sample DAG passes fanned across workers, each on its own clone
+// statsBlock is how many endpoints a statistics worker folds moments for in
+// one sample-major pass: enough interleaved Welford chains to overlap their
+// divisions, few enough that the block's accumulators stay on the stack and
+// its column values in cache for the gathers that follow.
+const statsBlock = 64
+
+// sweep is what every corner of one analysis shares: the view, its
+// endpoints and factor draws, and the buffers the corners reuse.
+type sweep struct {
+	va *timing.VarArena
+	// views[w] runs sample worker w's passes: va itself when one worker
+	// runs them all, else a clone per worker.
+	views   []*timing.VarArena
+	eps     []timing.VarEndpoint
+	rF, cF  [][]float64
+	samples int
+	workers int
+	ranks   []int // quantileRanks(samples)
+	arrAll  []float64
+}
+
+// corner runs one corner: a nominal pass (no derating) on va itself, then
+// the per-sample DAG passes fanned across workers, each on its own view
 // writing disjoint sample rows of arrAll, then the per-endpoint statistics
-// fanned across the same number of workers, each writing disjoint endpoint
-// rows and sorting each endpoint's arrival column once for both of its
-// distributions. Every value is computed from the same inputs in the same
+// fanned across the same number of workers. Each statistics worker owns a
+// contiguous range of endpoints and takes it in blocks: it folds the
+// block's columns of arrAll into their moments row by row, sample-major, so
+// the endpoints' Welford chains interleave; then, per endpoint, it gathers
+// the arrival column, selects the quantile ranks in place, mirrors them
+// into the slack ranks and writes the endpoint's row straight to its
+// report index. Every value is computed from the same inputs in the same
 // order whichever worker computes it, so the result is independent of the
 // worker count.
-func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timing.VarEndpoint, rF, cF [][]float64, arrAll []float64, samples, workers int) (*CornerResult, error) {
+func (sw *sweep) corner(ctx context.Context, c Corner) (*CornerResult, error) {
+	va, eps, samples, workers := sw.va, sw.eps, sw.samples, sw.workers
 	if err := va.SetFactors(c.RScale, c.CScale, nil, nil); err != nil {
 		return nil, err
 	}
@@ -401,25 +597,20 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 	// arrAll is sample-major: each sample's row is one contiguous run written
 	// by the worker that owns the sample, so two workers' writes meet only at
 	// row boundaries, not in every cache line.
+	arrAll := sw.arrAll
 	wns := make([]float64, samples)
 	tns := make([]float64, samples)
 	crit := make([]int, samples)
-	if workers > samples {
-		workers = samples
-	}
 	errs := make([]error, workers)
 	parallel(workers, func(w int) {
-		wa := va
-		if workers > 1 {
-			wa = va.Clone()
-		}
+		wa := sw.views[w]
 		for s := w; s < samples; s += workers {
 			var rNet, cNet []float64
-			if rF != nil {
-				rNet = rF[s]
+			if sw.rF != nil {
+				rNet = sw.rF[s]
 			}
-			if cF != nil {
-				cNet = cF[s]
+			if sw.cF != nil {
+				cNet = sw.cF[s]
 			}
 			if err := wa.SetFactors(c.RScale, c.CScale, rNet, cNet); err != nil {
 				errs[w] = err
@@ -463,19 +654,20 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 		}
 	}
 	if constrained {
-		d := distOf(wns, nil)
+		d := distOf(wns, sw.ranks)
 		cr.WNS = &d
 	}
-	cr.TNS = distOf(tns, nil)
+	cr.TNS = distOf(tns, sw.ranks)
 	// Worst nominal slack first; unconstrained after, by descending nominal
-	// arrival; names break ties — the timing.Report endpoint order. Ranking
-	// endpoint indices up front lets each statistics worker write its
-	// endpoints straight into their final rows.
+	// arrival; names break ties — the timing.Report endpoint order. The key
+	// is total (a net names each output once), so an unstable sort is
+	// deterministic. rank inverts order, so each statistics worker writes
+	// its endpoints straight into their final rows.
 	order := make([]int, len(eps))
 	for e := range order {
 		order[e] = e
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
+	slices.SortFunc(order, func(a, b int) int {
 		switch {
 		case nomSlack[a] != nomSlack[b]:
 			if nomSlack[a] < nomSlack[b] {
@@ -492,31 +684,48 @@ func sweepCorner(ctx context.Context, va *timing.VarArena, c Corner, eps []timin
 		}
 		return strings.Compare(eps[a].Output, eps[b].Output)
 	})
+	rank := make([]int, len(eps))
+	for r, e := range order {
+		rank[e] = r
+	}
 	cr.Endpoints = make([]EndpointDist, len(eps))
+	slab := make([]Dist, len(eps)) // every slack Dist of the corner
 	parallel(workers, func(w int) {
-		col, buf := make([]float64, samples), make([]float64, samples)
-		for r := w; r < len(order); r += workers {
-			e := order[r]
-			ep := eps[e]
-			// col gathers endpoint e's arrivals in sample order; its one
-			// sorted copy in buf serves the slack distribution too.
-			for s := range col {
-				col[s] = arrAll[s*len(eps)+e]
+		col := make([]float64, samples)
+		for lo, hi := w*len(eps)/workers, (w+1)*len(eps)/workers; lo < hi; lo += statsBlock {
+			n := min(statsBlock, hi-lo)
+			var arrW, slackW [statsBlock]stats.Welford
+			for s := 0; s < samples; s++ {
+				for k, x := range arrAll[s*len(eps)+lo : s*len(eps)+lo+n] {
+					arrW[k].Add(x)
+					if req := eps[lo+k].Required; !math.IsInf(req, 1) {
+						slackW[k].Add(req - x)
+					}
+				}
 			}
-			ed := EndpointDist{
-				Net:            ep.Net,
-				Output:         ep.Output,
-				Required:       ep.Required,
-				NominalArrival: nomArr[e],
-				NominalSlack:   nomSlack[e],
-				Arrival:        distOf(col, buf),
-				Criticality:    float64(critCount[e]) / float64(samples),
+			for k := range n {
+				e := lo + k
+				ep := eps[e]
+				for s := range col {
+					col[s] = arrAll[s*len(eps)+e]
+				}
+				selectRanks(col, sw.ranks)
+				ed := &cr.Endpoints[rank[e]]
+				*ed = EndpointDist{
+					Net:            ep.Net,
+					Output:         ep.Output,
+					Required:       ep.Required,
+					NominalArrival: nomArr[e],
+					NominalSlack:   nomSlack[e],
+					Arrival:        distSorted(&arrW[k], col),
+					Criticality:    float64(critCount[e]) / float64(samples),
+				}
+				if !math.IsInf(ep.Required, 1) {
+					mirrorSlack(ep.Required, col)
+					slab[e] = distSorted(&slackW[k], col)
+					ed.Slack = &slab[e]
+				}
 			}
-			if !math.IsInf(ep.Required, 1) {
-				d := slackDistOf(ep.Required, col, buf)
-				ed.Slack = &d
-			}
-			cr.Endpoints[r] = ed
 		}
 	})
 	return cr, nil

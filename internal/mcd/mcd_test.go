@@ -1,18 +1,59 @@
 package mcd
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/netlist"
 	"repro/internal/randnet"
+	"repro/internal/stats"
 	"repro/internal/timing"
 )
+
+// sortDist is the sort-based summary the selection path replaced, kept as
+// its oracle: moments in the given order, quantiles from a full sort.
+func sortDist(vals []float64) Dist {
+	var w stats.Welford
+	for _, v := range vals {
+		w.Add(v)
+	}
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	return distSorted(&w, sorted)
+}
+
+// sortSlackDist is sortDist over the slacks req − arr[s], given sorted, a
+// sorted copy of arr, which it overwrites by the reversal mirrorSlack
+// makes: the oracle's one sort per endpoint for both distributions.
+func sortSlackDist(req float64, arr, sorted []float64) Dist {
+	var w stats.Welford
+	for _, x := range arr {
+		w.Add(req - x)
+	}
+	mirrorSlack(req, sorted)
+	return distSorted(&w, sorted)
+}
+
+// sameDist compares two Dists bit for bit, so NaN equals NaN and −0 does
+// not equal +0.
+func sameDist(a, b Dist) bool {
+	x := []float64{a.Mean, a.Std, a.Min, a.Max, a.P50, a.P95, a.P99}
+	y := []float64{b.Mean, b.Std, b.Min, b.Max, b.P50, b.P95, b.P99}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 func testDesign(t *testing.T, seed int64, levels, width int) *netlist.Design {
 	t.Helper()
@@ -150,19 +191,19 @@ func TestCornerSweepMatchesFullReanalysis(t *testing.T) {
 				}
 			}
 			if cr.WNS != nil {
-				distClose(t, "WNS dist", *cr.WNS, distOf(wns, nil), 1e-9)
+				distClose(t, "WNS dist", *cr.WNS, sortDist(wns), 1e-9)
 			}
-			distClose(t, "TNS dist", cr.TNS, distOf(tns, nil), 1e-9)
+			distClose(t, "TNS dist", cr.TNS, sortDist(tns), 1e-9)
 			// Endpoint distributions and criticality counts, matched by key
 			// (the report is re-sorted by nominal slack).
 			wantByKey := map[[2]string]EndpointDist{}
 			for e, ep := range eps {
 				want := EndpointDist{
-					Arrival:     distOf(arr[e], nil),
+					Arrival:     sortDist(arr[e]),
 					Criticality: float64(critCount[e]) / samples,
 				}
 				if !math.IsInf(ep.Required, 1) {
-					sd := distOf(slack[e], nil)
+					sd := sortDist(slack[e])
 					want.Slack = &sd
 				}
 				wantByKey[[2]string{ep.Net, ep.Output}] = want
@@ -320,12 +361,15 @@ func TestScaleDesignValidation(t *testing.T) {
 	}
 }
 
-// TestSlackDistFromOneSort: the slack Dist derived from the arrivals' one
-// sorted copy equals distOf over the slack column bit for bit, on random
-// columns with ties and negative values, at sizes from 1 to 257.
+// TestSlackDistFromOneSort: the slack Dist the production path derives
+// from the arrivals' one selection (moments over the slacks, selectRanks on
+// the arrivals, mirrorSlack) equals sortDist over the slack column bit for
+// bit, and so does the oracle's one-sort path, on random columns with ties
+// and negative values, at sizes from 1 to 257.
 func TestSlackDistFromOneSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 2, 32, 257} {
+		ranks := quantileRanks(n)
 		for trial := 0; trial < 50; trial++ {
 			arr := make([]float64, n)
 			for s := range arr {
@@ -340,14 +384,22 @@ func TestSlackDistFromOneSort(t *testing.T) {
 			}
 			req := []float64{0, -3.25, 700, 2.5e6}[trial%4]
 			slack := make([]float64, n)
+			var w stats.Welford
 			for s, x := range arr {
 				slack[s] = req - x
+				w.Add(slack[s])
 			}
-			want := distOf(slack, nil)
+			want := sortDist(slack)
 			sorted := append([]float64(nil), arr...)
 			sort.Float64s(sorted)
-			if got := slackDistOf(req, arr, sorted); got != want {
-				t.Errorf("n=%d trial %d req %g: one-sort slack dist %+v, distOf %+v", n, trial, req, got, want)
+			if got := sortSlackDist(req, arr, sorted); got != want {
+				t.Errorf("n=%d trial %d req %g: oracle one-sort slack dist %+v, sortDist %+v", n, trial, req, got, want)
+			}
+			col := append([]float64(nil), arr...)
+			selectRanks(col, ranks)
+			mirrorSlack(req, col)
+			if got := distSorted(&w, col); !sameDist(got, want) {
+				t.Errorf("n=%d trial %d req %g: selected slack dist %+v, sortDist %+v", n, trial, req, got, want)
 			}
 		}
 	}
@@ -398,15 +450,276 @@ func TestReportSlackDistsMatchTwoSorts(t *testing.T) {
 		}
 		for _, ed := range rep.Corners[ci].Endpoints {
 			e := want[[2]string{ed.Net, ed.Output}]
-			if got := distOf(arr[e], nil); ed.Arrival != got {
+			if got := sortDist(arr[e]); ed.Arrival != got {
 				t.Errorf("corner %s %s/%s: arrival %+v, two-sort %+v", c.Name, ed.Net, ed.Output, ed.Arrival, got)
 			}
 			if ed.Slack == nil {
 				t.Fatalf("corner %s %s/%s: constrained endpoint without slack dist", c.Name, ed.Net, ed.Output)
 			}
-			if got := distOf(slack[e], nil); *ed.Slack != got {
+			if got := sortDist(slack[e]); *ed.Slack != got {
 				t.Errorf("corner %s %s/%s: slack %+v, two-sort %+v", c.Name, ed.Net, ed.Output, *ed.Slack, got)
 			}
 		}
 	}
+}
+
+// oracleReport is AnalyzeGraph as it stood before the selection path, kept
+// as its oracle: per corner, one sequential pass per sample on a single
+// VarArena, each endpoint's gathered arrival column summarized by sortDist
+// and sortSlackDist, and a stable sort of the finished rows.
+func oracleReport(t *testing.T, g *timing.Graph, name string, opt Options) *Report {
+	t.Helper()
+	ctx := context.Background()
+	opt, err := opt.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := g.VarArena(opt.Threshold, opt.Required)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := va.Endpoints()
+	samples := opt.Samples
+	rF, cF, clipped := drawFactors(va.Nets(), samples, opt.Variation, opt.Seed)
+	rep := &Report{
+		Design: name, Threshold: va.Threshold(), Samples: samples,
+		Seed: opt.Seed, Variation: opt.Variation, Clipped: clipped,
+	}
+	pass := func(c Corner, rNet, cNet []float64) {
+		if err := va.SetFactors(c.RScale, c.CScale, rNet, cNet); err != nil {
+			t.Fatal(err)
+		}
+		if err := va.Propagate(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	worst := math.Inf(1)
+	for _, c := range opt.Corners {
+		pass(c, nil, nil)
+		cr := CornerResult{Corner: c, NominalWNS: math.Inf(1)}
+		rows := make([]EndpointDist, len(eps))
+		for e, ep := range eps {
+			rows[e] = EndpointDist{
+				Net: ep.Net, Output: ep.Output, Required: ep.Required,
+				NominalArrival: va.Arrival(ep.Slot).Max, NominalSlack: va.Slack(ep),
+			}
+			if sl := rows[e].NominalSlack; !math.IsInf(ep.Required, 1) {
+				cr.NominalWNS = math.Min(cr.NominalWNS, sl)
+				if sl < 0 {
+					cr.NominalTNS += sl
+				}
+			}
+		}
+		arr := make([][]float64, len(eps))
+		wns, tns := make([]float64, samples), make([]float64, samples)
+		critCount := make([]int, len(eps))
+		constrained := false
+		for s := 0; s < samples; s++ {
+			var rNet, cNet []float64
+			if rF != nil {
+				rNet = rF[s]
+			}
+			if cF != nil {
+				cNet = cF[s]
+			}
+			pass(c, rNet, cNet)
+			sWNS, sCrit := math.Inf(1), -1
+			for e, ep := range eps {
+				arr[e] = append(arr[e], va.Arrival(ep.Slot).Max)
+				if sl := va.Slack(ep); !math.IsInf(ep.Required, 1) {
+					if sl < sWNS {
+						sWNS, sCrit = sl, e
+					}
+					if sl < 0 {
+						tns[s] += sl
+					}
+				}
+			}
+			wns[s] = sWNS
+			if sCrit >= 0 {
+				critCount[sCrit]++
+				constrained = true
+			}
+		}
+		if constrained {
+			d := sortDist(wns)
+			cr.WNS = &d
+		}
+		cr.TNS = sortDist(tns)
+		for e, ep := range eps {
+			rows[e].Arrival = sortDist(arr[e])
+			rows[e].Criticality = float64(critCount[e]) / float64(samples)
+			if !math.IsInf(ep.Required, 1) {
+				sorted := append([]float64(nil), arr[e]...)
+				sort.Float64s(sorted)
+				d := sortSlackDist(ep.Required, arr[e], sorted)
+				rows[e].Slack = &d
+			}
+		}
+		slices.SortStableFunc(rows, func(a, b EndpointDist) int {
+			switch {
+			case a.NominalSlack != b.NominalSlack:
+				return cmp.Compare(a.NominalSlack, b.NominalSlack)
+			case a.NominalArrival != b.NominalArrival:
+				return cmp.Compare(b.NominalArrival, a.NominalArrival)
+			case a.Net != b.Net:
+				return strings.Compare(a.Net, b.Net)
+			}
+			return strings.Compare(a.Output, b.Output)
+		})
+		cr.Endpoints = rows
+		rep.Corners = append(rep.Corners, cr)
+		if cr.NominalWNS < worst {
+			worst, rep.WorstCorner = cr.NominalWNS, c.Name
+		}
+	}
+	return rep
+}
+
+// floatBits mirrors v with every float64 replaced by its bits, so that
+// reflect.DeepEqual on two mirrors is bit-for-bit equality: NaN equals NaN
+// and −0 does not equal +0.
+func floatBits(v reflect.Value) any {
+	switch v.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(v.Float())
+	case reflect.Pointer:
+		if v.IsNil() {
+			return nil
+		}
+		return []any{floatBits(v.Elem())}
+	case reflect.Struct:
+		out := make([]any, v.NumField())
+		for i := range out {
+			out[i] = floatBits(v.Field(i))
+		}
+		return out
+	case reflect.Slice:
+		out := make([]any, v.Len())
+		for i := range out {
+			out[i] = floatBits(v.Index(i))
+		}
+		return out
+	}
+	return v.Interface()
+}
+
+// TestAnalyzeMatchesSortOracle: AnalyzeGraph's selection-based statistics
+// and its rank-indexed row writes give reports bit-identical to the
+// sort-based oracle, over random designs, sample counts around the
+// selection's cutoffs and worker counts that split the endpoints unevenly.
+// The designs mix constrained and unconstrained endpoints; zero sigma makes
+// every column one tied value, and 0.9 sigma clips draws into ties.
+func TestAnalyzeMatchesSortOracle(t *testing.T) {
+	variations := []Variation{{}, {RSigma: 0.05}, {RSigma: 0.3, CSigma: 0.2}, {RSigma: 0.9, CSigma: 0.9}}
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		d := testDesign(t, 100+seed, 2+rng.Intn(3), 1+rng.Intn(4))
+		opt := Options{
+			Variation: variations[seed%4], Seed: seed,
+			Threshold: 0.3 + 0.5*rng.Float64(),
+		}
+		g, err := timing.NewGraph(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seed%3 != 0 {
+			// Constrain about half the endpoints, on either side of their
+			// arrivals; the rest stay unconstrained.
+			va, err := g.VarArena(opt.Threshold, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ep := range va.Endpoints() {
+				if rng.Intn(2) == 0 {
+					at := va.Arrival(ep.Slot).Max
+					d.Requires = append(d.Requires, netlist.Require{Net: ep.Net, Output: ep.Output, Time: at * (0.5 + rng.Float64())})
+				}
+			}
+			if g, err = timing.NewGraph(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if seed%6 == 3 {
+			opt.Required = 1e9 // every endpoint constrained, none failing
+		}
+		for _, samples := range []int{1, 2, 3, 12, 13, 31, 32, 33, 256} {
+			opt.Samples = samples
+			want := floatBits(reflect.ValueOf(oracleReport(t, g, d.Name, opt)))
+			for _, workers := range []int{1, 2, 3, 5} {
+				opt.Workers = workers
+				rep, err := AnalyzeGraph(context.Background(), g, d.Name, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := floatBits(reflect.ValueOf(rep)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d samples %d workers %d: report differs from the sort-based oracle", seed, samples, workers)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSelectRanks: on any column of 1 to 300 values, ties, ±0, ±Inf and
+// NaN included, selectRanks leaves a permutation of the column that holds,
+// at each rank quantileRanks names and at each rank of an arbitrary set,
+// the value sort.Float64s puts there, bit for bit. An even first byte reads
+// the rest as raw float64 bits; an odd one reads each byte as an index into
+// a palette of specials, which makes ties the rule.
+func FuzzSelectRanks(f *testing.F) {
+	palette := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1, -1, 2.5, 1e308, -5e-324, 7, 7, 3e5}
+	f.Add([]byte{1, 5, 6, 7, 5, 6, 12, 10, 11, 12, 5}, uint64(0))
+	f.Add([]byte{3, 0, 1, 2, 3, 0, 1, 9, 8, 7, 6, 5, 6, 7, 8, 9, 10, 11, 12, 2, 3, 5, 6}, uint64(1)<<63|5)
+	f.Add(append([]byte{0}, make([]byte, 8*40)...), uint64(0xffff))
+	f.Fuzz(func(t *testing.T, data []byte, mask uint64) {
+		if len(data) == 0 {
+			return
+		}
+		var col []float64
+		if data[0]%2 == 0 {
+			for b := data[1:]; len(b) >= 8 && len(col) < 300; b = b[8:] {
+				col = append(col, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			}
+		} else {
+			for _, b := range data[1:min(len(data), 301)] {
+				col = append(col, palette[int(b)%len(palette)])
+			}
+		}
+		n := len(col)
+		if n == 0 {
+			return
+		}
+		want := slices.Clone(col)
+		sort.Float64s(want)
+		var masked []int
+		for r := range n {
+			if mask>>(r%64)&1 == 1 {
+				masked = append(masked, r)
+			}
+		}
+		for _, ranks := range [][]int{quantileRanks(n), masked} {
+			got := slices.Clone(col)
+			selectRanks(got, ranks)
+			for _, r := range ranks {
+				if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("n=%d ranks %v: rank %d holds %v, sort.Float64s %v", n, ranks, r, got[r], want[r])
+				}
+			}
+			if !slices.Equal(sortedBits(got), sortedBits(col)) {
+				t.Fatalf("n=%d ranks %v: the result is not a permutation of the column", n, ranks)
+			}
+		}
+	})
+}
+
+// sortedBits returns the bits of vals, sorted: equal for two permutations
+// of one column.
+func sortedBits(vals []float64) []uint64 {
+	b := make([]uint64, len(vals))
+	for i, v := range vals {
+		b[i] = math.Float64bits(v)
+	}
+	slices.Sort(b)
+	return b
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -23,64 +25,104 @@ func fmtG(v float64) string {
 // nominal slack first). For slack the informative tail is the low one —
 // Min is the worst draw seen — while criticality says where the WNS lives.
 //
-// The endpoint rows, which dominate the output, are rendered without fmt:
-// one buffer grown once, strconv for the numbers, and explicit padding that
-// counts runes the way fmt's %-12s and %10s do.
+// The endpoint rows, which dominate the output, are rendered without fmt
+// (see appendRow), each corner's in GOMAXPROCS contiguous chunks, one
+// buffer per worker; the headers and the chunks are then joined once into
+// a string grown to their exact total length.
 func (r *Report) Summary() string {
-	rows := 0
-	for i := range r.Corners {
-		rows += 2 + len(r.Corners[i].Endpoints)
-	}
-	b := make([]byte, 0, 256+100*rows)
+	var head []byte
 	name := r.Design
 	if name == "" {
 		name = "(unnamed)"
 	}
-	b = fmt.Appendf(b, "design %s: %d corners, %d samples/corner, threshold %g, seed %d\n",
+	head = fmt.Appendf(head, "design %s: %d corners, %d samples/corner, threshold %g, seed %d\n",
 		name, len(r.Corners), r.Samples, r.Threshold, r.Seed)
-	b = fmt.Appendf(b, "variation: rSigma %g, cSigma %g", r.Variation.RSigma, r.Variation.CSigma)
+	head = fmt.Appendf(head, "variation: rSigma %g, cSigma %g", r.Variation.RSigma, r.Variation.CSigma)
 	if r.Clipped > 0 {
-		b = fmt.Appendf(b, " (%d clipped draws: low tail truncated, results biased up)", r.Clipped)
+		head = fmt.Appendf(head, " (%d clipped draws: low tail truncated, results biased up)", r.Clipped)
 	}
-	b = append(b, '\n')
+	head = append(head, '\n')
 	if r.WorstCorner != "" {
-		b = fmt.Appendf(b, "worst corner: %s\n", r.WorstCorner)
+		head = fmt.Appendf(head, "worst corner: %s\n", r.WorstCorner)
 	}
+	// Corner i's two header lines end at cornerEnd[i] in head.
+	cornerEnd := make([]int, len(r.Corners))
+	rows := 0
 	for i := range r.Corners {
 		cr := &r.Corners[i]
-		b = fmt.Appendf(b, "\ncorner %s (R x%g, C x%g): nominal WNS %s TNS %s",
+		head = fmt.Appendf(head, "\ncorner %s (R x%g, C x%g): nominal WNS %s TNS %s",
 			cr.Corner.Name, cr.Corner.RScale, cr.Corner.CScale,
 			fmtG(cr.NominalWNS), fmtG(cr.NominalTNS))
 		if cr.WNS != nil {
-			b = fmt.Appendf(b, "   WNS mean %s std %s min %s", fmtG(cr.WNS.Mean), fmtG(cr.WNS.Std), fmtG(cr.WNS.Min))
+			head = fmt.Appendf(head, "   WNS mean %s std %s min %s", fmtG(cr.WNS.Mean), fmtG(cr.WNS.Std), fmtG(cr.WNS.Min))
 		}
-		b = append(b, '\n')
-		b = fmt.Appendf(b, "%-12s %-10s %10s %10s %10s %10s %10s %10s %6s\n",
+		head = append(head, '\n')
+		head = fmt.Appendf(head, "%-12s %-10s %10s %10s %10s %10s %10s %10s %6s\n",
 			"net", "output", "required", "nom.slack", "slk.mean", "slk.std", "slk.min", "arr.mean", "crit%")
-		for k := range cr.Endpoints {
-			e := &cr.Endpoints[k]
-			b = appendLeft(b, e.Net, 12)
-			b = append(b, ' ')
-			b = appendLeft(b, e.Output, 10)
-			b = appendG(b, e.Required)
-			b = appendG(b, e.NominalSlack)
-			if e.Slack != nil {
-				b = appendG(b, e.Slack.Mean)
-				b = appendG(b, e.Slack.Std)
-				b = appendG(b, e.Slack.Min)
-			} else {
-				b = append(b, "          -          -          -"...)
+		cornerEnd[i] = len(head)
+		rows += len(cr.Endpoints)
+	}
+	// Worker w renders its contiguous share of each corner's rows, corner
+	// after corner, into bufs[w]; its share of corner i ends at
+	// ends[i*workers+w].
+	workers := runtime.GOMAXPROCS(0)
+	bufs := make([][]byte, workers)
+	ends := make([]int, len(r.Corners)*workers)
+	parallel(workers, func(w int) {
+		b := make([]byte, 0, rowWidth*(rows/workers+len(r.Corners)))
+		for i := range r.Corners {
+			eps := r.Corners[i].Endpoints
+			for k := w * len(eps) / workers; k < (w+1)*len(eps)/workers; k++ {
+				b = appendRow(b, &eps[k])
 			}
-			b = appendG(b, e.Arrival.Mean)
-			// %6.1f: fmt prints exactly strconv's 'f' digits, "+Inf" and
-			// "NaN" included, right-aligned.
-			var num [32]byte
-			b = append(b, ' ')
-			b = appendRight(b, strconv.AppendFloat(num[:0], 100*e.Criticality, 'f', 1, 64), 6)
-			b = append(b, '\n')
+			ends[i*workers+w] = len(b)
+		}
+		bufs[w] = b
+	})
+	size := len(head)
+	for _, b := range bufs {
+		size += len(b)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	prev, starts := 0, make([]int, workers)
+	for i, end := range cornerEnd {
+		sb.Write(head[prev:end])
+		prev = end
+		for w, b := range bufs {
+			sb.Write(b[starts[w]:ends[i*workers+w]])
+			starts[w] = ends[i*workers+w]
 		}
 	}
-	return string(b)
+	sb.Write(head[prev:]) // all of it when there is no corner
+	return sb.String()
+}
+
+// rowWidth is the length of an endpoint row whose names fit their columns.
+const rowWidth = 12 + 1 + 10 + 6*11 + 7 + 1
+
+// appendRow appends one endpoint row of Summary's table: %-12s %-10s, seven
+// " %10s" columns and " %6.1f", as one fmt.Appendf would.
+func appendRow(b []byte, e *EndpointDist) []byte {
+	b = appendLeft(b, e.Net, 12)
+	b = append(b, ' ')
+	b = appendLeft(b, e.Output, 10)
+	b = appendG(b, e.Required)
+	b = appendG(b, e.NominalSlack)
+	if e.Slack != nil {
+		b = appendG(b, e.Slack.Mean)
+		b = appendG(b, e.Slack.Std)
+		b = appendG(b, e.Slack.Min)
+	} else {
+		b = append(b, "          -          -          -"...)
+	}
+	b = appendG(b, e.Arrival.Mean)
+	// %6.1f: fmt prints exactly strconv's 'f' digits, "+Inf" and "NaN"
+	// included, right-aligned.
+	var num [32]byte
+	b = append(b, ' ')
+	b = appendRight(b, strconv.AppendFloat(num[:0], 100*e.Criticality, 'f', 1, 64), 6)
+	return append(b, '\n')
 }
 
 // appendLeft appends s left-aligned in a field of width runes, as %-Ns.

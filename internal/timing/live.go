@@ -28,6 +28,9 @@ type liveReport struct {
 	// marked[i] reports that propagate changed net i's outputs since the
 	// last read.
 	marked []bool
+	// size is the length of the last body rendered, from sizeText bytes of
+	// text and sizeEps endpoints.
+	size, sizeText, sizeEps int
 }
 
 // mark records that net i's outputs changed; propagate calls it wherever it
@@ -107,7 +110,8 @@ func (s *Session) refreshLive() error {
 // since the previous call: only the endpoints of nets an Apply changed are
 // re-derived, merged into the kept order and have their numbers formatted.
 // It also memoizes the Report, as Report does; its WNS/TNS come from
-// Summary, which is bit-identical to a full assembly's.
+// Summary, which is bit-identical to a full assembly's. dst grows once, by
+// the last body's length plus what the merge added since.
 func (s *Session) AppendReportJSON(dst []byte, depth int) ([]byte, error) {
 	if err := s.refreshLive(); err != nil {
 		// A non-finite number: the full path renders the report and reports
@@ -115,11 +119,56 @@ func (s *Session) AppendReportJSON(dst []byte, depth int) ([]byte, error) {
 		s.live = nil
 		return s.Report().AppendJSON(dst, depth)
 	}
+	lr := s.live
 	if s.report == nil {
 		wns, tns := s.Summary()
-		s.report = s.g.assemble(s.state, s.th, s.k, s.live.eps, wns, tns)
+		s.report = s.g.assemble(s.state, s.th, s.k, lr.eps, wns, tns)
 	}
-	return s.report.appendJSON(dst, true, depth, s.live.rows, s.live.text)
+	hint := s.report.jsonSizeHint()
+	if lr.size > 0 {
+		// The last body, what the merges added since, and 1/32 to spare for
+		// the paths, which every read renders afresh.
+		hint = lr.size + lr.size/32 + max(0, len(lr.text)-lr.sizeText) + epJSONHint*max(0, len(lr.eps)-lr.sizeEps)
+	}
+	out, err := s.report.appendJSON(dst, true, depth, lr.rows, lr.text, hint)
+	if err == nil {
+		lr.size, lr.sizeText, lr.sizeEps = len(out)-len(dst), len(lr.text), len(lr.eps)
+	}
+	return out, err
+}
+
+// Headline is a report's header: every field of Report but the endpoint
+// table and the paths, plus the table's length and verdict counts.
+type Headline struct {
+	Design                 string
+	Threshold              float64
+	Nets, Stages, Levels   int
+	WNS, TNS               float64
+	Endpoints              int
+	Passes, Unknown, Fails int
+}
+
+// Headline returns Report()'s header, endpoint count and CountByVerdict
+// without assembling the report: WNS/TNS come from Summary, and the counts
+// from the endpoints AppendReportJSON's merge keeps, so a summary read costs
+// what changed since the last read.
+func (s *Session) Headline() Headline {
+	wns, tns := s.Summary()
+	h := Headline{
+		Design: s.g.design.Name, Threshold: s.th,
+		Nets: len(s.g.nodes), Stages: len(s.g.design.Stages), Levels: len(s.g.levels),
+		WNS: wns, TNS: tns,
+	}
+	var eps []EndpointSlack
+	if err := s.refreshLive(); err != nil {
+		s.live = nil // as in AppendReportJSON: the next call starts over
+		eps = s.Report().Endpoints
+	} else {
+		eps = s.live.eps
+	}
+	h.Endpoints = len(eps)
+	h.Passes, h.Unknown, h.Fails = countByVerdict(eps)
+	return h
 }
 
 // liveDeck is the state AppendDeck keeps between snapshots: the last deck

@@ -77,7 +77,12 @@ type Report struct {
 
 // CountByVerdict tallies constrained endpoints per verdict.
 func (r *Report) CountByVerdict() (passes, unknown, fails int) {
-	for _, e := range r.Endpoints {
+	return countByVerdict(r.Endpoints)
+}
+
+// countByVerdict is CountByVerdict over an endpoint table.
+func countByVerdict(eps []EndpointSlack) (passes, unknown, fails int) {
+	for _, e := range eps {
 		if !e.Constrained() {
 			continue
 		}
@@ -194,7 +199,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // MarshalJSON makes the report JSON-safe anywhere it is embedded (the
 // rcserve design endpoints embed it in their envelopes).
 func (r *Report) MarshalJSON() ([]byte, error) {
-	return r.appendJSON(nil, false, 0, nil, nil)
+	return r.appendJSON(nil, false, 0, nil, nil, r.jsonSizeHint())
 }
 
 // AppendJSON appends the report as WriteJSON renders it, without the
@@ -202,25 +207,28 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 // the same way (depth 0 for a top-level value). dst is grown once up front
 // to fit the report.
 func (r *Report) AppendJSON(dst []byte, depth int) ([]byte, error) {
-	return r.appendJSON(dst, true, depth, nil, nil)
+	return r.appendJSON(dst, true, depth, nil, nil, r.jsonSizeHint())
 }
+
+// epJSONHint is the indented JSON size jsonSizeHint allows per endpoint.
+const epJSONHint = 320
 
 // jsonSizeHint estimates the indented JSON size of the report.
 func (r *Report) jsonSizeHint() int {
-	n := 512 + 320*len(r.Endpoints)
+	n := 512 + epJSONHint*len(r.Endpoints)
 	for _, p := range r.Paths {
 		n += 128 + 448*len(p.Hops)
 	}
 	return n
 }
 
-// appendJSON renders the report. rows, when not nil, locates each
-// endpoint's numbers in text, formatted ahead by appendEndpointText (a live
-// session keeps them between reads); otherwise each row's numbers are
-// formatted into text as scratch.
-func (r *Report) appendJSON(dst []byte, indent bool, depth int, rows []epText, text []byte) ([]byte, error) {
+// appendJSON renders the report into dst grown by hint bytes up front. rows,
+// when not nil, locates each endpoint's numbers in text, formatted ahead by
+// appendEndpointText (a live session keeps them between reads); otherwise
+// each row's numbers are formatted into text as scratch.
+func (r *Report) appendJSON(dst []byte, indent bool, depth int, rows []epText, text []byte, hint int) ([]byte, error) {
 	var scratch [80]byte // one row's numbers, when rows is nil
-	w := jsonWriter{b: slices.Grow(dst, r.jsonSizeHint()), indent: indent, depth: depth}
+	w := jsonWriter{b: slices.Grow(dst, hint), indent: indent, depth: depth}
 	if rows == nil {
 		text = scratch[:0]
 	}
