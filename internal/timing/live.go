@@ -137,40 +137,6 @@ func (s *Session) AppendReportJSON(dst []byte, depth int) ([]byte, error) {
 	return out, err
 }
 
-// Headline is a report's header: every field of Report but the endpoint
-// table and the paths, plus the table's length and verdict counts.
-type Headline struct {
-	Design                 string
-	Threshold              float64
-	Nets, Stages, Levels   int
-	WNS, TNS               float64
-	Endpoints              int
-	Passes, Unknown, Fails int
-}
-
-// Headline returns Report()'s header, endpoint count and CountByVerdict
-// without assembling the report: WNS/TNS come from Summary, and the counts
-// from the endpoints AppendReportJSON's merge keeps, so a summary read costs
-// what changed since the last read.
-func (s *Session) Headline() Headline {
-	wns, tns := s.Summary()
-	h := Headline{
-		Design: s.g.design.Name, Threshold: s.th,
-		Nets: len(s.g.nodes), Stages: len(s.g.design.Stages), Levels: len(s.g.levels),
-		WNS: wns, TNS: tns,
-	}
-	var eps []EndpointSlack
-	if err := s.refreshLive(); err != nil {
-		s.live = nil // as in AppendReportJSON: the next call starts over
-		eps = s.Report().Endpoints
-	} else {
-		eps = s.live.eps
-	}
-	h.Endpoints = len(eps)
-	h.Passes, h.Unknown, h.Fails = countByVerdict(eps)
-	return h
-}
-
 // liveDeck is the state AppendDeck keeps between snapshots: the last deck
 // and where each net's section lies in it.
 type liveDeck struct {

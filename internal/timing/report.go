@@ -77,25 +77,11 @@ type Report struct {
 
 // CountByVerdict tallies constrained endpoints per verdict.
 func (r *Report) CountByVerdict() (passes, unknown, fails int) {
-	return countByVerdict(r.Endpoints)
-}
-
-// countByVerdict is CountByVerdict over an endpoint table.
-func countByVerdict(eps []EndpointSlack) (passes, unknown, fails int) {
-	for _, e := range eps {
-		if !e.Constrained() {
-			continue
-		}
-		switch e.Verdict {
-		case core.Passes:
-			passes++
-		case core.Fails:
-			fails++
-		default:
-			unknown++
-		}
+	var h Headline
+	for i := range r.Endpoints {
+		h.tally(&r.Endpoints[i])
 	}
-	return
+	return h.Passes, h.Unknown, h.Fails
 }
 
 // fmtG renders a float compactly, with +Inf as "-" (unconstrained).

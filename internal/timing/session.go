@@ -818,6 +818,56 @@ func (s *Session) Summary() (wns, tns float64) {
 	return wns, tns
 }
 
+// Headline is a report's header: every field of Report but the endpoint
+// table and the paths, plus the table's length and verdict counts.
+type Headline struct {
+	Design                 string
+	Threshold              float64
+	Nets, Stages, Levels   int
+	WNS, TNS               float64
+	Endpoints              int
+	Passes, Unknown, Fails int
+}
+
+// tally counts one endpoint into the verdict counts: constrained endpoints
+// only, as CountByVerdict counts them.
+func (h *Headline) tally(e *EndpointSlack) {
+	if !e.Constrained() {
+		return
+	}
+	switch e.Verdict {
+	case core.Passes:
+		h.Passes++
+	case core.Fails:
+		h.Fails++
+	default:
+		h.Unknown++
+	}
+}
+
+// Headline returns Report()'s header, endpoint count and CountByVerdict
+// without assembling the report: one pass over the current endpoints, with
+// no sort, no paths and no allocation; WNS/TNS come from Summary.
+func (s *Session) Headline() Headline {
+	wns, tns := s.Summary()
+	h := Headline{
+		Design: s.g.design.Name, Threshold: s.th,
+		Nets: len(s.g.nodes), Stages: len(s.g.design.Stages), Levels: len(s.g.levels),
+		WNS: wns, TNS: tns,
+	}
+	for i := range s.state {
+		st := &s.state[i]
+		for j, name := range st.names {
+			if req, ok := s.g.endpointRequired(i, name, s.required); ok {
+				ep := s.g.endpoint(i, name, st.out[j], req)
+				h.Endpoints++
+				h.tally(&ep)
+			}
+		}
+	}
+	return h
+}
+
 // Report returns the full chip report for the current state — endpoint table
 // sorted worst-first, WNS/TNS, and freshly backtracked critical paths. The
 // report is memoized until the next state-changing Apply; treat it as
