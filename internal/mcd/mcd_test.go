@@ -504,7 +504,9 @@ func oracleReport(t *testing.T, g *timing.Graph, name string, opt Options) *Repo
 				NominalArrival: va.Arrival(ep.Slot).Max, NominalSlack: va.Slack(ep),
 			}
 			if sl := rows[e].NominalSlack; !math.IsInf(ep.Required, 1) {
-				cr.NominalWNS = math.Min(cr.NominalWNS, sl)
+				if sl < cr.NominalWNS {
+					cr.NominalWNS = sl
+				}
 				if sl < 0 {
 					cr.NominalTNS += sl
 				}
