@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	rcdelay "repro"
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -280,6 +281,21 @@ type designCloseRequest struct {
 	Sequential   bool    `json:"sequential,omitempty"`
 }
 
+// options maps the request onto the closure engine's options; sequential
+// is one trial worker.
+func (req designCloseRequest) options(reg *obs.Registry) rcdelay.ClosureOptions {
+	o := rcdelay.ClosureOptions{
+		MaxMoves:     req.MaxMoves,
+		MaxCost:      req.MaxCost,
+		TopEndpoints: req.TopEndpoints,
+		Obs:          reg,
+	}
+	if req.Sequential {
+		o.Concurrency = 1
+	}
+	return o
+}
+
 // designCloseResponse answers with the closure report — accepted edits,
 // trajectory, Pareto frontier — plus the session generation afterwards. The
 // accepted edits stay applied to the live session, so a following GET
@@ -324,13 +340,7 @@ func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 	}
 	ds := ent.val
 	ds.mu.Lock()
-	report, err := rcdelay.CloseSession(r.Context(), ds.sess, rcdelay.ClosureOptions{
-		MaxMoves:     req.MaxMoves,
-		MaxCost:      req.MaxCost,
-		TopEndpoints: req.TopEndpoints,
-		Sequential:   req.Sequential,
-		Obs:          s.obs,
-	})
+	report, err := rcdelay.CloseSession(r.Context(), ds.sess, req.options(s.obs))
 	var walErr error
 	if report != nil {
 		// A cancelled run still applied its accepted prefix; account for it
@@ -358,6 +368,10 @@ func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, status, resp)
 }
+
+// maxCornerSamples caps POST /design/{id}/corners samples at 16 times the
+// engine's default of 256.
+const maxCornerSamples = 4096
 
 // designCornersRequest is the POST /design/{id}/corners body: the variation
 // knobs. All fields are optional — an empty body sweeps the default
@@ -406,6 +420,12 @@ func (s *server) handleDesignCorners(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && err != io.EOF {
 		httpError(w, r, fmt.Sprintf("bad request: %v", err), badRequestStatus(err))
+		return
+	}
+	// The sweep holds samples × endpoints arrivals and nets × samples
+	// factors per corner, so the sample count bounds the request's memory.
+	if req.Samples > maxCornerSamples {
+		httpError(w, r, fmt.Sprintf("samples %d over the limit of %d", req.Samples, maxCornerSamples), http.StatusUnprocessableEntity)
 		return
 	}
 	ds := ent.val

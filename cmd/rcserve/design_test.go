@@ -661,6 +661,32 @@ func TestDesignCorners(t *testing.T) {
 	}
 }
 
+// TestDesignCornersSampleCap: the sweep allocates samples × endpoints
+// arrivals and nets × samples factors per corner, so the handler refuses
+// more than 4096 samples with a 422 before it materializes the design; the
+// cap itself is served.
+func TestDesignCornersSampleCap(t *testing.T) {
+	srv := designServer()
+	body, _ := json.Marshal(map[string]any{"design": chipDeck, "threshold": 0.7})
+	code, created := postDesign(t, srv, string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	post := func(body string) (int, string) {
+		req := httptest.NewRequest(http.MethodPost, "/design/"+id+"/corners", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		return w.Code, w.Body.String()
+	}
+	if code, raw := post(`{"samples": 4097}`); code != http.StatusUnprocessableEntity || !strings.Contains(raw, "4096") {
+		t.Errorf("samples 4097 = %d: %.200s, want 422 naming the limit", code, raw)
+	}
+	if code, raw := post(`{"samples": 4096}`); code != http.StatusOK {
+		t.Errorf("samples 4096 = %d: %.200s", code, raw)
+	}
+}
+
 // TestDesignSlackBodyMatchesEnvelope pins the slack response body byte for
 // byte to the envelope encoding/json writes for {"id", "gen", "report"}
 // (keys sorted, two-space indent, trailing newline), on a design whose

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	rcdelay "repro"
+	"repro/internal/timing"
 )
 
 // A session is one interactive editing context: an incremental EditTree a
@@ -218,163 +219,49 @@ func (s *server) handleSessionEdit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// applyEdit dispatches one editSpec onto the EditTree.
+// applyEdit dispatches one editSpec onto the EditTree. graft is the one op
+// handled here, because only the session API carries a netlist or
+// expression source; every other op goes through timing.ApplyTreeEdit, the
+// design sessions' dispatcher, guards included.
 func applyEdit(et *rcdelay.EditTree, spec editSpec) error {
-	resolve := func(name string) (rcdelay.NodeID, error) {
-		if name == "" {
-			return 0, fmt.Errorf("missing node name")
-		}
-		id, ok := et.Lookup(name)
-		if !ok {
-			return 0, fmt.Errorf("unknown node %q", name)
-		}
-		return id, nil
+	if spec.Op != "graft" {
+		return timing.ApplyTreeEdit(et, timing.Edit{
+			Op: spec.Op, Node: spec.Node, Parent: spec.Parent, Name: spec.Name,
+			Kind: spec.Kind, R: spec.R, C: spec.C, Factor: spec.Factor,
+		})
 	}
-	num := func(what string, p *float64) (float64, error) {
-		if p == nil {
-			return 0, fmt.Errorf("missing %q", what)
-		}
-		return *p, nil
+	parent, ok := et.Lookup(spec.Parent)
+	if !ok {
+		return fmt.Errorf("parent: unknown node %q", spec.Parent)
 	}
-	edgeKind := func(c float64) (rcdelay.EdgeKind, error) {
-		switch spec.Kind {
-		case "", "resistor":
-			if spec.Kind == "" && c > 0 {
-				return rcdelay.EdgeLine, nil
-			}
-			return rcdelay.EdgeResistor, nil
-		case "line":
-			return rcdelay.EdgeLine, nil
-		}
-		return 0, fmt.Errorf("unknown edge kind %q (want resistor or line)", spec.Kind)
+	var sub *rcdelay.Tree
+	var err error
+	switch {
+	case spec.Netlist != "" && spec.Expression != "":
+		return fmt.Errorf("give either netlist or expression, not both")
+	case spec.Netlist != "":
+		sub, err = rcdelay.ParseNetlist(spec.Netlist)
+	case spec.Expression != "":
+		sub, _, err = rcdelay.ParseExpression(spec.Expression)
+	default:
+		return fmt.Errorf("graft names no network: set netlist or expression")
 	}
-
-	switch spec.Op {
-	case "setR":
-		id, err := resolve(spec.Node)
-		if err != nil {
-			return err
-		}
-		r, err := num("r", spec.R)
-		if err != nil {
-			return err
-		}
-		return et.SetResistance(id, r)
-	case "setC":
-		id, err := resolve(spec.Node)
-		if err != nil {
-			return err
-		}
-		c, err := num("c", spec.C)
-		if err != nil {
-			return err
-		}
-		return et.SetCapacitance(id, c)
-	case "addC":
-		id, err := resolve(spec.Node)
-		if err != nil {
-			return err
-		}
-		c, err := num("c", spec.C)
-		if err != nil {
-			return err
-		}
-		return et.AddCapacitance(id, c)
-	case "setLine":
-		id, err := resolve(spec.Node)
-		if err != nil {
-			return err
-		}
-		r, err := num("r", spec.R)
-		if err != nil {
-			return err
-		}
-		c, err := num("c", spec.C)
-		if err != nil {
-			return err
-		}
-		return et.SetLine(id, r, c)
-	case "scaleDriver":
-		f, err := num("factor", spec.Factor)
-		if err != nil {
-			return err
-		}
-		return et.ScaleDriver(f)
-	case "grow":
-		parent, err := resolve(spec.Parent)
-		if err != nil {
-			return fmt.Errorf("parent: %w", err)
-		}
-		r, err := num("r", spec.R)
-		if err != nil {
-			return err
-		}
-		var c float64
-		if spec.C != nil {
-			c = *spec.C
-		}
-		kind, err := edgeKind(c)
-		if err != nil {
-			return err
-		}
-		_, err = et.Grow(parent, spec.Name, kind, r, c)
+	if err != nil {
 		return err
-	case "graft":
-		parent, err := resolve(spec.Parent)
-		if err != nil {
-			return fmt.Errorf("parent: %w", err)
-		}
-		var sub *rcdelay.Tree
-		switch {
-		case spec.Netlist != "" && spec.Expression != "":
-			return fmt.Errorf("give either netlist or expression, not both")
-		case spec.Netlist != "":
-			sub, err = rcdelay.ParseNetlist(spec.Netlist)
-		case spec.Expression != "":
-			sub, _, err = rcdelay.ParseExpression(spec.Expression)
-		default:
-			return fmt.Errorf("graft names no network: set netlist or expression")
-		}
-		if err != nil {
-			return err
-		}
-		r, err := num("r", spec.R)
-		if err != nil {
-			return err
-		}
-		var c float64
-		if spec.C != nil {
-			c = *spec.C
-		}
-		kind, err := edgeKind(c)
-		if err != nil {
-			return err
-		}
-		_, err = et.Graft(parent, spec.Name, kind, r, c, sub)
-		return err
-	case "prune":
-		id, err := resolve(spec.Node)
-		if err != nil {
-			return err
-		}
-		return et.Prune(id)
-	case "addOutput":
-		id, err := resolve(spec.Node)
-		if err != nil {
-			return err
-		}
-		return et.AddOutput(id)
-	case "removeOutput":
-		id, err := resolve(spec.Node)
-		if err != nil {
-			return err
-		}
-		if !et.RemoveOutput(id) {
-			return fmt.Errorf("node %q is not an output", spec.Node)
-		}
-		return nil
 	}
-	return fmt.Errorf("unknown op %q", spec.Op)
+	if spec.R == nil {
+		return fmt.Errorf("missing %q", "r")
+	}
+	var c float64
+	if spec.C != nil {
+		c = *spec.C
+	}
+	kind, err := timing.EdgeKindOf(spec.Kind, c)
+	if err != nil {
+		return err
+	}
+	_, err = et.Graft(parent, spec.Name, kind, *spec.R, c, sub)
+	return err
 }
 
 type boundsResponse struct {

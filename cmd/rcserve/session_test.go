@@ -274,6 +274,46 @@ func TestSessionEditErrors(t *testing.T) {
 	}
 }
 
+// TestSessionEditGuards: /session refuses the edits every other boundary
+// refuses. Draining a net's only capacitance leaves its characteristic
+// times undefined, and undesignating or pruning away every output leaves a
+// tree whose timing no analysis would report; each is a 422 that applies
+// nothing and leaves the generation and the outputs as they were.
+func TestSessionEditGuards(t *testing.T) {
+	_, ts := testServer(t)
+	const oneCap = ".input in\nR1 in o 15\nC1 o 0 2\n.output o\n"
+	const twoOuts = ".input in\nR1 in n1 10\nC1 n1 0 1\nR2 n1 a 5\nC2 a 0 2\nR3 n1 b 5\nC3 b 0 3\n.output a\n.output b\n"
+	for _, tc := range []struct {
+		name, deck, edit, want string
+	}{
+		{"drain the only capacitor", oneCap, `{"op": "setC", "node": "o", "c": 0}`, "no capacitance"},
+		{"remove the last output", oneCap, `{"op": "removeOutput", "node": "o"}`, "without designated outputs"},
+		{"prune every output", twoOuts, `{"op": "prune", "node": "n1"}`, "without designated outputs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id := openSession(t, ts, tc.deck)
+			_, before := doJSON(t, http.MethodGet, ts.URL+"/session/"+id, "")
+			status, body := post(t, ts.URL+"/session/"+id+"/edit", `{"edits": [`+tc.edit+`]}`)
+			if status != http.StatusUnprocessableEntity {
+				t.Fatalf("status %d, want 422: %v", status, body)
+			}
+			if msg, _ := body["error"].(string); !strings.Contains(msg, tc.want) {
+				t.Errorf("error %q, want it to mention %q", msg, tc.want)
+			}
+			if got := body["applied"].(float64); got != 0 {
+				t.Errorf("applied = %v, want 0", got)
+			}
+			_, after := doJSON(t, http.MethodGet, ts.URL+"/session/"+id, "")
+			if fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Errorf("refused edit changed the session: %v -> %v", before, after)
+			}
+			if body["gen"] != before["gen"] {
+				t.Errorf("edit response gen %v, session was at %v", body["gen"], before["gen"])
+			}
+		})
+	}
+}
+
 // TestSessionDelete closes a session explicitly.
 func TestSessionDelete(t *testing.T) {
 	_, ts := testServer(t)

@@ -104,16 +104,9 @@ func (s *server) streamDesignClose(w http.ResponseWriter, r *http.Request, ent *
 	sse.event("start", closeStartEvent{
 		ID: ent.id, Gen: ds.sess.Gen(), WNS: finitePtr(wns), TNS: tns,
 	})
-	report, err := rcdelay.CloseSession(r.Context(), ds.sess, rcdelay.ClosureOptions{
-		MaxMoves:     req.MaxMoves,
-		MaxCost:      req.MaxCost,
-		TopEndpoints: req.TopEndpoints,
-		Sequential:   req.Sequential,
-		Obs:          s.obs,
-		Progress: func(ev rcdelay.ClosureProgress) {
-			sse.event("move", ev)
-		},
-	})
+	opt := req.options(s.obs)
+	opt.Progress = func(ev rcdelay.ClosureProgress) { sse.event("move", ev) }
+	report, err := rcdelay.CloseSession(r.Context(), ds.sess, opt)
 	var walErr error
 	if report != nil {
 		ds.edits += len(report.Edits)

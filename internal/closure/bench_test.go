@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/mcd"
 	"repro/internal/netlist"
 	"repro/internal/randnet"
 	"repro/internal/timing"
@@ -40,7 +41,8 @@ func benchDesign(b *testing.B) (*netlist.Design, float64) {
 // scripts/bench_trajectory.sh records it in BENCH_timing.json as
 // closure_concurrent_vs_sequential. The workload sub-benchmark runs the
 // closure workload's shape instead: 6×40 nets of 60 nodes, required time
-// 0.8 × the latest arrival, an 8-move budget, default trial concurrency.
+// 0.8 × the latest arrival, an 8-move budget, default trial concurrency;
+// corners runs the same with mcd.DefaultCorners.
 func BenchmarkClosure(b *testing.B) {
 	d, required := benchDesign(b)
 	// K < 0 skips critical-path backtracking; the repair loop never walks
@@ -68,24 +70,30 @@ func BenchmarkClosure(b *testing.B) {
 	base := Options{MaxMoves: 6, TopEndpoints: 4, ConeDepth: 4}
 	b.Run("sequential", func(b *testing.B) {
 		o := base
-		o.Sequential = true
+		o.Concurrency = 1
 		run(b, d, topt, o)
 	})
 	b.Run("concurrent", func(b *testing.B) {
 		run(b, d, topt, base)
 	})
+	// The closure workload's shape; corners adds the default slow/typ/fast
+	// corners to it.
+	cfg := randnet.DefaultDesignConfig(6, 40)
+	cfg.Net = randnet.DefaultConfig(60)
+	wd := randnet.DesignSeed(10, cfg)
+	probe, err := timing.Analyze(context.Background(), wd, timing.Options{Threshold: 0.7, K: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	latest := 0.0
+	for _, ep := range probe.Endpoints {
+		latest = max(latest, ep.Arrival.Max)
+	}
+	wopt := timing.Options{Threshold: 0.7, Required: 0.8 * latest}
 	b.Run("workload", func(b *testing.B) {
-		cfg := randnet.DefaultDesignConfig(6, 40)
-		cfg.Net = randnet.DefaultConfig(60)
-		wd := randnet.DesignSeed(10, cfg)
-		probe, err := timing.Analyze(context.Background(), wd, timing.Options{Threshold: 0.7, K: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		latest := 0.0
-		for _, ep := range probe.Endpoints {
-			latest = max(latest, ep.Arrival.Max)
-		}
-		run(b, wd, timing.Options{Threshold: 0.7, Required: 0.8 * latest}, Options{MaxMoves: 8})
+		run(b, wd, wopt, Options{MaxMoves: 8})
+	})
+	b.Run("corners", func(b *testing.B) {
+		run(b, wd, wopt, Options{MaxMoves: 8, Corners: mcd.DefaultCorners()})
 	})
 }

@@ -46,12 +46,10 @@ type Options struct {
 	// ConeDepth caps how many nets of each endpoint's critical upstream
 	// cone generate candidates (0 means 4).
 	ConeDepth int
-	// Concurrency bounds the trial-evaluation workers (0 means GOMAXPROCS).
+	// Concurrency bounds the trial-evaluation workers (0 means GOMAXPROCS;
+	// 1 evaluates one trial at a time). The accepted move sequence is the
+	// same at every setting.
 	Concurrency int
-	// Sequential forces one-at-a-time trial evaluation. The accepted move
-	// sequence is identical either way; the knob exists for benchmarking
-	// and debugging.
-	Sequential bool
 	// Obs receives run telemetry: moves generated/trialed/accepted, fork
 	// counts, run spans, and the live WNS/TNS/cost gauges. Nil disables it.
 	Obs *obs.Registry
@@ -60,14 +58,14 @@ type Options struct {
 	// and statime's -progress flag hang off. A slow callback slows the run;
 	// it must not call back into the session.
 	Progress func(ProgressEvent)
-	// Corners, when non-empty, makes the run corner-aware: each corner
-	// mounts a shadow session on the elementwise-scaled design, every
-	// candidate move is trialed at every corner (with its R/C edit values
-	// scaled by the corner factors, preserving the scaled-design invariant),
-	// moves that regress any corner's WNS are vetoed even when they improve
-	// the typical corner, gains are scored at the currently-worst corner,
-	// and the run only closes once every corner meets timing. A corner with
-	// scales (1, 1) is the main session itself and is skipped.
+	// Corners, when non-empty, makes the run corner-aware: each corner is a
+	// Session.Scaled view of the main session (every net delay times
+	// RScale·CScale), every candidate move is trialed at every corner with
+	// the same edits, moves that regress any corner's WNS are vetoed even
+	// when they improve the typical corner, gains are scored at the
+	// currently-worst corner, and the run only closes once every corner
+	// meets timing. A corner with scales (1, 1) is the main session itself
+	// and is skipped.
 	Corners []mcd.Corner
 }
 
@@ -123,9 +121,6 @@ func (o Options) resolve() Options {
 	}
 	if o.Concurrency <= 0 {
 		o.Concurrency = runtime.GOMAXPROCS(0)
-	}
-	if o.Sequential {
-		o.Concurrency = 1
 	}
 	return o
 }
@@ -219,8 +214,7 @@ type Report struct {
 // "cancelled") is the only record of what they were, so callers should
 // surface it rather than discard it.
 func Close(ctx context.Context, sess *timing.Session, o Options) (*Report, error) {
-	o = o.resolve()
-	e := &engine{sess: sess, opt: o}
+	e := &engine{sess: sess, opt: o.resolve(), mount: scaledCorner}
 	return e.run(ctx)
 }
 
@@ -242,25 +236,30 @@ type engine struct {
 	rep     *Report
 	visited []ParetoPoint // every trial state, raw (pre-frontier)
 	corners []*cornerState
+	// mount builds a swept corner's view of the session: scaledCorner, or
+	// the shadow-session oracle in closure_test.go.
+	mount func(*timing.Session, mcd.Corner) *cornerState
 }
 
-// cornerState is one swept corner's shadow session and its running WNS/TNS.
+// cornerState is one swept corner's view of the design and its running
+// WNS/TNS. edits maps a move's edit list into the view's value space.
 type cornerState struct {
 	c        mcd.Corner
 	sess     *timing.Session
+	edits    func([]timing.Edit) []timing.Edit
 	wns, tns float64
 }
 
-// mountCorners builds a shadow session per non-typical corner on the
-// elementwise-scaled materialization of the current design. Scaling every R
-// by RScale and every C by CScale commutes with the session's edit algebra
-// as long as edit R/C values are scaled the same way (scaleEdits), so each
-// shadow stays exactly the corner view of the main session.
-func (e *engine) mountCorners(ctx context.Context) error {
-	if len(e.opt.Corners) == 0 {
-		return nil
-	}
-	var d *netlist.Design
+// scaledCorner mounts corner c as sess.Scaled(RScale·CScale): the paper's
+// bounds are degree-1 homogeneous in R·C, so the corner scales every net
+// delay by that product, and the view takes a move's edits as they are.
+func scaledCorner(sess *timing.Session, c mcd.Corner) *cornerState {
+	return &cornerState{c: c, sess: sess.Scaled(c.RScale * c.CScale),
+		edits: func(e []timing.Edit) []timing.Edit { return e }}
+}
+
+// mountCorners mounts a view per non-typical corner.
+func (e *engine) mountCorners() error {
 	for _, c := range e.opt.Corners {
 		if err := c.Validate(); err != nil {
 			return fmt.Errorf("closure: %w", err)
@@ -268,56 +267,15 @@ func (e *engine) mountCorners(ctx context.Context) error {
 		if c.RScale == 1 && c.CScale == 1 {
 			continue // the typical corner is the main session
 		}
-		if d == nil {
-			var err error
-			if d, err = e.sess.Design(); err != nil {
-				return fmt.Errorf("closure: materializing design for corners: %w", err)
-			}
-		}
-		rf := make([]float64, len(d.Nets))
-		cf := make([]float64, len(d.Nets))
-		for i := range rf {
-			rf[i], cf[i] = c.RScale, c.CScale
-		}
-		sd, err := mcd.ScaleDesign(d, rf, cf)
-		if err != nil {
-			return fmt.Errorf("closure: corner %q: %w", c.Name, err)
-		}
-		cs, err := timing.NewSession(ctx, sd, timing.Options{
-			Threshold: e.sess.Threshold(),
-			Required:  e.sess.Required(),
-			K:         -1,
-		})
-		if err != nil {
-			return fmt.Errorf("closure: corner %q: %w", c.Name, err)
-		}
-		wns, tns := cs.Summary()
-		e.corners = append(e.corners, &cornerState{c: c, sess: cs, wns: wns, tns: tns})
+		cs := e.mount(e.sess, c)
+		cs.wns, cs.tns = cs.sess.Summary()
+		e.corners = append(e.corners, cs)
 		e.rep.Corners = append(e.rep.Corners, CornerStatus{
 			Name: c.Name, RScale: c.RScale, CScale: c.CScale,
-			InitialWNS: wns, FinalWNS: wns,
+			InitialWNS: cs.wns, FinalWNS: cs.wns,
 		})
 	}
 	return nil
-}
-
-// scaleEdits maps a typical-corner edit list to a corner's value space:
-// absolute R values scale by RScale, absolute C values by CScale; relative
-// factors and structural edits carry over unchanged. This is exactly the
-// transformation that keeps the corner design an elementwise-scaled copy of
-// the typical one after the edits land on both.
-func scaleEdits(edits []timing.Edit, c mcd.Corner) []timing.Edit {
-	out := make([]timing.Edit, len(edits))
-	for i, ed := range edits {
-		if ed.R != nil {
-			ed.R = ptr(*ed.R * c.RScale)
-		}
-		if ed.C != nil {
-			ed.C = ptr(*ed.C * c.CScale)
-		}
-		out[i] = ed
-	}
-	return out
 }
 
 // worstWNS is the minimum WNS over the typical session and every corner.
@@ -344,7 +302,7 @@ func (e *engine) run(ctx context.Context) (*Report, error) {
 		FinalTNS:   tns,
 	}
 	e.visited = append(e.visited, ParetoPoint{0, wns})
-	if err := e.mountCorners(ctx); err != nil {
+	if err := e.mountCorners(); err != nil {
 		return nil, err
 	}
 	if e.worstWNS(wns) >= 0 {
@@ -452,7 +410,7 @@ func (e *engine) run(ctx context.Context) (*Report, error) {
 		}
 		prevW, prevT := curW, curT
 		for _, cs := range e.corners {
-			cres, err := cs.sess.ApplyCtx(actx, scaleEdits(winner.Edits, cs.c))
+			cres, err := cs.sess.ApplyCtx(actx, cs.edits(winner.Edits))
 			if err != nil {
 				aop.SetError(err)
 				aop.End()
@@ -518,7 +476,7 @@ type trial struct {
 }
 
 // evaluate runs every candidate as an independent what-if trial on its own
-// session fork — plus one fork per swept corner, applying the corner-scaled
+// session fork — plus a fork of each swept corner's view, applying the same
 // edit list. Forks are taken sequentially (Fork mutates the parent's
 // copy-on-write bookkeeping); the Applies fan across the worker pool. The
 // result slice is indexed like cands, so scheduling cannot reorder anything.
@@ -549,7 +507,7 @@ func (e *engine) evaluate(ctx context.Context, cands []Move) []trial {
 		if err == nil && len(e.corners) > 0 {
 			tr.corner = make([]timing.ApplyResult, len(e.corners))
 			for j, cs := range e.corners {
-				cres, cerr := cforks[i][j].ApplyCtx(tctx, scaleEdits(cands[i].Edits, cs.c))
+				cres, cerr := cforks[i][j].ApplyCtx(tctx, cs.edits(cands[i].Edits))
 				if cerr != nil {
 					tr.err = cerr
 					break

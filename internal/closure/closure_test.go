@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -201,7 +202,7 @@ func TestClosurePropertyRandomDesigns(t *testing.T) {
 		base := Options{Timing: topt, MaxMoves: 5, TopEndpoints: 3, ConeDepth: 3}
 
 		seqOpt := base
-		seqOpt.Sequential = true
+		seqOpt.Concurrency = 1
 		seq, err := CloseDesign(context.Background(), d, seqOpt)
 		if err != nil {
 			t.Fatalf("seed %d sequential: %v", seed, err)
@@ -388,8 +389,8 @@ func TestReportFormats(t *testing.T) {
 }
 
 // TestClosureCorners: a corner-aware run on the demo chip must (1) only
-// report closed when every swept corner meets timing, (2) keep each shadow
-// corner an exact elementwise-scaled view of the repaired design — verified
+// report closed when every swept corner meets timing, (2) keep each corner
+// view an elementwise-scaled view of the repaired design — verified
 // by replaying the corner-scaled edit list on an explicitly-scaled original
 // and re-analyzing from scratch — and (3) accept the same move sequence
 // concurrently as sequentially.
@@ -399,13 +400,13 @@ func TestClosureCorners(t *testing.T) {
 	base := Options{Timing: topt, MaxMoves: 64, Corners: mcd.DefaultCorners()}
 
 	seqOpt := base
-	seqOpt.Sequential = true
+	seqOpt.Concurrency = 1
 	rep, err := CloseDesign(context.Background(), d, seqOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// typ has scales (1,1) and rides on the main session, so only slow and
-	// fast mount shadows.
+	// fast mount views.
 	if len(rep.Corners) != 2 {
 		t.Fatalf("corners = %+v, want slow and fast", rep.Corners)
 	}
@@ -487,29 +488,125 @@ func TestClosureCorners(t *testing.T) {
 	}
 }
 
+// scaleEdits maps a typical-corner edit list into an elementwise-scaled
+// design's value space: absolute R values scale by RScale, absolute C
+// values by CScale; relative factors and structural edits carry over
+// unchanged. It keeps a scaled copy of the design exactly the scaled copy
+// of the edited one.
+func scaleEdits(edits []timing.Edit, c mcd.Corner) []timing.Edit {
+	out := make([]timing.Edit, len(edits))
+	for i, ed := range edits {
+		if ed.R != nil {
+			ed.R = ptr(*ed.R * c.RScale)
+		}
+		if ed.C != nil {
+			ed.C = ptr(*ed.C * c.CScale)
+		}
+		out[i] = ed
+	}
+	return out
+}
+
+// shadowCorner is the corner path Session.Scaled replaced, kept as the
+// oracle: a fresh session on the ScaleDesign'd materialization of the
+// design, whose edits go through scaleEdits.
+func shadowCorner(t *testing.T) func(*timing.Session, mcd.Corner) *cornerState {
+	return func(sess *timing.Session, c mcd.Corner) *cornerState {
+		t.Helper()
+		d, err := sess.Design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rf := make([]float64, len(d.Nets))
+		cf := make([]float64, len(d.Nets))
+		for i := range rf {
+			rf[i], cf[i] = c.RScale, c.CScale
+		}
+		sd, err := mcd.ScaleDesign(d, rf, cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow, err := timing.NewSession(context.Background(), sd, timing.Options{
+			Threshold: sess.Threshold(), Required: sess.Required(), K: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &cornerState{c: c, sess: shadow,
+			edits: func(e []timing.Edit) []timing.Edit { return scaleEdits(e, c) }}
+	}
+}
+
+// TestScaledCornersMatchShadowSessions runs each corner-aware closure twice,
+// once on Session.Scaled corner views and once on the shadow sessions they
+// replaced, over the demo chip, the relaxed chip (mined from its slow
+// corner) and 12 random failing designs under three corner sets. The runs must accept the same edit script and stop for the
+// same reason after the same trials and vetoes, with every corner's WNS
+// within 1e-9 relative.
+func TestScaledCornersMatchShadowSessions(t *testing.T) {
+	cornerSets := [][]mcd.Corner{
+		mcd.DefaultCorners(),
+		{{Name: "rslow", RScale: 1.3, CScale: 0.9}, {Name: "cslow", RScale: 0.95, CScale: 1.25}},
+		{{Name: "skew", RScale: 1.07, CScale: 1.07}},
+	}
+	type design struct {
+		name string
+		d    *netlist.Design
+		topt timing.Options
+	}
+	designs := []design{
+		{"chip", parseChip(t), timing.Options{Threshold: 0.7}},
+		{"relaxed chip", relaxedChip(t), timing.Options{Threshold: 0.7}},
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		d, required := failingRandomDesign(t, seed)
+		designs = append(designs, design{fmt.Sprint("seed ", seed), d, timing.Options{Threshold: 0.7, Required: required}})
+	}
+	ctx := context.Background()
+	for _, dz := range designs {
+		for k, corners := range cornerSets {
+			label := fmt.Sprintf("%s corners %d", dz.name, k)
+			run := func(mount func(*timing.Session, mcd.Corner) *cornerState) *Report {
+				sess, err := timing.NewSession(ctx, dz.d, dz.topt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := &engine{sess: sess, opt: Options{MaxMoves: 16, Corners: corners}.resolve(), mount: mount}
+				rep, err := e.run(ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				return rep
+			}
+			got, want := run(scaledCorner), run(shadowCorner(t))
+			if g, w := timing.FormatEdits(got.Edits), timing.FormatEdits(want.Edits); g != w {
+				t.Fatalf("%s: scaled views accepted\n%s\nshadow sessions\n%s", label, g, w)
+			}
+			if got.Reason != want.Reason || got.Closed != want.Closed || got.CornerVetoes != want.CornerVetoes || got.Trials != want.Trials {
+				t.Fatalf("%s: reason %q closed %v vetoes %d trials %d, shadow %q %v %d %d", label,
+					got.Reason, got.Closed, got.CornerVetoes, got.Trials, want.Reason, want.Closed, want.CornerVetoes, want.Trials)
+			}
+			if got.FinalWNS != want.FinalWNS || got.FinalTNS != want.FinalTNS {
+				t.Fatalf("%s: typical WNS/TNS %g/%g, shadow %g/%g", label, got.FinalWNS, got.FinalTNS, want.FinalWNS, want.FinalTNS)
+			}
+			for i, c := range got.Corners {
+				w := want.Corners[i]
+				if c.Name != w.Name || !closeEnough(c.InitialWNS, w.InitialWNS) || !closeEnough(c.FinalWNS, w.FinalWNS) {
+					t.Fatalf("%s: corner %+v, shadow %+v", label, c, w)
+				}
+			}
+		}
+	}
+}
+
 // TestClosureCornersMineFromCorner: when the typical corner passes but the
 // slow corner fails, candidates must be mined from the failing corner's
 // endpoint table rather than stopping at "no candidates".
 func TestClosureCornersMineFromCorner(t *testing.T) {
-	// Relax the requires so typ passes but the +15% slow corner still fails.
-	d := parseChip(t)
-	probe, err := timing.Analyze(context.Background(), d, timing.Options{Threshold: 0.7, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Set each require between the typ arrival and the slow-corner arrival
-	// (global scaling of R and C by 1.15 each scales arrivals by ~1.32).
-	byKey := map[[2]string]float64{}
-	for _, ep := range probe.Endpoints {
-		byKey[[2]string{ep.Net, ep.Output}] = ep.Arrival.Max
-	}
-	for i := range d.Requires {
-		arr := byKey[[2]string{d.Requires[i].Net, d.Requires[i].Output}]
-		d.Requires[i].Time = arr * 1.1 // typ meets with 10%; slow (+32%) fails
-	}
+	d := relaxedChip(t)
 	topt := timing.Options{Threshold: 0.7, Sequential: true}
 	rep, err := CloseDesign(context.Background(), d, Options{
-		Timing: topt, Sequential: true, MaxMoves: 64, Corners: mcd.DefaultCorners(),
+		Timing: topt, Concurrency: 1, MaxMoves: 64, Corners: mcd.DefaultCorners(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -531,6 +628,28 @@ func TestClosureCornersMineFromCorner(t *testing.T) {
 	if rep.FinalWNS < 0 {
 		t.Errorf("repairing the slow corner broke typ: WNS %g", rep.FinalWNS)
 	}
+}
+
+// relaxedChip is the demo chip with its requires relaxed so the typical
+// corner passes but the default slow corner (+15% R and C) still fails.
+func relaxedChip(t *testing.T) *netlist.Design {
+	t.Helper()
+	d := parseChip(t)
+	probe, err := timing.Analyze(context.Background(), d, timing.Options{Threshold: 0.7, Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Set each require between the typ arrival and the slow-corner arrival
+	// (global scaling of R and C by 1.15 each scales arrivals by ~1.32).
+	byKey := map[[2]string]float64{}
+	for _, ep := range probe.Endpoints {
+		byKey[[2]string{ep.Net, ep.Output}] = ep.Arrival.Max
+	}
+	for i := range d.Requires {
+		arr := byKey[[2]string{d.Requires[i].Net, d.Requires[i].Output}]
+		d.Requires[i].Time = arr * 1.1 // typ meets with 10%; slow (+32%) fails
+	}
+	return d
 }
 
 // TestClosureRejectsBadCornerScales: a corner scale that is not finite and
@@ -556,7 +675,7 @@ func TestClosureRejectsBadCornerScales(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			corners := append(mcd.DefaultCorners(), mcd.Corner{Name: "bad", RScale: tc.rScale, CScale: tc.cScale})
 			_, err := CloseDesign(context.Background(), d, Options{
-				Timing: timing.Options{Threshold: 0.7, Sequential: true}, Sequential: true, MaxMoves: 4, Corners: corners,
+				Timing: timing.Options{Threshold: 0.7, Sequential: true}, Concurrency: 1, MaxMoves: 4, Corners: corners,
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want %q", err, tc.want)

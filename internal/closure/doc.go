@@ -18,10 +18,20 @@
 // exhausted, or no candidate improves timing.
 //
 // Trials are independent, so they evaluate concurrently across a worker
-// pool by default; Options.Sequential forces one-at-a-time evaluation.
+// pool by default; Options.Concurrency 1 evaluates them one at a time.
 // Either way the accepted move sequence is identical: every trial computes
 // the same numbers regardless of scheduling, and the argmax tie-breaks on
 // candidate index. BenchmarkClosure measures the concurrency win.
+//
+// # Corners
+//
+// With Options.Corners set, each swept corner is a Session.Scaled view of
+// the live session. The paper's TP, TD and TR are sums of R·C products and
+// its delay bounds are degree-1 homogeneous in them, so scaling every R by
+// r and every C by c scales each net delay by exactly r·c: a view needs no
+// scaled netlist and no tree sweep of its own, and it takes every trial's
+// and accepted move's edits as they are. A trial forks each view alongside
+// the typical session; a move that regresses any corner's WNS is vetoed.
 //
 // # Move generators
 //

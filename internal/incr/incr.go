@@ -665,10 +665,11 @@ func (et *EditTree) AllTimes() (map[NodeID]rctree.Times, error) {
 
 // Recompute forces the full O(n) aggregate pass, discarding any accumulated
 // floating-point drift. Queries after Recompute are exact to one full
-// analysis of the current state.
+// analysis of the current state. The element values are unchanged, so Gen
+// is too; the query memo, computed from the drifted aggregates, is dropped.
 func (et *EditTree) Recompute() {
 	et.recomputeAggregates()
-	et.gen++ // drop memos computed from the drifted aggregates
+	clear(et.cache)
 }
 
 // Materialize compacts the current state into an immutable rctree.Tree.

@@ -14,11 +14,10 @@ import (
 // slice means 1 everywhere; otherwise the slice must have one entry per net,
 // in design net order.
 //
-// This is the reference construction the λ-scaled arena passes must agree
-// with — the property tests check timing.VarArena.SetFactors + Propagate
-// against a full analysis of the ScaleDesign'd netlist, whose trees are
-// re-swept at the scaled values — and the explicit-corner path for callers
-// that need a materialized netlist (closure's shadow corner sessions).
+// This is the reference construction the λ-scaled passes must agree with:
+// the property tests check timing.VarArena.SetFactors + Propagate and
+// timing.Session.Scaled against a full analysis of the ScaleDesign'd
+// netlist, whose trees are re-swept at the scaled values.
 func ScaleDesign(d *netlist.Design, rf, cf []float64) (*netlist.Design, error) {
 	if rf != nil && len(rf) != len(d.Nets) {
 		return nil, fmt.Errorf("mcd: %d R factors for %d nets", len(rf), len(d.Nets))

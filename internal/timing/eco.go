@@ -195,7 +195,7 @@ func FormatEdits(edits []Edit) string {
 		case "scaleDriver":
 			fmt.Fprintf(&sb, "scaleDriver %s %s\n", e.Net, g(e.Factor))
 		case "grow":
-			// Mirror edgeKindOf's default: an empty kind with C > 0 is a line
+			// Mirror EdgeKindOf's default: an empty kind with C > 0 is a line
 			// at Apply time, so it must format as one (dropping C here would
 			// silently change the circuit on replay).
 			if e.Kind == "line" || (e.Kind == "" && e.C != nil && *e.C > 0) {

@@ -107,7 +107,7 @@ func TestFormatEditsMalformed(t *testing.T) {
 	if _, err := ParseEdits(unknown); err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Errorf("reparse of an unknown op: %v", err)
 	}
-	// A default-kind grow with C > 0 is a line at Apply time (edgeKindOf),
+	// A default-kind grow with C > 0 is a line at Apply time (EdgeKindOf),
 	// so it must format as one — dropping C would silently change the
 	// replayed circuit.
 	implicitLine := FormatEdits([]Edit{{Op: "grow", Net: "a", Parent: "b", Name: "t", R: f64(5), C: f64(2)}})

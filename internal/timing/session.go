@@ -100,7 +100,10 @@ type Session struct {
 	// clones a shared tree and refreshOut a shared slice before their first
 	// mutation — copy-on-write, so a fork costs O(nets) flag-and-struct
 	// copies instead of O(design) data.
-	owned  []uint8
+	owned []uint8
+	// lambda scales every net delay: 1 for a session, the corner's R·C
+	// product for a Scaled view.
+	lambda float64
 	gen    uint64
 	report *Report // memoized; nil after any state change
 	// scratch for the dirty-cone sweep, allocated lazily on the first Apply
@@ -162,6 +165,7 @@ func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 		netMin:    make([]float64, len(g.nodes)),
 		netNeg:    make([]float64, len(g.nodes)),
 		owned:     make([]uint8, len(g.nodes)),
+		lambda:    1,
 		obs:       r.obs,
 	}
 	for i := range g.nodes {
@@ -204,6 +208,7 @@ func (s *Session) Fork() *Session {
 		netMin:    append([]float64(nil), s.netMin...),
 		netNeg:    append([]float64(nil), s.netNeg...),
 		owned:     make([]uint8, len(s.trees)),
+		lambda:    s.lambda,
 		gen:       s.gen,
 		report:    s.report, // reports are immutable once built
 		obs:       s.obs,    // registries are goroutine-safe; forks share one
@@ -221,6 +226,46 @@ func (s *Session) Fork() *Session {
 		s.owned[i] = 0
 	}
 	return f
+}
+
+// Scaled returns a corner view of the session: a Fork whose every net delay
+// is λ times the session's. The paper's TP, TD and TR are sums of R·C
+// products and TMin/TMax (eqs. 13–17) are degree-1 homogeneous in them, so
+// a corner that scales every resistance by r and every capacitance by c
+// scales each net delay by exactly λ = r·c; gate delays and required times
+// do not scale. The view is re-timed by one levelized pass that sets delay
+// = λ·delay and out = in + delay (VarArena's order, no tree sweep), and the
+// delays it re-derives for edited nets are scaled the same way, so the view
+// takes the session's edits unscaled. As with Fork, edits to either side
+// never show in the other. λ must be finite and positive; at λ = 1 the view
+// equals the session bit for bit. Design and AppendDeck render the view's
+// trees, which are unscaled.
+func (s *Session) Scaled(lambda float64) *Session {
+	v := s.Fork()
+	v.lambda *= lambda
+	v.report = nil
+	n := 0
+	for i := range v.state {
+		n += len(v.state[i].delay)
+	}
+	delay, out := make([]Interval, n), make([]Interval, n)
+	for _, level := range v.g.levels {
+		for _, i := range level {
+			st := &v.state[i]
+			st.input, st.worst = v.g.gatherInput(v.state, i)
+			m := len(st.delay)
+			d, o := delay[:m:m], out[:m:m]
+			delay, out = delay[m:], out[m:]
+			for j, dj := range st.delay {
+				d[j] = Interval{dj.Min * lambda, dj.Max * lambda}
+				o[j] = st.input.plus(d[j])
+			}
+			st.delay, st.out = d, o
+			v.owned[i] |= ownStateBit
+			v.refreshSummary(i)
+		}
+	}
+	return v
 }
 
 // ownOut returns net i's arrival slice for in-place mutation, cloning it
@@ -252,9 +297,9 @@ func (s *Session) Gen() uint64 { return s.gen }
 func (s *Session) Threshold() float64 { return s.th }
 
 // Required returns the session's default required arrival time (<= 0 means
-// endpoints without an explicit .require card are unconstrained). Corner
-// analyses mounting scaled shadow sessions use it to reproduce the session's
-// constraint defaults.
+// endpoints without an explicit .require card are unconstrained). A
+// variation analysis of the session's Design takes it to reproduce the
+// session's constraint defaults.
 func (s *Session) Required() float64 { return s.required }
 
 // DesignName returns the name of the session's design.
@@ -425,22 +470,49 @@ func (s *Session) ApplyCtx(ctx context.Context, edits []Edit) (ApplyResult, erro
 	return res, firstErr
 }
 
-// applyOne dispatches one edit onto its net's EditTree and returns the net
-// index. Structural guards keep the graph sound: outputs that stage edges
-// tap or requires pin cannot be pruned away or undesignated.
+// applyOne performs one edit on its net and returns the net index. The
+// design-level guards are the session's: outputs that stage edges tap or
+// requires pin cannot be pruned away or undesignated. ApplyTreeEdit does the
+// rest on the net's own (copy-on-write) EditTree.
 func (s *Session) applyOne(e Edit) (int, error) {
 	i, err := s.netIndex(e.Net)
 	if err != nil {
 		return 0, err
 	}
-	et := s.ownTree(i)
-	resolve := func(name string) (incr.NodeID, error) {
+	switch e.Op {
+	case "prune":
+		if id, ok := s.trees[i].Lookup(e.Node); ok {
+			if name, bad := s.pruneWouldOrphan(i, id); bad {
+				return 0, fmt.Errorf("cannot prune %q: output %q is tapped by a stage or pinned by a require", e.Node, name)
+			}
+		}
+	case "removeOutput":
+		if s.protected[i][e.Node] {
+			return 0, fmt.Errorf("output %q is tapped by a stage or pinned by a require", e.Node)
+		}
+	}
+	if err := ApplyTreeEdit(s.ownTree(i), e); err != nil {
+		return 0, fmt.Errorf("net %q: %w", e.Net, err)
+	}
+	return i, nil
+}
+
+// ApplyTreeEdit performs one edit on a single net's EditTree: the op
+// dispatcher shared by Session.Apply and cmd/rcserve's tree sessions. It
+// resolves the node names and numbers the op needs (e.Net is not read) and
+// refuses an edit that would leave the net with no capacitance or no
+// designated output: the first has undefined characteristic times, and the
+// second re-promotes every leaf on Materialize, so the tree would no longer
+// be the one a full analysis times. A refused edit leaves the tree's
+// elements, outputs and Gen unchanged.
+func ApplyTreeEdit(et *incr.EditTree, e Edit) error {
+	node := func(name string) (incr.NodeID, error) {
 		if name == "" {
 			return 0, fmt.Errorf("missing node name")
 		}
 		id, ok := et.Lookup(name)
 		if !ok {
-			return 0, fmt.Errorf("unknown node %q in net %q", name, e.Net)
+			return 0, fmt.Errorf("unknown node %q", name)
 		}
 		return id, nil
 	}
@@ -450,145 +522,137 @@ func (s *Session) applyOne(e Edit) (int, error) {
 		}
 		return *p, nil
 	}
-	// A net whose total capacitance hits zero has undefined characteristic
-	// times (the full analyzer rejects such a tree outright), so edits that
-	// would drain the last capacitance are refused up front. The running
-	// aggregates carry rounding residue, which must not decide a total that
-	// lands near zero: the tree re-derives them exactly first. Summed from
-	// nonnegative terms, they give exactly 0 when nothing would remain.
+	// The running aggregates carry rounding residue, which must not decide a
+	// total that lands near zero: the tree re-derives them exactly first.
+	// Summed from nonnegative terms, they give exactly 0 when nothing would
+	// remain.
 	drained := func(newTotal func() float64) error {
 		if newTotal() > 1e-9*et.TotalCap() {
 			return nil
 		}
 		et.Recompute()
 		if newTotal() <= 0 {
-			return fmt.Errorf("edit would leave net %q with no capacitance", e.Net)
+			return fmt.Errorf("edit would leave the net with no capacitance")
 		}
 		return nil
 	}
 	switch e.Op {
 	case "setR":
-		id, err := resolve(e.Node)
+		id, err := node(e.Node)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r, err := num("r", e.R)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		return i, et.SetResistance(id, r)
+		return et.SetResistance(id, r)
 	case "setC":
-		id, err := resolve(e.Node)
+		id, err := node(e.Node)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		c, err := num("c", e.C)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := drained(func() float64 { return et.TotalCap() - et.NodeCap(id) + c }); err != nil {
-			return 0, err
+			return err
 		}
-		return i, et.SetCapacitance(id, c)
+		return et.SetCapacitance(id, c)
 	case "addC":
-		id, err := resolve(e.Node)
+		id, err := node(e.Node)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		c, err := num("c", e.C)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := drained(func() float64 { return et.TotalCap() + c }); err != nil {
-			return 0, err
+			return err
 		}
-		return i, et.AddCapacitance(id, c)
+		return et.AddCapacitance(id, c)
 	case "setLine":
-		id, err := resolve(e.Node)
+		id, err := node(e.Node)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r, err := num("r", e.R)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		c, err := num("c", e.C)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		_, _, oldC := et.Edge(id)
 		if err := drained(func() float64 { return et.TotalCap() - oldC + c }); err != nil {
-			return 0, err
+			return err
 		}
-		return i, et.SetLine(id, r, c)
+		return et.SetLine(id, r, c)
 	case "scaleDriver":
 		f, err := num("factor", e.Factor)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		return i, et.ScaleDriver(f)
+		return et.ScaleDriver(f)
 	case "grow":
-		parent, err := resolve(e.Parent)
+		parent, err := node(e.Parent)
 		if err != nil {
-			return 0, fmt.Errorf("parent: %w", err)
+			return fmt.Errorf("parent: %w", err)
 		}
 		r, err := num("r", e.R)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		var c float64
 		if e.C != nil {
 			c = *e.C
 		}
-		kind, err := edgeKindOf(e.Kind, c)
+		kind, err := EdgeKindOf(e.Kind, c)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		_, err = et.Grow(parent, e.Name, kind, r, c)
-		return i, err
+		return err
 	case "prune":
-		id, err := resolve(e.Node)
+		id, err := node(e.Node)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if name, bad := s.pruneWouldOrphan(i, id); bad {
-			return 0, fmt.Errorf("cannot prune %q: output %q is tapped by a stage or pinned by a require", e.Node, name)
-		}
-		if s.outputsUnder(i, id) == len(et.Outputs()) {
-			return 0, fmt.Errorf("cannot prune %q: net %q would be left without designated outputs", e.Node, e.Net)
+		if outputsUnder(et, id) == len(et.Outputs()) {
+			return fmt.Errorf("cannot prune %q: the net would be left without designated outputs", e.Node)
 		}
 		if err := drained(func() float64 { return et.TotalCap() - et.SubtreeCap(id) }); err != nil {
-			return 0, err
+			return err
 		}
-		return i, et.Prune(id)
+		return et.Prune(id)
 	case "addOutput":
-		id, err := resolve(e.Node)
+		id, err := node(e.Node)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		return i, et.AddOutput(id)
+		return et.AddOutput(id)
 	case "removeOutput":
-		id, err := resolve(e.Node)
+		id, err := node(e.Node)
 		if err != nil {
-			return 0, err
-		}
-		if s.protected[i][e.Node] {
-			return 0, fmt.Errorf("output %q is tapped by a stage or pinned by a require", e.Node)
+			return err
 		}
 		if len(et.Outputs()) == 1 {
-			return 0, fmt.Errorf("cannot remove %q: net %q would be left without designated outputs", e.Node, e.Net)
+			return fmt.Errorf("cannot remove %q: the net would be left without designated outputs", e.Node)
 		}
 		if !et.RemoveOutput(id) {
-			return 0, fmt.Errorf("node %q is not an output", e.Node)
+			return fmt.Errorf("node %q is not an output", e.Node)
 		}
-		return i, nil
+		return nil
 	}
-	return 0, fmt.Errorf("unknown op %q", e.Op)
+	return fmt.Errorf("unknown op %q", e.Op)
 }
 
-// edgeKindOf maps the wire-form kind string onto rctree's enum, defaulting
+// EdgeKindOf maps the wire-form kind string onto rctree's enum, defaulting
 // to "a line when C > 0, a resistor otherwise" as the session endpoints do.
-func edgeKindOf(kind string, c float64) (rctree.EdgeKind, error) {
+func EdgeKindOf(kind string, c float64) (rctree.EdgeKind, error) {
 	switch kind {
 	case "", "resistor":
 		if kind == "" && c > 0 {
@@ -611,44 +675,38 @@ func (s *Session) pruneWouldOrphan(i int, q incr.NodeID) (string, bool) {
 		if !ok {
 			continue
 		}
-		for x := id; ; {
-			if x == q {
-				return name, true
-			}
-			if x == incr.Root {
-				break
-			}
-			x = et.Parent(x)
+		if under(et, id, q) {
+			return name, true
 		}
 	}
 	return "", false
 }
 
-// outputsUnder counts net i's designated outputs lying at or below node q.
-// A prune that would sweep away every designated output is rejected, because
-// an output-less tree re-promotes all leaves on Materialize and the session
-// would silently diverge from a full re-analysis.
-func (s *Session) outputsUnder(i int, q incr.NodeID) int {
-	et := s.trees[i]
+// outputsUnder counts et's designated outputs lying at or below node q.
+func outputsUnder(et *incr.EditTree, q incr.NodeID) int {
 	count := 0
 	for _, o := range et.Outputs() {
-		for x := o; ; {
-			if x == q {
-				count++
-				break
-			}
-			if x == incr.Root {
-				break
-			}
-			x = et.Parent(x)
+		if under(et, o, q) {
+			count++
 		}
 	}
 	return count
 }
 
+// under reports whether node x lies at or below node q, walking x's root
+// path.
+func under(et *incr.EditTree, x, q incr.NodeID) bool {
+	for ; x != q; x = et.Parent(x) {
+		if x == incr.Root {
+			return false
+		}
+	}
+	return true
+}
+
 // recomputeDelay derives net i's designated output names and delay
 // intervals from its EditTree: one O(depth) characteristic-times query plus
-// a bound evaluation per output.
+// a bound evaluation per output, scaled by the session's λ.
 func (s *Session) recomputeDelay(i int) ([]string, []Interval, error) {
 	et := s.trees[i]
 	outs := et.Outputs()
@@ -664,7 +722,7 @@ func (s *Session) recomputeDelay(i int) ([]string, []Interval, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("timing: net %q output %q: %w", s.g.nodes[i].name, names[j], err)
 		}
-		delay[j] = Interval{b.TMin(s.th), b.TMax(s.th)}
+		delay[j] = Interval{b.TMin(s.th) * s.lambda, b.TMax(s.th) * s.lambda}
 	}
 	return names, delay, nil
 }
@@ -924,7 +982,8 @@ func (s *Session) WorstEndpoints(k int) []EndpointSlack {
 // design: every net's EditTree compacts to an immutable tree, and the stage
 // and require cards carry over unchanged (structural guards keep them valid).
 // AnalyzeDesign of the result agrees with the session's Report to numerical
-// tolerance — the property tests pin this down.
+// tolerance — the property tests pin this down. A Scaled view materializes
+// its unscaled trees.
 func (s *Session) Design() (*netlist.Design, error) {
 	d := &netlist.Design{
 		Name:     s.g.design.Name,

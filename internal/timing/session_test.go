@@ -673,6 +673,56 @@ func TestDrainGuardIgnoresRoundingResidue(t *testing.T) {
 	}
 }
 
+// TestApplyTreeEditGuards: the tree-level dispatcher refuses an edit that
+// would drain a net's last capacitance or leave it without a designated
+// output, whatever Net the edit names, and a refused edit leaves the tree's
+// generation and its materialized form unchanged. The drain refusal takes
+// the exact re-derivation path (the near-zero total), which must not count
+// as a change either.
+func TestApplyTreeEditGuards(t *testing.T) {
+	b := rctree.NewBuilder("in")
+	n1 := b.Resistor(rctree.Root, "n1", 10)
+	a := b.Resistor(n1, "a", 5)
+	bn := b.Resistor(n1, "b", 5)
+	b.Capacitor(a, 2)
+	b.Output(a)
+	b.Output(bn)
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		edit Edit
+		want string
+	}{
+		{Edit{Op: "setC", Net: "ignored", Node: "a", C: f64(0)}, "no capacitance"},
+		{Edit{Op: "addC", Node: "a", C: f64(-2)}, "no capacitance"},
+		{Edit{Op: "prune", Node: "n1"}, "without designated outputs"},
+		{Edit{Op: "prune", Node: "a"}, "no capacitance"},
+		{Edit{Op: "removeOutput", Node: "n1"}, "not an output"},
+		{Edit{Op: "setR", Node: "ghost", R: f64(1)}, `unknown node "ghost"`},
+		{Edit{Op: "grow", Parent: "a", Name: "x", Kind: "wire", R: f64(1)}, "unknown edge kind"},
+		{Edit{Op: "setR", Node: "a"}, `missing "r"`},
+	} {
+		et := incr.New(tree)
+		want, _, _ := et.Materialize()
+		if err := ApplyTreeEdit(et, tc.edit); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want %q", tc.edit, err, tc.want)
+		}
+		got, _, _ := et.Materialize()
+		if et.Gen() != 0 || netlist.Write(got) != netlist.Write(want) {
+			t.Errorf("%+v: refused edit changed the tree (gen %d)", tc.edit, et.Gen())
+		}
+	}
+	et := incr.New(tree)
+	if err := ApplyTreeEdit(et, Edit{Op: "removeOutput", Node: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ApplyTreeEdit(et, Edit{Op: "removeOutput", Node: "a"}); err == nil || !strings.Contains(err.Error(), "without designated outputs") {
+		t.Errorf("removing the last output: err = %v", err)
+	}
+}
+
 // TestAppendReportJSONNonFinite: a chain of 52 nets of about 3.47e306 each
 // overflows the latest arrival to +Inf, which the JSON form cannot carry.
 // The live renderer must fail exactly as the full one does, then recover

@@ -488,9 +488,9 @@ func DesignCorners(ctx context.Context, g *TimingGraph, name string, opt CornerO
 // ScaleDesign returns a deep copy of a design with every net's element
 // values scaled: net i's resistances by rFactors[i], capacitances by
 // cFactors[i] (nil means all ones). Stage delays and required times are
-// unscaled — this is the explicit-netlist form of what AnalyzeCorners does
-// in place on the arena, and what the corner-aware closure mounts its
-// shadow sessions on.
+// unscaled — this is the explicit-netlist form of what AnalyzeCorners and
+// the corner-aware closure derive from one nominal sweep, and the reference
+// their tests check against.
 func ScaleDesign(d *Design, rFactors, cFactors []float64) (*Design, error) {
 	return mcd.ScaleDesign(d, rFactors, cFactors)
 }
