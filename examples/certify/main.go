@@ -59,7 +59,10 @@ func main() {
 				net = n
 			}
 		}
-		id, _ := net.Tree.Lookup(o.Output)
+		id, ok := net.Tree.LookupOutput(o.Output)
+		if !ok {
+			log.Fatalf("%s/%s is not a designated output", o.Net, o.Output)
+		}
 		cross, err := sims[o.Net].CrossingTime(id, net.Threshold)
 		if err != nil {
 			log.Fatal(err)

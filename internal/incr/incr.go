@@ -2,6 +2,7 @@ package incr
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"repro/internal/rctree"
@@ -66,22 +67,34 @@ func New(t *rctree.Tree) *EditTree {
 		alive:   n,
 		cache:   make(map[NodeID]cachedTimes),
 	}
+	cols := t.Columns()
+	slab := make([]NodeID, 0, max(n-1, 0))
 	for i := 0; i < n; i++ {
 		id := NodeID(i)
-		kind, r, c := t.Edge(id)
 		et.nodes[i] = enode{
-			name:     t.Name(id),
-			parent:   t.Parent(id),
-			kind:     kind,
-			edgeR:    r,
-			edgeC:    c,
-			nodeC:    t.NodeCap(id),
-			children: append([]NodeID(nil), t.Children(id)...),
+			name:     cols.Names[i],
+			parent:   NodeID(cols.Parent[i]),
+			kind:     rctree.EdgeKind(cols.Kind[i]),
+			edgeR:    cols.EdgeR[i],
+			edgeC:    cols.EdgeC[i],
+			nodeC:    cols.NodeC[i],
+			children: slabAppend(&slab, t.Children(id)),
 		}
-		et.byName[t.Name(id)] = id
+		et.byName[cols.Names[i]] = id
 	}
 	et.recomputeAggregates()
 	return et
+}
+
+// slabAppend copies kids onto the end of *slab and returns the copy as a
+// capacity-limited window, so the children of every node share one
+// allocation: an append to one node's window reallocates that node's slice
+// alone, and an in-place delete stays inside its own range.
+func slabAppend(slab *[]NodeID, kids []NodeID) []NodeID {
+	a := len(*slab)
+	*slab = append(*slab, kids...)
+	b := len(*slab)
+	return (*slab)[a:b:b]
 }
 
 // Clone returns an independent deep copy of the overlay: same node IDs,
@@ -96,7 +109,7 @@ func New(t *rctree.Tree) *EditTree {
 func (et *EditTree) Clone() *EditTree {
 	c := &EditTree{
 		nodes:   append([]enode(nil), et.nodes...),
-		byName:  make(map[string]NodeID, len(et.byName)),
+		byName:  maps.Clone(et.byName),
 		outputs: append([]NodeID(nil), et.outputs...),
 		s0:      append([]float64(nil), et.s0...),
 		s1:      append([]float64(nil), et.s1...),
@@ -106,11 +119,11 @@ func (et *EditTree) Clone() *EditTree {
 		maxMag:  et.maxMag,
 		cache:   make(map[NodeID]cachedTimes),
 	}
+	// Each non-root node is listed as a child at most once, so one slab of
+	// len(nodes) holds every children list.
+	slab := make([]NodeID, 0, len(c.nodes))
 	for i := range c.nodes {
-		c.nodes[i].children = append([]NodeID(nil), et.nodes[i].children...)
-	}
-	for name, id := range et.byName {
-		c.byName[name] = id
+		c.nodes[i].children = slabAppend(&slab, et.nodes[i].children)
 	}
 	return c
 }
@@ -681,7 +694,7 @@ func (et *EditTree) Materialize() (*rctree.Tree, []NodeID, error) {
 	for i := range mapping {
 		mapping[i] = -1
 	}
-	b := rctree.NewBuilder(et.nodes[Root].name)
+	b := rctree.NewBuilderSize(et.nodes[Root].name, et.alive, len(et.outputs))
 	mapping[Root] = rctree.Root
 	if c := et.nodes[Root].nodeC; c > 0 {
 		b.Capacitor(rctree.Root, c)

@@ -153,7 +153,7 @@ func perturb(t *rctree.Tree, e rctree.NodeID, v Variation, rng *rand.Rand) (*rct
 		}
 		return nominal * f
 	}
-	b := rctree.NewBuilder(t.Name(rctree.Root))
+	b := rctree.NewBuilderSize(t.Name(rctree.Root), t.NumNodes(), len(t.Outputs()))
 	ids := map[rctree.NodeID]rctree.NodeID{rctree.Root: rctree.Root}
 	var buildErr error
 	t.Walk(func(id rctree.NodeID) {

@@ -44,41 +44,27 @@ func ScaleDesign(d *netlist.Design, rf, cf []float64) (*netlist.Design, error) {
 	return out, nil
 }
 
-// scaleTree rebuilds one tree with uniform R and C factors, preserving node
-// names and the output designation order.
+// scaleTree rebuilds one tree with uniform R and C factors from its
+// columns: the scaled values are new columns, while the topology, names and
+// output designation order are the tree's own immutable columns, shared.
 func scaleTree(t *rctree.Tree, rf, cf float64) (*rctree.Tree, error) {
-	b := rctree.NewBuilder(t.Name(rctree.Root))
-	ids := map[rctree.NodeID]rctree.NodeID{rctree.Root: rctree.Root}
-	var buildErr error
-	t.Walk(func(id rctree.NodeID) {
-		if buildErr != nil {
-			return
-		}
-		if id == rctree.Root {
-			if c := t.NodeCap(id); c > 0 {
-				b.Capacitor(rctree.Root, c*cf)
-			}
-			return
-		}
-		kind, r, c := t.Edge(id)
-		switch kind {
-		case rctree.EdgeResistor:
-			ids[id] = b.Resistor(ids[t.Parent(id)], t.Name(id), r*rf)
-		case rctree.EdgeLine:
-			ids[id] = b.Line(ids[t.Parent(id)], t.Name(id), r*rf, c*cf)
-		default:
-			buildErr = fmt.Errorf("unexpected edge kind at node %q", t.Name(id))
-			return
-		}
-		if nc := t.NodeCap(id); nc > 0 {
-			b.Capacitor(ids[id], nc*cf)
-		}
+	c := t.Columns()
+	return rctree.FromColumns(rctree.Columns{
+		Parent:  c.Parent,
+		Kind:    c.Kind,
+		EdgeR:   scaled(c.EdgeR, rf),
+		EdgeC:   scaled(c.EdgeC, cf),
+		NodeC:   scaled(c.NodeC, cf),
+		Names:   c.Names,
+		Outputs: c.Outputs,
 	})
-	if buildErr != nil {
-		return nil, buildErr
+}
+
+// scaled returns a new slice holding f·v for every v in vs.
+func scaled(vs []float64, f float64) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = v * f
 	}
-	for _, o := range t.Outputs() {
-		b.Output(ids[o])
-	}
-	return b.Build()
+	return out
 }

@@ -262,7 +262,7 @@ func (d *Design) validate(index map[string]int) error {
 		if _, ok := index[s.ToNet]; !ok {
 			return fmt.Errorf("netlist: stage %d references unknown net %q", i+1, s.ToNet)
 		}
-		if !hasOutput(d.Nets[from].Tree, s.FromOutput) {
+		if _, ok := d.Nets[from].Tree.LookupOutput(s.FromOutput); !ok {
 			return fmt.Errorf("netlist: stage %d: %q is not a designated output of net %q", i+1, s.FromOutput, s.FromNet)
 		}
 	}
@@ -271,24 +271,11 @@ func (d *Design) validate(index map[string]int) error {
 		if !ok {
 			return fmt.Errorf("netlist: require %d references unknown net %q", i+1, r.Net)
 		}
-		if !hasOutput(d.Nets[net].Tree, r.Output) {
+		if _, ok := d.Nets[net].Tree.LookupOutput(r.Output); !ok {
 			return fmt.Errorf("netlist: require %d: %q is not a designated output of net %q", i+1, r.Output, r.Net)
 		}
 	}
 	return nil
-}
-
-func hasOutput(t *rctree.Tree, name string) bool {
-	id, ok := t.Lookup(name)
-	if !ok {
-		return false
-	}
-	for _, o := range t.Outputs() {
-		if o == id {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteDesign renders a design back into deck form; the result round-trips

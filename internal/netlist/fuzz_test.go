@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -232,11 +233,12 @@ func FuzzParseDesign(f *testing.F) {
 	})
 }
 
-// FuzzArenaRoundTrip pins the flat-arena encoding against the parser's full
-// input space: for every tree the parser accepts, arena build →
-// materialize → rebuild must be lossless and idempotent, with characteristic
-// times preserved exactly (the arena pass and the tree pass share iteration
-// order, so the sums match bit for bit).
+// FuzzArenaRoundTrip pins the flat column form against the parser's full
+// input space: for every tree the parser accepts, tree → columns → tree
+// (rctree.FromColumns on a deep copy) must be lossless, with the same
+// columns, children and rendering. The rebuilt tree's all-outputs sweep
+// must give the original's per-output times bit for bit, and both must stay
+// within rounding of the O(n·depth) reference, CharacteristicTimesRef.
 func FuzzArenaRoundTrip(f *testing.F) {
 	seeds := []string{
 		fig7Deck,
@@ -254,30 +256,68 @@ func FuzzArenaRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		a := rctree.NewArena(tree)
-		back, err := a.Materialize()
+		c := tree.Columns()
+		back, err := rctree.FromColumns(rctree.Columns{
+			Parent:  slices.Clone(c.Parent),
+			Kind:    slices.Clone(c.Kind),
+			EdgeR:   slices.Clone(c.EdgeR),
+			EdgeC:   slices.Clone(c.EdgeC),
+			NodeC:   slices.Clone(c.NodeC),
+			Names:   slices.Clone(c.Names),
+			Outputs: slices.Clone(c.Outputs),
+		})
 		if err != nil {
-			t.Fatalf("materialize failed for accepted tree: %v\ndeck:\n%s", err, src)
+			t.Fatalf("columns of an accepted tree refused: %v\ndeck:\n%s", err, src)
 		}
-		a2 := rctree.NewArena(back)
-		if !reflect.DeepEqual(a, a2) {
-			t.Fatalf("arena round trip not idempotent:\n%s", src)
+		if !reflect.DeepEqual(back.Columns(), c) || back.String() != tree.String() {
+			t.Fatalf("columns round trip not lossless:\n%s", src)
+		}
+		for i := range tree.NumNodes() {
+			id := rctree.NodeID(i)
+			if !slices.Equal(back.Children(id), tree.Children(id)) {
+				t.Fatalf("node %d children %v -> %v\ndeck:\n%s", i, tree.Children(id), back.Children(id), src)
+			}
+		}
+		bc := back.Columns()
+		outs := make([]int32, len(bc.Outputs))
+		for i, o := range bc.Outputs {
+			outs[i] = int32(o)
 		}
 		var s rctree.Scratch
-		for _, e := range tree.Outputs() {
+		all := s.Times(len(outs))
+		if done, err := rctree.TimesFlatAll(bc.Parent, bc.Kind, bc.EdgeR, bc.EdgeC, bc.NodeC, outs, all, &s); err != nil {
+			t.Fatalf("all-outputs sweep stopped at %d: %v\ndeck:\n%s", done, err, src)
+		}
+		for j, e := range tree.Outputs() {
 			want, err := tree.CharacteristicTimes(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := a.TimesInto(int32(e), &s)
+			if all[j] != want {
+				t.Fatalf("times diverged at output %d: %+v vs %+v\ndeck:\n%s", e, all[j], want, src)
+			}
+			ref, err := tree.CharacteristicTimesRef(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("arena times diverged at output %d: %+v vs %+v\ndeck:\n%s", e, got, want, src)
+			if finiteTimes(want) && finiteTimes(ref) &&
+				(!floatsClose(want.TP, ref.TP) || !floatsClose(want.TD, ref.TD) || !floatsClose(want.TR, ref.TR)) {
+				t.Fatalf("times %+v drift from the reference %+v\ndeck:\n%s", want, ref, src)
 			}
 		}
 	})
+}
+
+// finiteTimes reports whether every field of tm is finite: summed in a
+// different order, a sum near the float64 limit may overflow on one side
+// only, so the reference comparison skips overflowed times.
+func finiteTimes(tm rctree.Times) bool {
+	for _, v := range []float64{tm.TP, tm.TD, tm.TR, tm.Ree} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzParseValue: no panics, and suffix math stays finite for finite input.

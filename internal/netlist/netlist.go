@@ -50,6 +50,7 @@ type deck struct {
 	edges    []edge
 	input    string
 	outputs  []string
+	outLine  []int          // line of each .output name's card
 	seen     map[string]int // element name -> source line
 }
 
@@ -61,7 +62,7 @@ func (d *deck) reset() {
 	clear(d.index)
 	clear(d.seen)
 	d.names, d.caps, d.capLine, d.capNodes = d.names[:0], d.caps[:0], d.capLine[:0], d.capNodes[:0]
-	d.edges, d.outputs, d.input = d.edges[:0], d.outputs[:0], ""
+	d.edges, d.outputs, d.outLine, d.input = d.edges[:0], d.outputs[:0], d.outLine[:0], ""
 }
 
 // node interns a node name.
@@ -220,6 +221,9 @@ func (d *deck) card(fields []string, no int) error {
 			return fmt.Errorf("netlist: line %d: .output needs at least one node", no)
 		}
 		d.outputs = append(d.outputs, fields[1:]...)
+		for range fields[1:] {
+			d.outLine = append(d.outLine, no)
+		}
 		return nil
 	case isDirective(head, ".END"):
 		return nil
@@ -351,7 +355,7 @@ func (d *deck) build() (*rctree.Tree, error) {
 		return nil, fmt.Errorf("netlist: input node %q touches no element", input)
 	}
 
-	b := rctree.NewBuilder(input)
+	b := rctree.NewBuilderSize(input, n, len(d.outputs))
 	for v := range ids {
 		ids[v] = -1 // not reached yet
 	}
@@ -394,10 +398,15 @@ func (d *deck) build() (*rctree.Tree, error) {
 		}
 		b.Capacitor(ids[v], d.caps[v])
 	}
-	for _, out := range d.outputs {
+	for i, out := range d.outputs {
 		v, ok := d.index[out]
 		if !ok || ids[v] < 0 {
 			return nil, fmt.Errorf("netlist: .output node %q does not exist", out)
+		}
+		// A zero-resistance U card folds its far node into the near one, so
+		// the tree has no node of that name to time or to tap.
+		if into := b.Name(ids[v]); into != out {
+			return nil, fmt.Errorf("netlist: line %d: .output node %q is folded into node %q by a zero-resistance line; name %q instead", d.outLine[i], out, into, into)
 		}
 		b.Output(ids[v])
 	}

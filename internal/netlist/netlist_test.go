@@ -297,3 +297,43 @@ func TestFloatingCapacitorErrorDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestOutputOnFoldedNode: a zero-resistance U card folds its far node into
+// the near one, so an .output naming the far node has no tree node of its
+// own. Parse, ParseDesign and the one-pass design parser refuse it with the
+// line of the .output card and both node names; an output at the node it
+// folds into still works and carries the folded capacitance.
+func TestOutputOnFoldedNode(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"folded into an interior node", ".input in\nR1 in m 1\nU1 m far 0 5\nC1 m 0 1\n.output far\n",
+			`netlist: line 5: .output node "far" is folded into node "m"`},
+		{"folded output after its host", ".input in\nR1 in m 1\nU1 m far 0 5\n.output m\n.output far\n",
+			`netlist: line 5: .output node "far" is folded into node "m"`},
+		{"folded output before its host", ".input in\nR1 in m 1\nU1 m far 0 5\n.output far m\n",
+			`netlist: line 4: .output node "far" is folded into node "m"`},
+		{"folded twice", ".input in\nR1 in m 1\nU1 m x 0 2\nU2 x far 0 3\n.output far\n",
+			`netlist: line 5: .output node "far" is folded into node "m"`},
+		{"folded into the input", ".input in\nU1 in far 0 5\nR1 in o 1\nC1 o 0 1\n.output far\n",
+			`netlist: line 5: .output node "far" is folded into node "in"`},
+	} {
+		_, err := Parse(tc.src)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: Parse error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	tr, err := Parse(".input in\nR1 in m 1\nU1 m far 0 5\nC1 m 0 1\n.output m\n")
+	if err != nil {
+		t.Fatalf("output at the host node: %v", err)
+	}
+	if id, ok := tr.LookupOutput("m"); !ok || tr.NodeCap(id) != 6 {
+		t.Errorf("output m: ok %v, C = %g; want C = 6", ok, tr.NodeCap(id))
+	}
+	design := ".net a\n.input in\nR1 in m 1\nU1 m far 0 5\n.output far\n.endnet\n" +
+		".net b\n.input in\nR1 in o 1\nC1 o 0 1\n.output o\n.endnet\n.stage a far b 1\n"
+	want := `netlist: design net "a" (line 1): netlist: line 5: .output node "far" is folded into node "m"`
+	for name, parse := range map[string]func(string) (*Design, error){"ParseDesign": ParseDesign, "one-pass": parseDesignSeq} {
+		if _, err := parse(design); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s error %v, want %q", name, err, want)
+		}
+	}
+}

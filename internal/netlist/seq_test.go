@@ -116,7 +116,7 @@ func validateSeq(d *Design) error {
 		if d.Net(s.ToNet) == nil {
 			return fmt.Errorf("netlist: stage %d references unknown net %q", i+1, s.ToNet)
 		}
-		if !hasOutput(from.Tree, s.FromOutput) {
+		if _, ok := from.Tree.LookupOutput(s.FromOutput); !ok {
 			return fmt.Errorf("netlist: stage %d: %q is not a designated output of net %q", i+1, s.FromOutput, s.FromNet)
 		}
 	}
@@ -125,7 +125,7 @@ func validateSeq(d *Design) error {
 		if net == nil {
 			return fmt.Errorf("netlist: require %d references unknown net %q", i+1, r.Net)
 		}
-		if !hasOutput(net.Tree, r.Output) {
+		if _, ok := net.Tree.LookupOutput(r.Output); !ok {
 			return fmt.Errorf("netlist: require %d: %q is not a designated output of net %q", i+1, r.Output, r.Net)
 		}
 	}

@@ -3,6 +3,7 @@ package rctree
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -48,55 +49,85 @@ func randomArenaTree(t *testing.T, rng *rand.Rand, nodes int) *Tree {
 	return tree
 }
 
-// TestArenaTimesMatchTree pins the arena pass to the pointer-tree pass: the
-// two implementations walk nodes in the same order, so the sums must agree
-// exactly, for every output of many random trees.
+// copyColumns deep-copies c, so a tree built from the copy derives
+// everything it holds itself.
+func copyColumns(c Columns) Columns {
+	return Columns{
+		Parent:  append([]int32(nil), c.Parent...),
+		Kind:    append([]uint8(nil), c.Kind...),
+		EdgeR:   append([]float64(nil), c.EdgeR...),
+		EdgeC:   append([]float64(nil), c.EdgeC...),
+		NodeC:   append([]float64(nil), c.NodeC...),
+		Names:   append([]string(nil), c.Names...),
+		Outputs: append([]NodeID(nil), c.Outputs...),
+	}
+}
+
+// TestArenaTimesMatchTree pins the tree's characteristic times, TimesFlat
+// over the tree's own columns, to the fused all-outputs sweep over the same
+// columns: the sums must agree exactly, for every output of many random
+// trees, and stay within rounding of the O(n·depth) reference.
 func TestArenaTimesMatchTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s Scratch
 	for trial := 0; trial < 200; trial++ {
 		tree := randomArenaTree(t, rng, 2+rng.Intn(40))
-		a := NewArena(tree)
-		if a.Len() != tree.NumNodes() {
-			t.Fatalf("arena len %d != tree %d", a.Len(), tree.NumNodes())
+		c := tree.Columns()
+		if len(c.Parent) != tree.NumNodes() {
+			t.Fatalf("columns hold %d nodes, tree %d", len(c.Parent), tree.NumNodes())
 		}
-		for _, e := range tree.Outputs() {
-			want, err := tree.CharacteristicTimes(e)
+		outs := make([]int32, len(c.Outputs))
+		for j, e := range c.Outputs {
+			outs[j] = int32(e)
+		}
+		fused := make([]Times, len(outs))
+		if _, err := TimesFlatAll(c.Parent, c.Kind, c.EdgeR, c.EdgeC, c.NodeC, outs, fused, &s); err != nil {
+			t.Fatal(err)
+		}
+		for j, e := range tree.Outputs() {
+			got, err := tree.CharacteristicTimes(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := a.TimesInto(int32(e), &s)
+			if got != fused[j] {
+				t.Fatalf("trial %d output %d: tree %+v != fused %+v", trial, e, got, fused[j])
+			}
+			ref, err := tree.CharacteristicTimesRef(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("trial %d output %d: arena %+v != tree %+v", trial, e, got, want)
+			if !almostEq(got.TP, ref.TP, 1e-12) || !almostEq(got.TD, ref.TD, 1e-12) || !almostEq(got.TR, ref.TR, 1e-12) {
+				t.Fatalf("trial %d output %d: tree %+v vs reference %+v", trial, e, got, ref)
 			}
 		}
 	}
 }
 
-// TestArenaRoundTrip checks build → materialize → rebuild is idempotent and
-// lossless: the materialized tree reproduces names, structure, outputs and
-// characteristic times, and its arena deep-equals the original.
+// TestArenaRoundTrip checks tree → columns → tree is lossless: FromColumns
+// on a deep copy of a tree's columns reproduces names, structure, CSR
+// children, outputs and rendering, and its columns deep-equal the original.
 func TestArenaRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		tree := randomArenaTree(t, rng, 2+rng.Intn(30))
-		a := NewArena(tree)
-		back, err := a.Materialize()
+		back, err := FromColumns(copyColumns(tree.Columns()))
 		if err != nil {
-			t.Fatalf("trial %d: materialize: %v", trial, err)
+			t.Fatalf("trial %d: from columns: %v", trial, err)
+		}
+		if !reflect.DeepEqual(back.Columns(), tree.Columns()) {
+			t.Fatalf("trial %d: columns round trip not lossless", trial)
 		}
 		if back.String() != tree.String() {
-			t.Fatalf("trial %d: materialized tree differs:\n%s\nvs\n%s", trial, back.String(), tree.String())
+			t.Fatalf("trial %d: rebuilt tree differs:\n%s\nvs\n%s", trial, back.String(), tree.String())
 		}
-		if !reflect.DeepEqual(back.Outputs(), tree.Outputs()) {
-			t.Fatalf("trial %d: outputs %v -> %v", trial, tree.Outputs(), back.Outputs())
-		}
-		a2 := NewArena(back)
-		if !reflect.DeepEqual(a, a2) {
-			t.Fatalf("trial %d: arena round trip not idempotent", trial)
+		for i := range tree.NumNodes() {
+			id := NodeID(i)
+			if !reflect.DeepEqual(back.Children(id), tree.Children(id)) {
+				t.Fatalf("trial %d node %d: children %v -> %v", trial, i, tree.Children(id), back.Children(id))
+			}
+			if got, ok := back.Lookup(tree.Name(id)); !ok || got != id {
+				t.Fatalf("trial %d: Lookup(%q) = %d, %v", trial, tree.Name(id), got, ok)
+			}
 		}
 	}
 }
@@ -111,38 +142,61 @@ func TestArenaLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewArena(tree)
-	id, ok := a.Lookup("far")
-	if !ok || a.Names[id] != "far" {
+	back, err := FromColumns(copyColumns(tree.Columns()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ok := back.Lookup("far")
+	if !ok || back.Columns().Names[id] != "far" {
 		t.Fatalf("Lookup(far) = %d, %v", id, ok)
 	}
-	if _, ok := a.Lookup("ghost"); ok {
+	if _, ok := back.Lookup("ghost"); ok {
 		t.Error("Lookup(ghost) succeeded")
+	}
+	if id, ok := back.LookupOutput("mid"); !ok || id != n1 {
+		t.Errorf("LookupOutput(mid) = %d, %v; want %d, true", id, ok, n1)
+	}
+	for _, name := range []string{"far", "in", "ghost"} {
+		if _, ok := back.LookupOutput(name); ok {
+			t.Errorf("LookupOutput(%q) found a node that is not a designated output", name)
+		}
 	}
 }
 
+// TestArenaErrors pins what FromColumns refuses and the kernel's range
+// checks.
 func TestArenaErrors(t *testing.T) {
-	if _, err := (&Arena{}).Materialize(); err == nil {
-		t.Error("empty arena materialized")
-	}
 	b := NewBuilder("in")
 	b.Capacitor(b.Resistor(Root, "o", 1), 1)
 	tree, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewArena(tree)
+	c := tree.Columns()
 	var s Scratch
-	if _, err := a.TimesInto(-1, &s); err == nil {
+	if _, err := TimesFlat(c.Parent, c.Kind, c.EdgeR, c.EdgeC, c.NodeC, -1, &s); err == nil {
 		t.Error("negative output accepted")
 	}
-	if _, err := a.TimesInto(int32(a.Len()), &s); err == nil {
+	if _, err := TimesFlat(c.Parent, c.Kind, c.EdgeR, c.EdgeC, c.NodeC, len(c.Parent), &s); err == nil {
 		t.Error("out-of-range output accepted")
 	}
-	dup := NewArena(tree)
-	dup.Names[1] = dup.Names[0]
-	if _, err := dup.Materialize(); err == nil {
-		t.Error("duplicate names materialized")
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Columns)
+	}{
+		{"empty", "empty tree", func(c *Columns) { *c = Columns{} }},
+		{"unequal lengths", "unequal lengths", func(c *Columns) { c.NodeC = c.NodeC[:1] }},
+		{"duplicate names", "duplicate node name", func(c *Columns) { c.Names[1] = c.Names[0] }},
+		{"forward parent", "invalid parent", func(c *Columns) { c.Parent[1] = 1 }},
+		{"rootless", "must be the input", func(c *Columns) { c.Parent[0] = 0 }},
+		{"no capacitance", "no capacitance", func(c *Columns) { c.NodeC[1] = 0 }},
+		{"output out of range", "out of range", func(c *Columns) { c.Outputs = []NodeID{2} }},
+	} {
+		bad := copyColumns(c)
+		tc.edit(&bad)
+		if _, err := FromColumns(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FromColumns error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -156,23 +210,64 @@ func TestTimesFlatZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
 	tree := randomArenaTree(t, rand.New(rand.NewSource(3)), 100)
-	a := NewArena(tree)
+	c := tree.Columns()
 	var s Scratch
-	e := a.Outputs[0]
-	all := make([]int32, a.Len())
+	e := c.Outputs[0]
+	all := make([]int32, len(c.Parent))
 	for i := range all {
 		all[i] = int32(i)
 	}
 	run := func() {
-		if _, err := a.TimesInto(e, &s); err != nil {
+		if _, err := tree.CharacteristicTimesInto(e, &s); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := TimesFlatAll(a.Parent, a.Kind, a.EdgeR, a.EdgeC, a.NodeC, all, s.Times(len(all)), &s); err != nil {
+		if _, err := TimesFlatAll(c.Parent, c.Kind, c.EdgeR, c.EdgeC, c.NodeC, all, s.Times(len(all)), &s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run()
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Fatalf("TimesInto + TimesFlatAll allocate %v times per run on the steady state", allocs)
+		t.Fatalf("CharacteristicTimesInto + TimesFlatAll allocate %v times per run on the steady state", allocs)
+	}
+}
+
+// TestChildrenAppendKeepsSiblings: Children returns a capacity-limited
+// window of the shared children column, so appending to one node's
+// children copies and never overwrites the next node's.
+func TestChildrenAppendKeepsSiblings(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 50; trial++ {
+		tree := randomArenaTree(t, rng, 2+rng.Intn(40))
+		want := make([][]NodeID, tree.NumNodes())
+		for i := range want {
+			want[i] = append([]NodeID(nil), tree.Children(NodeID(i))...)
+		}
+		for i := range want {
+			_ = append(tree.Children(NodeID(i)), -7, -8)
+		}
+		for i := range want {
+			if got := tree.Children(NodeID(i)); !reflect.DeepEqual(got, want[i]) && len(got)+len(want[i]) > 0 {
+				t.Fatalf("trial %d: node %d children %v, want %v after appends to others", trial, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestBuildChildrenMatchParents: the CSR children Build derives list, for
+// every node, exactly the nodes whose parent it is, in ascending id order.
+func TestBuildChildrenMatchParents(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		tree := randomArenaTree(t, rng, 1+rng.Intn(60))
+		want := make([][]NodeID, tree.NumNodes())
+		for i := 1; i < tree.NumNodes(); i++ {
+			p := tree.Parent(NodeID(i))
+			want[p] = append(want[p], NodeID(i))
+		}
+		for i := range want {
+			if got := tree.Children(NodeID(i)); len(got)+len(want[i]) > 0 && !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("trial %d: node %d children %v, want %v", trial, i, got, want[i])
+			}
+		}
 	}
 }

@@ -1,79 +1,18 @@
 package rctree
 
-import (
-	"fmt"
-	"testing"
-)
-
-// TimesFlatOracle is the per-output flat pass TimesFlatAll replaced, kept as
-// the test oracle: one full sweep per output, re-deriving Rkk and TP every
-// time. TimesFlatAll must reproduce it bit for bit, error for error.
-func TimesFlatOracle(parent []int32, kind []uint8, edgeR, edgeC, nodeC []float64, e int, s *Scratch) (Times, error) {
-	n := len(parent)
-	if e < 0 || e >= n {
-		return Times{}, fmt.Errorf("rctree: output id %d out of range", e)
-	}
-	s.grow(n)
-	onPath := s.onPath
-	for x := e; ; x = int(parent[x]) {
-		onPath[x] = true
-		if x == 0 {
-			break
-		}
-	}
-	var tp, td, trNum float64 // trNum = Σ Rke²·Ck
-	rkk := s.rkk
-	rke := s.rke
-	for i := 1; i < n; i++ {
-		r0 := rkk[parent[i]]
-		rkk[i] = r0 + edgeR[i]
-		common0 := rke[parent[i]]
-		if onPath[i] {
-			rke[i] = rkk[i] // still on the input→e path: common path grows
-		} else {
-			rke[i] = common0 // frozen at the branch point
-		}
-		// Lumped capacitance at node i.
-		tp += nodeC[i] * rkk[i]
-		td += nodeC[i] * rke[i]
-		trNum += nodeC[i] * rke[i] * rke[i]
-		// Distributed line along the edge into node i.
-		if EdgeKind(kind[i]) == EdgeLine {
-			r, c := edgeR[i], edgeC[i]
-			tp += c * (r0 + r/2)
-			if onPath[i] {
-				td += c * (common0 + r/2)
-				trNum += c * (common0*common0 + common0*r + r*r/3)
-			} else {
-				td += c * common0
-				trNum += c * common0 * common0
-			}
-		}
-	}
-	ree := rkk[e]
-	tm := Times{TP: tp, TD: td, Ree: ree}
-	if ree > 0 {
-		tm.TR = trNum / ree
-	} else if trNum != 0 {
-		return Times{}, fmt.Errorf("rctree: output %d has Ree=0 but nonzero TR numerator", e)
-	}
-	if err := tm.Validate(); err != nil {
-		return Times{}, err
-	}
-	return tm, nil
-}
+import "testing"
 
 // CheckTimesFlatAll runs TimesFlatAll over outs and fails t unless it agrees
-// with one TimesFlatOracle call per output: identical Times (== on every
-// field) up to the first output the oracle rejects, then that output's index
-// and error message.
+// with one call per output of the per-output kernel TimesFlat, the oracle:
+// identical Times (== on every field) up to the first output the oracle
+// rejects, then that output's index and error message.
 func CheckTimesFlatAll(t testing.TB, parent []int32, kind []uint8, edgeR, edgeC, nodeC []float64, outs []int32, s *Scratch) {
 	t.Helper()
 	dst := make([]Times, len(outs))
 	done, err := TimesFlatAll(parent, kind, edgeR, edgeC, nodeC, outs, dst, s)
 	var os Scratch
 	for j, e := range outs {
-		want, werr := TimesFlatOracle(parent, kind, edgeR, edgeC, nodeC, int(e), &os)
+		want, werr := TimesFlat(parent, kind, edgeR, edgeC, nodeC, int(e), &os)
 		if werr != nil {
 			if done != j || err == nil || err.Error() != werr.Error() {
 				t.Fatalf("output %d (node %d): TimesFlatAll stopped at %d with %v, oracle fails with %v", j, e, done, err, werr)

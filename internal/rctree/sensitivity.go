@@ -33,12 +33,12 @@ type Sensitivity struct {
 // Sensitivities computes the exact gradients of TP and TDe at output e in
 // O(n).
 func (t *Tree) Sensitivities(e NodeID) (*Sensitivity, error) {
-	if int(e) < 0 || int(e) >= len(t.nodes) {
+	if int(e) < 0 || int(e) >= len(t.parent) {
 		return nil, fmt.Errorf("rctree: output id %d out of range", e)
 	}
-	n := len(t.nodes)
+	n := len(t.parent)
 	onPath := make([]bool, n)
-	for x := e; ; x = t.nodes[x].parent {
+	for x := e; ; x = NodeID(t.parent[x]) {
 		onPath[x] = true
 		if x == Root {
 			break
@@ -47,12 +47,11 @@ func (t *Tree) Sensitivities(e NodeID) (*Sensitivity, error) {
 	rkk := make([]float64, n)
 	rke := make([]float64, n)
 	for i := 1; i < n; i++ {
-		nd := &t.nodes[i]
-		rkk[i] = rkk[nd.parent] + nd.edgeR
+		rkk[i] = rkk[t.parent[i]] + t.edgeR[i]
 		if onPath[i] {
 			rke[i] = rkk[i]
 		} else {
-			rke[i] = rke[nd.parent]
+			rke[i] = rke[t.parent[i]]
 		}
 	}
 	// Capacitance at or below each node, including line capacitance (which
@@ -60,8 +59,8 @@ func (t *Tree) Sensitivities(e NodeID) (*Sensitivity, error) {
 	// accounts for the half-R offset).
 	below := make([]float64, n)
 	for i := n - 1; i >= 1; i-- {
-		below[i] += t.nodes[i].nodeC + t.nodes[i].edgeC
-		below[t.nodes[i].parent] += below[i]
+		below[i] += t.nodeC[i] + t.edgeC[i]
+		below[t.parent[i]] += below[i]
 	}
 
 	s := &Sensitivity{
@@ -72,27 +71,27 @@ func (t *Tree) Sensitivities(e NodeID) (*Sensitivity, error) {
 		DTPdR:  make([]float64, n),
 	}
 	for i := 1; i < n; i++ {
-		nd := &t.nodes[i]
+		p, isLine := t.parent[i], EdgeKind(t.kind[i]) == EdgeLine
 		// Capacitance derivatives are the resistances themselves.
 		s.DTPdC[i] = rkk[i]
 		s.DTDdC[i] = rke[i]
-		if nd.kind == EdgeLine {
+		if isLine {
 			// A line's capacitance is spread along the edge: the derivative
 			// w.r.t. its total C is the average of its per-point values.
-			r0 := rkk[nd.parent]
-			s.DTPdC[i] = r0 + nd.edgeR/2
+			r0 := rkk[p]
+			s.DTPdC[i] = r0 + t.edgeR[i]/2
 			if onPath[i] {
-				s.DTDdC[i] = r0 + nd.edgeR/2
+				s.DTDdC[i] = r0 + t.edgeR[i]/2
 			} else {
-				s.DTDdC[i] = rke[nd.parent]
+				s.DTDdC[i] = rke[p]
 			}
 		}
 		// Resistance derivatives: growing R into node i raises Rkk of all
 		// capacitance at or below i.
 		s.DTPdR[i] = below[i]
-		if nd.kind == EdgeLine {
+		if isLine {
 			// The line's own capacitance sees on average half the growth.
-			s.DTPdR[i] = below[i] - nd.edgeC/2
+			s.DTPdR[i] = below[i] - t.edgeC[i]/2
 		}
 		if onPath[i] {
 			s.DTDdR[i] = s.DTPdR[i] // the common path grows identically

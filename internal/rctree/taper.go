@@ -22,7 +22,7 @@ func (b *Builder) TaperedLine(parent NodeID, name string, length float64, segmen
 		return b.errf("rctree: tapered line %q needs positive length, segments >= 1 and a profile", name)
 	}
 	if name == "" {
-		name = fmt.Sprintf("taper%d", len(b.nodes))
+		name = fmt.Sprintf("taper%d", len(b.c.Parent))
 	}
 	cur := parent
 	h := length / float64(segments)

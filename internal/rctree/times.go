@@ -45,22 +45,21 @@ func (tm Times) Validate() error {
 // resistance R and capacitance C entered at upstream path resistance r0
 // contributes C·(r0 + R/2).
 func (t *Tree) TPTotal() float64 {
-	rkk := make([]float64, len(t.nodes))
+	rkk := make([]float64, len(t.parent))
 	var tp float64
-	for i := 1; i < len(t.nodes); i++ {
-		n := &t.nodes[i]
-		r0 := rkk[n.parent]
-		rkk[i] = r0 + n.edgeR
-		tp += n.nodeC * rkk[i]
-		if n.kind == EdgeLine {
-			tp += n.edgeC * (r0 + n.edgeR/2)
+	for i := 1; i < len(t.parent); i++ {
+		r0 := rkk[t.parent[i]]
+		rkk[i] = r0 + t.edgeR[i]
+		tp += t.nodeC[i] * rkk[i]
+		if EdgeKind(t.kind[i]) == EdgeLine {
+			tp += t.edgeC[i] * (r0 + t.edgeR[i]/2)
 		}
 	}
 	return tp
 }
 
-// Scratch holds the per-pass working arrays of CharacteristicTimesInto so a
-// caller analyzing many trees (or many outputs) can reuse the allocations.
+// Scratch holds the per-pass working arrays of TimesFlat and TimesFlatAll so
+// a caller analyzing many trees (or many outputs) can reuse the allocations.
 // A Scratch must not be shared between goroutines; give each worker its own.
 // The zero value is ready to use.
 type Scratch struct {
@@ -134,74 +133,18 @@ func (s *Scratch) Times(k int) []Times {
 }
 
 // CharacteristicTimes computes TP, TDe, TRe and Ree for output e in a single
-// depth-first pass over the tree (O(n) per output, the complexity the paper's
-// §IV constructive algorithm achieves). It allocates fresh scratch on every
-// call; hot loops should hold a Scratch and call CharacteristicTimesInto.
+// topological sweep over the tree's columns (O(n) per output, the
+// complexity the paper's §IV constructive algorithm achieves). It allocates
+// fresh scratch on every call; hot loops should hold a Scratch and call
+// CharacteristicTimesInto.
 func (t *Tree) CharacteristicTimes(e NodeID) (Times, error) {
 	return t.CharacteristicTimesInto(e, &Scratch{})
 }
 
-// CharacteristicTimesInto is CharacteristicTimes with caller-owned scratch.
-//
-// The pass maintains, for each node k, the common path resistance Rke: while
-// descending along the input→e path it grows with each element; the moment
-// the walk leaves that path it freezes at the branch point's value.
+// CharacteristicTimesInto is CharacteristicTimes with caller-owned scratch:
+// TimesFlat over the tree's own columns, the one per-output kernel.
 func (t *Tree) CharacteristicTimesInto(e NodeID, s *Scratch) (Times, error) {
-	if int(e) < 0 || int(e) >= len(t.nodes) {
-		return Times{}, fmt.Errorf("rctree: output id %d out of range", e)
-	}
-	s.grow(len(t.nodes))
-	onPath := s.onPath
-	for x := e; ; x = t.nodes[x].parent {
-		onPath[x] = true
-		if x == Root {
-			break
-		}
-	}
-	var tp, td, trNum float64 // trNum = Σ Rke²·Ck
-	rkk := s.rkk
-	rke := s.rke
-	for i := 1; i < len(t.nodes); i++ {
-		n := &t.nodes[i]
-		r0 := rkk[n.parent]
-		rkk[i] = r0 + n.edgeR
-		common0 := rke[n.parent]
-		if onPath[i] {
-			rke[i] = rkk[i] // still on the input→e path: common path grows
-		} else {
-			rke[i] = common0 // frozen at the branch point
-		}
-		// Lumped capacitance at node i.
-		tp += n.nodeC * rkk[i]
-		td += n.nodeC * rke[i]
-		trNum += n.nodeC * rke[i] * rke[i]
-		// Distributed line along the edge into node i.
-		if n.kind == EdgeLine {
-			r, c := n.edgeR, n.edgeC
-			tp += c * (r0 + r/2)
-			if onPath[i] {
-				// Points x∈[0,1] have Rke = common0 + r·x (and here
-				// common0 == r0 because the whole prefix is on the path).
-				td += c * (common0 + r/2)
-				trNum += c * (common0*common0 + common0*r + r*r/3)
-			} else {
-				// The entire line shares the frozen common resistance.
-				td += c * common0
-				trNum += c * common0 * common0
-			}
-		}
-	}
-	ree := rkk[e]
-	tm := Times{TP: tp, TD: td, Ree: ree}
-	if ree > 0 {
-		tm.TR = trNum / ree
-	} else if trNum != 0 {
-		return Times{}, fmt.Errorf("rctree: output %q has Ree=0 but nonzero TR numerator", t.nodes[e].name)
-	}
-	if err := tm.Validate(); err != nil {
-		return Times{}, err
-	}
-	return tm, nil
+	return TimesFlat(t.parent, t.kind, t.edgeR, t.edgeC, t.nodeC, int(e), s)
 }
 
 // CharacteristicTimesRef is a deliberately simple O(n·depth) reference
@@ -209,22 +152,21 @@ func (t *Tree) CharacteristicTimesInto(e NodeID, s *Scratch) (Times, error) {
 // capacitor it finds the common ancestor with the output explicitly and sums
 // the definitions term by term.
 func (t *Tree) CharacteristicTimesRef(e NodeID) (Times, error) {
-	if int(e) < 0 || int(e) >= len(t.nodes) {
+	if int(e) < 0 || int(e) >= len(t.parent) {
 		return Times{}, fmt.Errorf("rctree: output id %d out of range", e)
 	}
 	var tp, td, trNum float64
-	for i := 1; i < len(t.nodes); i++ {
-		n := &t.nodes[i]
+	for i := 1; i < len(t.parent); i++ {
 		rkk := t.PathResistance(NodeID(i))
-		if n.nodeC > 0 {
+		if cn := t.nodeC[i]; cn > 0 {
 			rke := t.commonResistance(NodeID(i), e)
-			tp += n.nodeC * rkk
-			td += n.nodeC * rke
-			trNum += n.nodeC * rke * rke
+			tp += cn * rkk
+			td += cn * rke
+			trNum += cn * rke * rke
 		}
-		if n.kind == EdgeLine && n.edgeC > 0 {
-			r0 := rkk - n.edgeR
-			r, c := n.edgeR, n.edgeC
+		if EdgeKind(t.kind[i]) == EdgeLine && t.edgeC[i] > 0 {
+			r, c := t.edgeR[i], t.edgeC[i]
+			r0 := rkk - r
 			tp += c * (r0 + r/2)
 			if t.IsAncestor(NodeID(i), e) {
 				td += c * (r0 + r/2)
@@ -266,7 +208,7 @@ func (t *Tree) AllCharacteristicTimes() (map[NodeID]Times, error) {
 	for _, e := range t.outputs {
 		tm, err := t.CharacteristicTimesInto(e, &scratch)
 		if err != nil {
-			return nil, fmt.Errorf("rctree: output %q: %w", t.nodes[e].name, err)
+			return nil, fmt.Errorf("rctree: output %q: %w", t.name[e], err)
 		}
 		out[e] = tm
 	}
@@ -278,9 +220,9 @@ func (t *Tree) AllCharacteristicTimes() (map[NodeID]Times, error) {
 // This is the per-node prefix array the incremental engine (internal/incr)
 // seeds its overlay from.
 func (t *Tree) PathResistances() []float64 {
-	rkk := make([]float64, len(t.nodes))
-	for i := 1; i < len(t.nodes); i++ {
-		rkk[i] = rkk[t.nodes[i].parent] + t.nodes[i].edgeR
+	rkk := make([]float64, len(t.parent))
+	for i := 1; i < len(t.parent); i++ {
+		rkk[i] = rkk[t.parent[i]] + t.edgeR[i]
 	}
 	return rkk
 }
@@ -290,13 +232,13 @@ func (t *Tree) PathResistances() []float64 {
 // element, and everything in its descendants — the ΣC subtree aggregate of
 // the incremental engine. Index 0 holds the tree's total capacitance.
 func (t *Tree) SubtreeCaps() []float64 {
-	n := len(t.nodes)
+	n := len(t.parent)
 	sub := make([]float64, n)
 	for i := n - 1; i >= 1; i-- {
-		sub[i] += t.nodes[i].nodeC + t.nodes[i].edgeC
-		sub[t.nodes[i].parent] += sub[i]
+		sub[i] += t.nodeC[i] + t.edgeC[i]
+		sub[t.parent[i]] += sub[i]
 	}
-	sub[0] += t.nodes[0].nodeC
+	sub[0] += t.nodeC[0]
 	return sub
 }
 
@@ -311,14 +253,13 @@ func (t *Tree) SubtreeCaps() []float64 {
 // half its resistance on average), which matches the closed-form integrals in
 // CharacteristicTimes for on-path lines.
 func (t *Tree) ElmoreAll() []float64 {
-	n := len(t.nodes)
+	n := len(t.parent)
 	sub := t.SubtreeCaps()
 	td := make([]float64, n)
 	for i := 1; i < n; i++ {
-		nd := &t.nodes[i]
-		// Resistance nd.edgeR charges everything at or below node i, except
+		// Resistance edgeR[i] charges everything at or below node i, except
 		// that the line's own capacitance charges through half of it.
-		td[i] = td[nd.parent] + nd.edgeR*(sub[i]-nd.edgeC/2)
+		td[i] = td[t.parent[i]] + t.edgeR[i]*(sub[i]-t.edgeC[i]/2)
 	}
 	return td
 }

@@ -2,6 +2,7 @@ package rctree
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -192,6 +193,54 @@ func TestIsAncestorAndCommonAncestor(t *testing.T) {
 	}
 }
 
+// TestCommonAncestorMatchesPathSets checks the two-pointer walk against a
+// path-set oracle (the deepest node of b's root path that lies on a's) for
+// every node pair of random trees.
+func TestCommonAncestorMatchesPathSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 60; trial++ {
+		tr := randomArenaTree(t, rng, 1+rng.Intn(40))
+		for a := range tr.NumNodes() {
+			onA := map[NodeID]bool{}
+			for _, x := range tr.PathTo(NodeID(a)) {
+				onA[x] = true
+			}
+			for b := range tr.NumNodes() {
+				path := tr.PathTo(NodeID(b))
+				want := Root
+				for _, x := range path {
+					if onA[x] {
+						want = x
+					}
+				}
+				if got := tr.CommonAncestor(NodeID(a), NodeID(b)); got != want {
+					t.Fatalf("trial %d: CommonAncestor(%d, %d) = %d, want %d", trial, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestCommonAncestorZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	tr := randomArenaTree(t, rand.New(rand.NewSource(23)), 80)
+	n := NodeID(tr.NumNodes())
+	var sink NodeID
+	allocs := testing.AllocsPerRun(20, func() {
+		for a := NodeID(0); a < n; a += 7 {
+			for b := NodeID(0); b < n; b += 5 {
+				sink += tr.CommonAncestor(a, b)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CommonAncestor allocates %v times per run", allocs)
+	}
+	_ = sink
+}
+
 func TestDepthAndWalkOrder(t *testing.T) {
 	tr, _, _ := fig3Tree(t)
 	if got := tr.Depth(); got != 4 {
@@ -223,8 +272,8 @@ func TestValidateRejectsCorruptTree(t *testing.T) {
 	tr, _, _ := fig3Tree(t)
 	// Corrupt a copy's parent pointer to form a forward reference.
 	bad := *tr
-	bad.nodes = append([]node(nil), tr.nodes...)
-	bad.nodes[1].parent = 3
+	bad.parent = append([]int32(nil), tr.parent...)
+	bad.parent[1] = 3
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted corrupt parent ordering")
 	}

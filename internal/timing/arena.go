@@ -90,17 +90,13 @@ func newDesignArena(g *Graph) *designArena {
 	a.edgeC = make([]float64, total)
 	a.nodeC = make([]float64, total)
 	for i := range g.nodes {
-		t := g.nodes[i].tree
+		c := g.nodes[i].tree.Columns()
 		base := int(a.nodeOff[i])
-		for j := 0; j < t.NumNodes(); j++ {
-			id := rctree.NodeID(j)
-			kind, r, c := t.Edge(id)
-			a.parent[base+j] = int32(t.Parent(id))
-			a.kind[base+j] = uint8(kind)
-			a.edgeR[base+j] = r
-			a.edgeC[base+j] = c
-			a.nodeC[base+j] = t.NodeCap(id)
-		}
+		copy(a.parent[base:], c.Parent)
+		copy(a.kind[base:], c.Kind)
+		copy(a.edgeR[base:], c.EdgeR)
+		copy(a.edgeC[base:], c.EdgeC)
+		copy(a.nodeC[base:], c.NodeC)
 	}
 	// Output slots, in designation order, plus a per-net name→slot index for
 	// fanin resolution.

@@ -144,7 +144,7 @@ func NewGraph(d *netlist.Design) (*Graph, error) {
 		// ParseDesign validates this too, but designs assembled in code reach
 		// here directly, and a dangling output name would otherwise read as a
 		// silent {0,0} arrival — an unsound report rather than an error.
-		if !isDesignatedOutput(g.nodes[from].tree, s.FromOutput) {
+		if _, ok := g.nodes[from].tree.LookupOutput(s.FromOutput); !ok {
 			return nil, fmt.Errorf("timing: stage taps %q, which is not a designated output of net %q", s.FromOutput, s.FromNet)
 		}
 		g.nodes[to].fanin = append(g.nodes[to].fanin, faninEdge{driver: from, output: s.FromOutput, delay: s.Delay})
@@ -221,19 +221,6 @@ func (g *Graph) endpointRequired(i int, name string, defRequired float64) (req f
 		return defRequired, true
 	}
 	return math.Inf(1), true
-}
-
-func isDesignatedOutput(t *rctree.Tree, name string) bool {
-	id, ok := t.Lookup(name)
-	if !ok {
-		return false
-	}
-	for _, o := range t.Outputs() {
-		if o == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Nets reports the number of nets in the graph.
