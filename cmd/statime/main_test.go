@@ -270,6 +270,21 @@ func TestCornersRejectNonFiniteSigma(t *testing.T) {
 	}
 }
 
+// TestCloseRejectsNaNMaxCost: -close -maxcost NaN exits 1 with an error
+// naming the field, where it used to run with no ceiling at all.
+func TestCloseRejectsNaNMaxCost(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainProcess$", "--",
+		"-close", "-maxcost", "NaN", "-threshold", "0.7", filepath.Join("testdata", "fail.ckt"))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit %v, want status 1\n%s", err, out)
+	}
+	if want := "MaxCost is NaN"; !strings.Contains(string(out), want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}
+
 // TestMainProcess is statime's main for the exit-status tests: given
 // arguments after "--" it runs main on them and exits; without any it does
 // nothing.

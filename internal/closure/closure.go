@@ -3,6 +3,7 @@ package closure
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -38,7 +39,8 @@ type Options struct {
 	Timing timing.Options
 	// MaxMoves caps accepted moves (0 means 32; negative means unlimited).
 	MaxMoves int
-	// MaxCost caps the cumulative cost of accepted moves (<= 0: unlimited).
+	// MaxCost caps the cumulative cost of accepted moves (<= 0 or +Inf:
+	// unlimited; NaN is refused).
 	MaxCost float64
 	// TopEndpoints is how many failing endpoints are mined for candidates
 	// per iteration (0 means 4).
@@ -104,6 +106,15 @@ type ProgressEvent struct {
 	// Candidates and Trials are the iteration's generation/evaluation sizes.
 	Candidates int `json:"candidates"`
 	Trials     int `json:"trials"`
+}
+
+// validate refuses what resolve cannot default: a NaN MaxCost, against
+// which every cost check is false, so the run would have no ceiling.
+func (o Options) validate() error {
+	if math.IsNaN(o.MaxCost) {
+		return errors.New("closure: MaxCost is NaN (use 0, a negative value or +Inf for no ceiling)")
+	}
+	return nil
 }
 
 func (o Options) resolve() Options {
@@ -214,6 +225,9 @@ type Report struct {
 // "cancelled") is the only record of what they were, so callers should
 // surface it rather than discard it.
 func Close(ctx context.Context, sess *timing.Session, o Options) (*Report, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	e := &engine{sess: sess, opt: o.resolve(), mount: scaledCorner}
 	return e.run(ctx)
 }
@@ -475,39 +489,39 @@ type trial struct {
 	err    error
 }
 
-// evaluate runs every candidate as an independent what-if trial on its own
-// session fork — plus a fork of each swept corner's view, applying the same
-// edit list. Forks are taken sequentially (Fork mutates the parent's
-// copy-on-write bookkeeping); the Applies fan across the worker pool. The
-// result slice is indexed like cands, so scheduling cannot reorder anything.
-// Each trial attaches a closure_trial span under ctx's closure_run span —
-// safe from the pool workers, the per-trace collector is mutex-protected.
+// evaluate runs every candidate as an independent what-if trial: its edits
+// are applied to a fork of the session — and to a fork of each swept
+// corner's view — and the forks are Reverted afterwards. Each pool worker
+// owns one set of forks for the round, taken sequentially before the pool
+// starts (Fork mutates the parent's copy-on-write bookkeeping); a Revert
+// leaves a fork as a fresh Fork would be, so a trial's outcome does not
+// depend on which worker ran it or what that worker ran before. The result
+// slice is indexed like cands, so scheduling cannot reorder anything. Each
+// trial attaches a closure_trial span under ctx's closure_run span — safe
+// from the pool workers, the per-trace collector is mutex-protected.
 func (e *engine) evaluate(ctx context.Context, cands []Move) []trial {
-	forks := make([]*timing.Session, len(cands))
-	cforks := make([][]*timing.Session, len(cands))
-	for i := range cands {
-		forks[i] = e.sess.Fork()
-		if len(e.corners) > 0 {
-			cforks[i] = make([]*timing.Session, len(e.corners))
-			for j, cs := range e.corners {
-				cforks[i][j] = cs.sess.Fork()
-			}
+	// forks[w] is worker w's: a fork of the session, then one of each
+	// swept corner's view, in engine.corners order.
+	forks := make([][]*timing.Session, min(e.opt.Concurrency, len(cands)))
+	for w := range forks {
+		forks[w] = append(forks[w], e.sess.Fork())
+		for _, cs := range e.corners {
+			forks[w] = append(forks[w], cs.sess.Fork())
 		}
 	}
 	results := make([]trial, len(cands))
 	e.rep.Trials += len(cands)
-	nForks := len(cands) * (1 + len(e.corners))
-	e.opt.Obs.Counter("closure_forks_total").Add(int64(nForks))
+	e.opt.Obs.Counter("closure_forks_total").Add(int64(len(forks) * (1 + len(e.corners))))
 	e.opt.Obs.Counter("closure_trials_total").Add(int64(len(cands)))
-	runTrial := func(i int) {
+	runTrial := func(f []*timing.Session, i int) {
 		tctx, top := trace.StartOp(ctx, e.opt.Obs, "closure_trial", "kind", cands[i].Kind)
 		top.Span().SetAttr("net", cands[i].Net)
-		res, err := forks[i].ApplyCtx(tctx, cands[i].Edits)
+		res, err := f[0].ApplyCtx(tctx, cands[i].Edits)
 		tr := trial{res: res, err: err}
 		if err == nil && len(e.corners) > 0 {
 			tr.corner = make([]timing.ApplyResult, len(e.corners))
 			for j, cs := range e.corners {
-				cres, cerr := cforks[i][j].ApplyCtx(tctx, cs.edits(cands[i].Edits))
+				cres, cerr := f[1+j].ApplyCtx(tctx, cs.edits(cands[i].Edits))
 				if cerr != nil {
 					tr.err = cerr
 					break
@@ -522,21 +536,28 @@ func (e *engine) evaluate(ctx context.Context, cands []Move) []trial {
 		}
 		top.End()
 		results[i] = tr
+		// A Revert fails only if a fork's parent changed, and no session or
+		// view changes while a round's trials run: that would be a bug here.
+		for _, fk := range f {
+			if err := fk.Revert(); err != nil {
+				panic(fmt.Sprintf("closure: trial fork: %v", err))
+			}
+		}
 	}
-	if e.opt.Concurrency <= 1 || len(cands) == 1 {
+	if len(forks) == 1 {
 		for i := range cands {
-			runTrial(i)
+			runTrial(forks[0], i)
 		}
 		return results
 	}
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < e.opt.Concurrency; w++ {
+	for w := range forks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				runTrial(i)
+				runTrial(forks[w], i)
 			}
 		}()
 	}
@@ -744,7 +765,8 @@ func (e *engine) pruneStub(net string) (Move, bool) {
 	}
 	// needed: every node on the root path of a designated output or a
 	// protected name. Anything outside that set is parasitic.
-	needed := map[incr.NodeID]bool{incr.Root: true}
+	needed := make([]bool, et.Slots())
+	needed[incr.Root] = true
 	mark := func(id incr.NodeID) {
 		for v := id; ; v = et.Parent(v) {
 			if needed[v] {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/mcd"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/randnet"
 	"repro/internal/timing"
 )
@@ -723,5 +724,97 @@ func TestGenerateFromWorstEndpointsMatchesFullTable(t *testing.T) {
 			}
 			cost = rep.Moves[j].CumCost
 		}
+	}
+}
+
+// TestClosureMaxCost: a NaN MaxCost is an options error naming the field,
+// from Close and CloseDesign alike; every cost check against NaN is false,
+// so the run would otherwise have no ceiling. +Inf, 0 and negative values
+// mean "no ceiling" and accept what the default options accept.
+func TestClosureMaxCost(t *testing.T) {
+	d := parseChip(t)
+	topt := timing.Options{Threshold: 0.7, Sequential: true}
+	ref, err := CloseDesign(context.Background(), d, Options{Timing: topt, Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		maxCost float64
+		wantErr string
+	}{
+		{"NaN", math.NaN(), "closure: MaxCost is NaN"},
+		{"+Inf", math.Inf(1), ""},
+		{"zero", 0, ""},
+		{"negative", -5, ""},
+		{"-Inf", math.Inf(-1), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := Options{Timing: topt, Concurrency: 1, MaxCost: tc.maxCost}
+			sess, err := timing.NewSession(context.Background(), d, topt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaClose, closeErr := Close(context.Background(), sess, o)
+			rep, err := CloseDesign(context.Background(), d, o)
+			if tc.wantErr != "" {
+				for _, err := range []error{closeErr, err} {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("error = %v, want %q", err, tc.wantErr)
+					}
+				}
+				return
+			}
+			if closeErr != nil || err != nil {
+				t.Fatalf("errors %v, %v", closeErr, err)
+			}
+			for _, got := range []*Report{viaClose, rep} {
+				if g, w := timing.FormatEdits(got.Edits), timing.FormatEdits(ref.Edits); g != w || got.Reason != ref.Reason {
+					t.Fatalf("reason %q edits\n%s\nwant %q\n%s", got.Reason, g, ref.Reason, w)
+				}
+			}
+		})
+	}
+}
+
+// TestClosureCountsForksTaken: closure_forks_total counts the forks a run
+// takes — each round, one fork of the session per trial worker, and as many
+// of each swept corner's view — and closure_trials_total the trials. The
+// runs spend their whole move budget, so every round is an accepted move's.
+func TestClosureCountsForksTaken(t *testing.T) {
+	d, required := failingRandomDesign(t, 3)
+	topt := timing.Options{Threshold: 0.7, Required: required, Sequential: true}
+	for _, tc := range []struct {
+		name        string
+		concurrency int
+		corners     []mcd.Corner
+	}{
+		{"sequential", 1, nil},
+		{"concurrent", 3, nil},
+		{"corners", 2, mcd.DefaultCorners()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			rep, err := CloseDesign(context.Background(), d, Options{
+				Timing: topt, MaxMoves: 3, Concurrency: tc.concurrency, Corners: tc.corners, Obs: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Reason != "move budget exhausted" {
+				t.Fatalf("reason %q: the test needs a run that spends its budget", rep.Reason)
+			}
+			var forks, trials int64
+			for _, m := range rep.Moves {
+				forks += int64(min(tc.concurrency, m.Candidates) * (1 + len(rep.Corners)))
+				trials += int64(m.Candidates)
+			}
+			if got := reg.Counter("closure_forks_total").Value(); got != forks {
+				t.Errorf("closure_forks_total = %d, want %d", got, forks)
+			}
+			if got := reg.Counter("closure_trials_total").Value(); got != trials || got != int64(rep.Trials) {
+				t.Errorf("closure_trials_total = %d, want %d (report: %d)", got, trials, rep.Trials)
+			}
+		})
 	}
 }

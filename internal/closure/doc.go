@@ -19,9 +19,13 @@
 //
 // Trials are independent, so they evaluate concurrently across a worker
 // pool by default; Options.Concurrency 1 evaluates them one at a time.
-// Either way the accepted move sequence is identical: every trial computes
-// the same numbers regardless of scheduling, and the argmax tie-breaks on
-// candidate index. BenchmarkClosure measures the concurrency win.
+// Each worker takes one fork per round (Fork is O(nets)) and, after each
+// trial, Session.Revert puts it back to the live session's state in
+// O(nets the trial touched), leaving it as a fresh fork would be. Either
+// way the accepted move sequence is identical: every trial computes the
+// same numbers regardless of scheduling or of the trials its fork ran
+// before, and the argmax tie-breaks on candidate index. BenchmarkClosure
+// measures the concurrency win.
 //
 // # Corners
 //
@@ -30,8 +34,10 @@
 // its delay bounds are degree-1 homogeneous in them, so scaling every R by
 // r and every C by c scales each net delay by exactly r·c: a view needs no
 // scaled netlist and no tree sweep of its own, and it takes every trial's
-// and accepted move's edits as they are. A trial forks each view alongside
-// the typical session; a move that regresses any corner's WNS is vetoed.
+// and accepted move's edits as they are. Each trial worker also forks each
+// view once per round, and a trial applies and reverts the view forks
+// alongside the typical one; a move that regresses any corner's WNS is
+// vetoed.
 //
 // # Move generators
 //

@@ -40,17 +40,21 @@ type cachedTimes struct {
 //
 // EditTree is not safe for concurrent use.
 type EditTree struct {
-	nodes   []enode
+	nodes []enode
+	// byName is the overlay's private name map, nil until the first Grow,
+	// Graft or Prune; until then Lookup reads src's immutable index, which
+	// names exactly the overlay's nodes, so New and Clone copy no map.
 	byName  map[string]NodeID
+	src     *rctree.Tree
 	outputs []NodeID
 	s0      []float64 // subtree capacitance (incl. own line C)
 	s1      []float64 // subtree Σ C·(Rkk − P(v)); s1[Root] == TP
 	gen     uint64    // bumped on every mutation; stamps the query cache
 	alive   int
-	edits   int     // edits since the last full aggregate pass
-	maxMag  float64 // largest aggregate delta magnitude since that pass
-	cache   map[NodeID]cachedTimes
-	path    []NodeID // scratch for root-path walks
+	edits   int                    // edits since the last full aggregate pass
+	maxMag  float64                // largest aggregate delta magnitude since that pass
+	cache   map[NodeID]cachedTimes // allocated by the first Times
+	path    []NodeID               // scratch for root-path walks
 }
 
 // New builds an overlay on t. The tree is copied (t stays immutable and may
@@ -60,12 +64,11 @@ func New(t *rctree.Tree) *EditTree {
 	n := t.NumNodes()
 	et := &EditTree{
 		nodes:   make([]enode, n),
-		byName:  make(map[string]NodeID, n),
+		src:     t,
 		outputs: append([]NodeID(nil), t.Outputs()...),
 		s0:      make([]float64, n),
 		s1:      make([]float64, n),
 		alive:   n,
-		cache:   make(map[NodeID]cachedTimes),
 	}
 	cols := t.Columns()
 	slab := make([]NodeID, 0, max(n-1, 0))
@@ -80,7 +83,6 @@ func New(t *rctree.Tree) *EditTree {
 			nodeC:    cols.NodeC[i],
 			children: slabAppend(&slab, t.Children(id)),
 		}
-		et.byName[cols.Names[i]] = id
 	}
 	et.recomputeAggregates()
 	return et
@@ -97,10 +99,26 @@ func slabAppend(slab *[]NodeID, kids []NodeID) []NodeID {
 	return (*slab)[a:b:b]
 }
 
+// ownNames gives the overlay its private name map before the first edit
+// that adds or frees a name. No node has been grown or pruned yet, so the
+// nodes are exactly src's.
+func (et *EditTree) ownNames() {
+	if et.byName != nil {
+		return
+	}
+	et.byName = make(map[string]NodeID, len(et.nodes))
+	for i := range et.nodes {
+		et.byName[et.nodes[i].name] = NodeID(i)
+	}
+	et.src = nil
+}
+
 // Clone returns an independent deep copy of the overlay: same node IDs,
 // names, designated outputs and maintained aggregates, but no shared mutable
 // storage — edits to either side never show through to the other. The query
-// memo does not carry over (the clone re-derives it on demand). O(n).
+// memo does not carry over (the clone re-derives it on demand), and a tree
+// that was never grown or pruned shares its source's immutable name index
+// instead of copying a map. O(n).
 //
 // Clone is the building block for what-if trials: snapshot the tree, probe an
 // edit on the copy, and discard it — the original keeps serving readers. A
@@ -109,7 +127,8 @@ func slabAppend(slab *[]NodeID, kids []NodeID) []NodeID {
 func (et *EditTree) Clone() *EditTree {
 	c := &EditTree{
 		nodes:   append([]enode(nil), et.nodes...),
-		byName:  maps.Clone(et.byName),
+		byName:  maps.Clone(et.byName), // nil while the index is src's
+		src:     et.src,
 		outputs: append([]NodeID(nil), et.outputs...),
 		s0:      append([]float64(nil), et.s0...),
 		s1:      append([]float64(nil), et.s1...),
@@ -117,7 +136,6 @@ func (et *EditTree) Clone() *EditTree {
 		alive:   et.alive,
 		edits:   et.edits,
 		maxMag:  et.maxMag,
-		cache:   make(map[NodeID]cachedTimes),
 	}
 	// Each non-root node is listed as a child at most once, so one slab of
 	// len(nodes) holds every children list.
@@ -392,9 +410,10 @@ func (et *EditTree) Grow(parent NodeID, name string, kind rctree.EdgeKind, r, c 
 	if name == "" {
 		name = fmt.Sprintf("n%d", len(et.nodes))
 	}
-	if _, dup := et.byName[name]; dup {
+	if _, dup := et.Lookup(name); dup {
 		return 0, fmt.Errorf("incr: duplicate node name %q", name)
 	}
+	et.ownNames()
 	id := NodeID(len(et.nodes))
 	et.nodes = append(et.nodes, enode{name: name, parent: parent, kind: kind, edgeR: r, edgeC: c})
 	et.nodes[parent].children = append(et.nodes[parent].children, id)
@@ -468,7 +487,7 @@ func (et *EditTree) Graft(parent NodeID, name string, kind rctree.EdgeKind, r, c
 			names[k] = fmt.Sprintf("n%d", len(et.nodes)+k)
 			nm = names[k]
 		}
-		if _, dup := et.byName[nm]; dup {
+		if _, dup := et.Lookup(nm); dup {
 			return nil, fmt.Errorf("incr: graft name %q collides with an existing node", nm)
 		}
 	}
@@ -485,6 +504,7 @@ func (et *EditTree) Graft(parent NodeID, name string, kind rctree.EdgeKind, r, c
 		}
 	}
 
+	et.ownNames()
 	base := len(et.nodes)
 	ids := make([]NodeID, m)
 	ids[0] = NodeID(base)
@@ -549,6 +569,7 @@ func (et *EditTree) Prune(q NodeID) error {
 	if q == Root {
 		return fmt.Errorf("incr: cannot prune the input node")
 	}
+	et.ownNames()
 	// Subtract the subtree's aggregates from the surviving ancestors.
 	s0q, s1q := et.s0[q], et.s1[q]
 	parent := et.nodes[q].parent
@@ -632,6 +653,9 @@ func (et *EditTree) Times(e NodeID) (rctree.Times, error) {
 	}
 	if ct, ok := et.cache[e]; ok && ct.gen == et.gen {
 		return ct.tm, nil
+	}
+	if et.cache == nil {
+		et.cache = make(map[NodeID]cachedTimes)
 	}
 	var td, trNum, p float64
 	path := et.pathFromRoot(e)
@@ -756,6 +780,9 @@ func (et *EditTree) Outputs() []NodeID { return append([]NodeID(nil), et.outputs
 
 // Lookup finds a live node by name.
 func (et *EditTree) Lookup(name string) (NodeID, bool) {
+	if et.byName == nil {
+		return et.src.Lookup(name)
+	}
 	id, ok := et.byName[name]
 	return id, ok
 }

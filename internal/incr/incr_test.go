@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/randnet"
@@ -641,6 +642,73 @@ func TestCloneIndependence(t *testing.T) {
 				t.Fatal(err)
 			}
 			timesClose(t, got, fullTimes(t, cl, e), 1e-9, "clone after divergence")
+		}
+	}
+}
+
+// TestNamesStayPrivate: an overlay resolves names through its source
+// tree's immutable index until its first Grow, Graft or Prune, which gives
+// it a private map. A name grown, grafted or pruned on one overlay must never
+// show in the tree it was built from, in the overlay it was cloned from or
+// in a clone taken before the edit.
+func TestNamesStayPrivate(t *testing.T) {
+	tr := randnet.TreeSeed(5, randnet.DefaultConfig(12))
+	et := New(tr)
+	for id := NodeID(0); int(id) < tr.NumNodes(); id++ {
+		if got, ok := et.Clone().Lookup(tr.Name(id)); !ok || got != id {
+			t.Fatalf("clone resolves %q to %d, %v; want %d", tr.Name(id), got, ok, id)
+		}
+	}
+	sb := rctree.NewBuilder("gin")
+	g1 := sb.Resistor(rctree.Root, "g1", 2)
+	sb.Capacitor(g1, 1)
+	sub, err := sb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := tr.Name(tr.Outputs()[0])
+	leafID, _ := et.Lookup(leaf)
+
+	a := et.Clone()
+	if _, err := a.Grow(Root, "grown", rctree.EdgeResistor, 5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Graft(Root, "", rctree.EdgeResistor, 4, 0, sub); err != nil {
+		t.Fatal(err)
+	}
+	b := a.Clone()
+	if err := b.Prune(leafID); err != nil {
+		t.Fatal(err)
+	}
+	c := et.Clone()
+	if err := c.Prune(leafID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := et.Grow(Root, "late", rctree.EdgeResistor, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Grow(Root, "after", rctree.EdgeResistor, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	lookups := map[string]func(string) (NodeID, bool){
+		"tree": tr.Lookup, "source": et.Lookup, "a": a.Lookup, "b": b.Lookup, "c": c.Lookup,
+	}
+	for _, tc := range []struct {
+		name  string
+		knows []string // the overlays that must resolve name; no other may
+	}{
+		{"grown", []string{"a", "b"}},
+		{"gin", []string{"a", "b"}},
+		{"g1", []string{"a", "b"}},
+		{"after", []string{"a"}},
+		{"late", []string{"source"}},
+		{leaf, []string{"tree", "source", "a"}},
+	} {
+		for who, lookup := range lookups {
+			_, got := lookup(tc.name)
+			if want := slices.Contains(tc.knows, who); got != want {
+				t.Errorf("%s resolves %q: %v, want %v", who, tc.name, got, want)
+			}
 		}
 	}
 }

@@ -90,7 +90,9 @@
 // of the nets an Apply changed into the last read's order and formats only
 // their numbers, and AppendDeck materializes only the nets whose EditTree
 // changed; both are byte-identical to the full renders, and forks never
-// carry their state. The property tests pin Session equivalence to a
+// carry their state. Fork takes a copy-on-write what-if copy in O(nets),
+// and Revert returns a fork to its parent's state in O(nets it touched), so
+// a trial loop forks once and reverts between trials. The property tests pin Session equivalence to a
 // from-scratch Analyze of the materialized design to 1e-9 over randomized
 // edit sequences, and BenchmarkDesignECO measures the dirty-cone speedup
 // against a full re-analysis.

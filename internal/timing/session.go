@@ -3,6 +3,7 @@ package timing
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -96,10 +97,11 @@ type Session struct {
 	netNeg []float64
 	// owned is the per-net dirty-range/ownership byte: ownTreeBit marks
 	// trees[i] as exclusively this session's, ownStateBit the same for
-	// state[i]'s arrival slice. Fork zeroes the byte on both sides; applyOne
+	// state[i]'s arrival slice. Fork clears both bits on both sides; applyOne
 	// clones a shared tree and refreshOut a shared slice before their first
 	// mutation — copy-on-write, so a fork costs O(nets) flag-and-struct
-	// copies instead of O(design) data.
+	// copies instead of O(design) data. touchedBit marks, on a fork, a net
+	// listed in touched.
 	owned []uint8
 	// lambda scales every net delay: 1 for a session, the corner's R·C
 	// product for a Scaled view.
@@ -120,12 +122,28 @@ type Session struct {
 	// the first AppendReportJSON and AppendDeck; forks start without them.
 	live *liveReport
 	deck *liveDeck
+	// parent is the session a fork was taken from (nil for a session and a
+	// Scaled view) and forkEpoch the parent's epoch at the Fork. epoch counts
+	// this session's state changes, Reverts included; unlike gen it never
+	// goes back, so an unchanged epoch means an unchanged state.
+	parent           *Session
+	forkEpoch, epoch uint64
+	// touched lists, on a fork, each net changed since the Fork or the last
+	// Revert, once, with the tree it had before — what Revert puts back.
+	touched []touchedNet
+}
+
+// touchedNet is one entry of Session.touched.
+type touchedNet struct {
+	net  int
+	tree *incr.EditTree
 }
 
 // Ownership bits of Session.owned.
 const (
 	ownTreeBit uint8 = 1 << iota
 	ownStateBit
+	touchedBit
 )
 
 // NewSession builds the graph, mounts one EditTree per net, and runs the
@@ -188,14 +206,16 @@ func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 // per-net timing state is deep-copied, while the EditTrees — the bulk of a
 // session's memory — are shared copy-on-write, cloned only when one side
 // first edits that net. Edits to a fork never show through to the parent and
-// vice versa, so a fork is the natural trial vehicle: fork, Apply a candidate
-// ECO, read the resulting WNS/TNS, discard.
+// vice versa. A trial vehicle takes one fork and, between trials, Reverts it
+// to the parent's state in O(nets the trial touched) instead of forking
+// again.
 //
-// Forks of the same parent may Apply concurrently with each other (each on
-// its own goroutine): an Apply mutates only the fork's own state and its
-// privately cloned trees, and merely reads trees still shared. Each
-// individual Session, parent included, remains single-writer as always, and
-// Fork itself must not race an Apply on the same session.
+// Forks of the same parent may Apply and Revert concurrently with each other
+// (each on its own goroutine): an Apply mutates only the fork's own state and
+// its privately cloned trees, and merely reads trees still shared; a Revert
+// reads the parent. Each individual Session, parent included, remains
+// single-writer as always, and Fork itself must not race an Apply on the
+// same session.
 func (s *Session) Fork() *Session {
 	f := &Session{
 		g:         s.g,
@@ -212,6 +232,8 @@ func (s *Session) Fork() *Session {
 		gen:       s.gen,
 		report:    s.report, // reports are immutable once built
 		obs:       s.obs,    // registries are goroutine-safe; forks share one
+		parent:    s,
+		forkEpoch: s.epoch,
 		// live and deck stay nil: a fork renders from scratch if ever asked.
 	}
 	// The copied netTiming structs still point at the parent's name, delay
@@ -219,13 +241,55 @@ func (s *Session) Fork() *Session {
 	// so sharing them is safe forever; arrival slices are cloned by
 	// refreshOut before their first in-place write. The parent's trees and
 	// slices are shared now too: its next mutation must also clone first, or
-	// it would touch data a live fork reads. Zeroing the ownership bytes on
+	// it would touch data a live fork reads. Clearing the ownership bits on
 	// both sides is the whole dirty-range reset — the underlying arrays stay
 	// put.
 	for i := range s.owned {
-		s.owned[i] = 0
+		s.owned[i] &= touchedBit
 	}
 	return f
+}
+
+// Revert puts a fork back to its parent's state in O(nets the fork changed
+// since the Fork or the previous Revert): for each such net it restores the
+// tree the fork shared at the time, the parent's timing state and slack
+// aggregates, and a cleared ownership byte, and it takes the parent's gen
+// and memoized report. The fork keeps its dirty-cone scratch, so a fork that
+// runs trial after trial allocates it once. Afterwards the fork Applies
+// exactly as a fresh Fork of the parent would.
+//
+// Revert is refused when the parent changed since the Fork, and on a
+// session or a Scaled view: a view rewrites every net's timing without
+// recording it, so it has no parent state to return to (forks of a view
+// revert to the view).
+func (s *Session) Revert() error {
+	p := s.parent
+	if p == nil {
+		return errors.New("timing: Revert needs a fork; a session or a Scaled view has no parent state")
+	}
+	if p.epoch != s.forkEpoch {
+		return errors.New("timing: cannot Revert: the parent changed since the Fork")
+	}
+	for _, u := range s.touched {
+		i := u.net
+		s.trees[i], s.state[i], s.owned[i] = u.tree, p.state[i], 0
+		s.netMin[i], s.netNeg[i] = p.netMin[i], p.netNeg[i]
+		s.mark(i)
+	}
+	s.touched = s.touched[:0]
+	s.gen, s.report = p.gen, p.report
+	s.epoch++
+	return nil
+}
+
+// touch records on a fork that net i is about to change, with its current
+// tree, the first time since the Fork or the last Revert; on a session or a
+// Scaled view it does nothing.
+func (s *Session) touch(i int) {
+	if s.parent != nil && s.owned[i]&touchedBit == 0 {
+		s.owned[i] |= touchedBit
+		s.touched = append(s.touched, touchedNet{i, s.trees[i]})
+	}
 }
 
 // Scaled returns a corner view of the session: a Fork whose every net delay
@@ -242,6 +306,7 @@ func (s *Session) Fork() *Session {
 // trees, which are unscaled.
 func (s *Session) Scaled(lambda float64) *Session {
 	v := s.Fork()
+	v.parent = nil // every net changes below, untouched: not revertible
 	v.lambda *= lambda
 	v.report = nil
 	n := 0
@@ -283,6 +348,7 @@ func (s *Session) ownOut(i int) []Interval {
 // still shared with a fork (or a fork's parent).
 func (s *Session) ownTree(i int) *incr.EditTree {
 	if s.owned[i]&ownTreeBit == 0 {
+		s.touch(i)
 		s.trees[i] = s.trees[i].Clone()
 		s.owned[i] |= ownTreeBit
 	}
@@ -457,6 +523,7 @@ func (s *Session) ApplyCtx(ctx context.Context, edits []Edit) (ApplyResult, erro
 		psp.SetAttr("dirty_nets", fmt.Sprint(res.DirtyNets))
 		psp.End()
 		s.gen++
+		s.epoch++
 	}
 	res.Gen = s.gen
 	res.WNS, res.TNS = s.Summary()
@@ -668,18 +735,16 @@ func EdgeKindOf(kind string, c float64) (rctree.EdgeKind, error) {
 // pruneWouldOrphan reports whether pruning node q of net i would drop a
 // protected output (q itself or any output in its subtree), by walking each
 // protected output's root path — O(protected · depth), no child lists needed.
+// It names the least such output, so the refusal reads the same every time.
 func (s *Session) pruneWouldOrphan(i int, q incr.NodeID) (string, bool) {
 	et := s.trees[i]
+	least, found := "", false
 	for name := range s.protected[i] {
-		id, ok := et.Lookup(name)
-		if !ok {
-			continue
-		}
-		if under(et, id, q) {
-			return name, true
+		if id, ok := et.Lookup(name); ok && under(et, id, q) && (!found || name < least) {
+			least, found = name, true
 		}
 	}
-	return "", false
+	return least, found
 }
 
 // outputsUnder counts et's designated outputs lying at or below node q.
@@ -754,6 +819,7 @@ func (s *Session) propagate(edited map[int]bool, res *ApplyResult) error {
 		sort.Ints(s.buckets[l])
 		for _, i := range s.buckets[l] {
 			s.queued[i] = false
+			s.touch(i) // input and worst change even where outputs settle
 			res.VisitedNets++
 			st := &s.state[i]
 			in, worst := s.g.gatherInput(s.state, i)
