@@ -27,7 +27,7 @@
 // guarding call sites:
 //
 //	var reg *obs.Registry // nil: telemetry disabled
-//	sp := obs.StartSpan(reg, "timing_propagate", "sched", "worksteal")
+//	sp := obs.StartSpan(reg, "timing_propagate", "sched", "parallel")
 //	... hot work ...
 //	sp.End() // records into timing_propagate_seconds only when enabled
 //

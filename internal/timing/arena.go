@@ -3,6 +3,8 @@ package timing
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/rctree"
@@ -161,8 +163,8 @@ func (a *designArena) newState() *arenaState {
 // gather hulls net i's fanin from the (already final) driver slots: the
 // earliest and latest input arrival over its stage edges, and the local index
 // of the first edge carrying the latest (-1 and [0, 0] at primary inputs).
-// The full sweep and the variation view both call it, so their hull order
-// and worst-fanin choice cannot drift apart.
+// arrive is its one caller, so the full sweep and the variation view cannot
+// drift apart in hull order or worst-fanin choice.
 func (a *designArena) gather(st *arenaState, i int32) (inMin, inMax float64, worst int32) {
 	f0, f1 := a.finOff[i], a.finOff[i+1]
 	worst = -1
@@ -185,15 +187,12 @@ func (a *designArena) gather(st *arenaState, i int32) (inMin, inMax float64, wor
 	return inMin, inMax, worst
 }
 
-// computeNet fully times net i: gather the input interval from the (already
-// final) driver slots, recompute every output slot's delay interval from one
-// sweep of the flat tree, and write the output arrivals. Slots are written
-// in slot order, and the first failing slot's error is returned, exactly as
-// one TimesFlat call per slot would. Allocation-free once s has grown to
-// the widest net.
-func (a *designArena) computeNet(st *arenaState, th float64, i int32, s *rctree.Scratch) error {
-	inMin, inMax, worst := a.gather(st, i)
-	st.inMin[i], st.inMax[i], st.worst[i] = inMin, inMax, worst
+// sweepNet writes net i's per-slot delay bounds from one sweep of its flat
+// tree. Slots are written in slot order, and the first failing slot's error
+// is returned, exactly as one TimesFlat call per slot would. A net's delays
+// depend on its own tree only (eqs. 5–17), so sweeps of different nets run
+// in any order. Allocation-free once s has grown to the widest net.
+func (a *designArena) sweepNet(st *arenaState, th float64, i int32, s *rctree.Scratch) error {
 	base, end := a.nodeOff[i], a.nodeOff[i+1]
 	s0, s1 := a.outOff[i], a.outOff[i+1]
 	outs := a.outLocal[s0:s1]
@@ -209,27 +208,111 @@ func (a *designArena) computeNet(st *arenaState, th float64, i int32, s *rctree.
 		if err != nil {
 			return fmt.Errorf("timing: net %q output %q: %w", a.netName[i], a.outName[sl], err)
 		}
-		dMin, dMax := b.TMin(th), b.TMax(th)
-		st.delayMin[sl], st.delayMax[sl] = dMin, dMax
-		st.arrMin[sl], st.arrMax[sl] = inMin+dMin, inMax+dMax
+		st.delayMin[sl], st.delayMax[sl] = b.TMin(th), b.TMax(th)
 	}
 	return nil
 }
 
-// propagateSeq runs the full levelized sweep on the caller's goroutine. With
-// a pre-grown scratch the steady-state pass performs zero allocations — the
-// alloc-assertion test pins this down.
-func (a *designArena) propagateSeq(ctx context.Context, st *arenaState, th float64, s *rctree.Scratch) error {
-	for l := 0; l+1 < len(a.levelOff); l++ {
-		if err := ctx.Err(); err != nil {
-			return err
+// sweepCursor hands levelized positions to sweep workers: positions at or
+// past end are not swept, and end falls to the earliest failure seen.
+type sweepCursor struct{ next, end atomic.Int32 }
+
+// sweepFrom sweeps nets from c's positions until the cursor runs past its
+// end, and returns the position and error of its failure, if any. A worker
+// takes positions in increasing order, so its first failure is its earliest
+// and it stops there; every position below the final end has been swept, so
+// the failure at end is the earliest in levelized order, whatever the
+// worker count.
+func (a *designArena) sweepFrom(ctx context.Context, st *arenaState, th float64, c *sweepCursor, s *rctree.Scratch) (int32, error) {
+	for {
+		p := c.next.Add(1) - 1
+		if p >= c.end.Load() {
+			return 0, nil
 		}
-		for _, i := range a.order[a.levelOff[l]:a.levelOff[l+1]] {
-			if err := a.computeNet(st, th, i, s); err != nil {
-				return err
+		err := ctx.Err()
+		if err == nil {
+			err = a.sweepNet(st, th, a.order[p], s)
+		}
+		if err != nil {
+			for e := c.end.Load(); p < e; e = c.end.Load() {
+				if c.end.CompareAndSwap(e, p) {
+					break
+				}
 			}
+			return p, err
 		}
 	}
+}
+
+// sweep runs every net's tree sweep, the first phase of a full propagation:
+// one worker on the caller's goroutine, or up to workers goroutines taking
+// nets in levelized order from one atomic cursor. Pass a reused scratch
+// (one per worker) to keep steady-state runs allocation-lean; the sequential
+// sweep then performs no allocation.
+func (a *designArena) sweep(ctx context.Context, st *arenaState, th float64, workers int, scratch []rctree.Scratch) error {
+	workers = max(1, min(workers, a.nets))
+	if len(scratch) < workers {
+		scratch = make([]rctree.Scratch, workers)
+	}
+	if workers == 1 {
+		var c sweepCursor
+		c.end.Store(int32(a.nets))
+		_, err := a.sweepFrom(ctx, st, th, &c, &scratch[0])
+		return err
+	}
+	c := new(sweepCursor)
+	c.end.Store(int32(a.nets))
+	type failure struct {
+		p   int32
+		err error
+	}
+	fails := make([]failure, workers)
+	var wg sync.WaitGroup
+	for w := range fails {
+		wg.Add(1)
+		go func(f *failure, s *rctree.Scratch) {
+			defer wg.Done()
+			f.p, f.err = a.sweepFrom(ctx, st, th, c, s)
+		}(&fails[w], &scratch[w])
+	}
+	wg.Wait()
+	end := c.end.Load()
+	for _, f := range fails {
+		if f.err != nil && f.p == end {
+			return f.err
+		}
+	}
+	return nil
+}
+
+// arrive is the DAG pass, the second phase of every propagation: in
+// levelized order on the caller's goroutine, per net it hulls the fanin from
+// the (already final) driver slots and writes each output's arrival as
+// input + λ·delay, with λ = 1 when lambda is nil (x·1 is x, so that pass is
+// bit-identical to adding the delays).
+func (a *designArena) arrive(st *arenaState, dMin, dMax, lambda []float64) {
+	for _, i := range a.order {
+		inMin, inMax, worst := a.gather(st, i)
+		st.inMin[i], st.inMax[i], st.worst[i] = inMin, inMax, worst
+		l := 1.0
+		if lambda != nil {
+			l = lambda[i]
+		}
+		for sl := a.outOff[i]; sl < a.outOff[i+1]; sl++ {
+			st.arrMin[sl] = inMin + dMin[sl]*l
+			st.arrMax[sl] = inMax + dMax[sl]*l
+		}
+	}
+}
+
+// propagate runs one full propagation: the tree sweeps across workers, then
+// the DAG pass over their delays. Results are bit-identical across worker
+// counts, and so is the error: the earliest failing net's in levelized order.
+func (a *designArena) propagate(ctx context.Context, st *arenaState, th float64, workers int, scratch []rctree.Scratch) error {
+	if err := a.sweep(ctx, st, th, workers, scratch); err != nil {
+		return err
+	}
+	a.arrive(st, st.delayMin, st.delayMax, nil)
 	return nil
 }
 

@@ -26,12 +26,12 @@ func hammerDesign(t *testing.T, seed int64, levels, width, nodes int) *Graph {
 	return g
 }
 
-// TestWorkStealAnalyzeRaceHammer slams one shared Graph with concurrent
-// work-stealing analyses at 2 to 5 workers (plus sequential interlopers),
-// whatever GOMAXPROCS is. Every goroutine must reproduce the baseline report
-// bit for bit; run under -race this doubles as the scheduler's
-// memory-visibility proof.
-func TestWorkStealAnalyzeRaceHammer(t *testing.T) {
+// TestParallelAnalyzeRaceHammer slams one shared Graph with concurrent
+// analyses whose tree sweeps run at 2 to 5 workers (plus sequential
+// interlopers), whatever GOMAXPROCS is. Every goroutine must reproduce the
+// baseline report bit for bit; run under -race this doubles as the proof
+// that the DAG pass sees every sweep's delays.
+func TestParallelAnalyzeRaceHammer(t *testing.T) {
 	g := hammerDesign(t, 99, 5, 3, 20)
 	ctx := context.Background()
 	opt := Options{Threshold: 0.6, Required: 500, Sequential: true}
@@ -126,13 +126,13 @@ func TestArenaPropagateSeqZeroAlloc(t *testing.T) {
 	g := hammerDesign(t, 5, 4, 3, 24)
 	da := g.arena()
 	st := da.newState()
-	var s rctree.Scratch
+	s := make([]rctree.Scratch, 1)
 	ctx := context.Background()
-	if err := da.propagateSeq(ctx, st, 0.6, &s); err != nil {
+	if err := da.propagate(ctx, st, 0.6, 1, s); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := da.propagateSeq(ctx, st, 0.6, &s); err != nil {
+		if err := da.propagate(ctx, st, 0.6, 1, s); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -141,20 +141,20 @@ func TestArenaPropagateSeqZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestArenaPropScratchReuse checks that a propagation scratch recycled across
-// work-stealing runs (the benchmark/server steady state) keeps producing
-// results identical to a fresh sequential pass.
+// TestArenaPropScratchReuse checks that a scratch slice recycled across
+// parallel runs (the benchmark/server steady state) keeps producing results
+// identical to a fresh sequential pass.
 func TestArenaPropScratchReuse(t *testing.T) {
 	g := hammerDesign(t, 31, 4, 2, 16)
 	da := g.arena()
 	want := da.newState()
-	if err := da.propagateSeq(context.Background(), want, 0.55, &rctree.Scratch{}); err != nil {
+	if err := da.propagate(context.Background(), want, 0.55, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	ps := da.newPropScratch(4)
+	scratch := make([]rctree.Scratch, 4)
 	st := da.newState()
 	for run := 0; run < 3; run++ {
-		if err := da.propagate(context.Background(), st, 0.55, 4, ps); err != nil {
+		if err := da.propagate(context.Background(), st, 0.55, 4, scratch); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(st, want) {
@@ -164,7 +164,7 @@ func TestArenaPropScratchReuse(t *testing.T) {
 }
 
 // TestArenaAnalyzeCanceled verifies the arena paths honor context
-// cancellation, sequential and work-stealing alike.
+// cancellation, sequential and parallel alike.
 func TestArenaAnalyzeCanceled(t *testing.T) {
 	g := hammerDesign(t, 13, 4, 2, 12)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -181,11 +181,11 @@ func TestArenaAnalyzeCanceled(t *testing.T) {
 	}
 }
 
-// TestComputeNetErrorOrder pins computeNet's first-error contract on the
-// fused all-outputs sweep: when a net's second output fails validation, the
-// first slot is still written and the error names the second output with
+// TestSweepNetErrorOrder pins sweepNet's first-error contract on the fused
+// all-outputs sweep: when a net's second output fails validation, the first
+// slot's delay is still written and the error names the second output with
 // the message a per-output TimesFlat call gives.
-func TestComputeNetErrorOrder(t *testing.T) {
+func TestSweepNetErrorOrder(t *testing.T) {
 	d, err := netlist.ParseDesign(".design e\n.net n\n.input in\nR1 in a 1\nC1 a 0 10\nR2 in b 1\n.output a\n.output b\n.endnet\n.end\n")
 	if err != nil {
 		t.Fatal(err)
@@ -206,11 +206,48 @@ func TestComputeNetErrorOrder(t *testing.T) {
 		t.Fatal("negative resistance passed validation")
 	}
 	st := a.newState()
-	err = a.computeNet(st, 0.5, 0, &rctree.Scratch{})
+	err = a.sweepNet(st, 0.5, 0, &rctree.Scratch{})
 	if want := fmt.Sprintf("timing: net %q output %q: %v", "n", "b", terr); err == nil || err.Error() != want {
-		t.Fatalf("computeNet error %v, want %s", err, want)
+		t.Fatalf("sweepNet error %v, want %s", err, want)
 	}
-	if st.delayMax[0] <= 0 || st.arrMax[0] != st.delayMax[0] {
-		t.Fatalf("slot a not written before the failing slot: delay %g arrival %g", st.delayMax[0], st.arrMax[0])
+	if st.delayMax[0] <= 0 {
+		t.Fatalf("slot a not written before the failing slot: delay %g", st.delayMax[0])
+	}
+}
+
+// TestParallelSweepFirstError pins the sweep's error to the sequential one:
+// with several nets made to fail, every worker count must report the
+// earliest failing net in levelized order, run after run.
+func TestParallelSweepFirstError(t *testing.T) {
+	g := hammerDesign(t, 41, 6, 4, 16)
+	base := g.arena()
+	a := *base
+	a.edgeR = append([]float64(nil), base.edgeR...)
+	// Break one output of every third net from the second level on, so the
+	// failures spread over several levels and many positions.
+	broken := 0
+	for _, i := range a.order[a.levelOff[1]:] {
+		if i%3 != 0 || a.outOff[i] == a.outOff[i+1] {
+			continue
+		}
+		a.edgeR[a.nodeOff[i]+a.outLocal[a.outOff[i]]] = -1
+		broken++
+	}
+	if broken < 2 {
+		t.Fatalf("only %d nets broken, want >= 2", broken)
+	}
+	ctx := context.Background()
+	want := a.propagate(ctx, a.newState(), 0.5, 1, nil)
+	if want == nil {
+		t.Fatal("sequential sweep of broken nets succeeded")
+	}
+	for workers := 2; workers <= 5; workers++ {
+		scratch := make([]rctree.Scratch, workers)
+		for run := 0; run < 50; run++ {
+			err := a.propagate(ctx, a.newState(), 0.5, workers, scratch)
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("workers %d run %d: error %v, want %v", workers, run, err, want)
+			}
+		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 //
 //   - arena-sequential: the flat arena swept on one goroutine
 //     (Options.Sequential);
-//   - arena-parallel: the default, work-stealing across GOMAXPROCS workers.
+//   - arena-parallel: the default, tree sweeps across GOMAXPROCS workers
+//     and one DAG arrival pass.
 func BenchmarkDesignSlack(b *testing.B) {
 	cfg := randnet.DefaultDesignConfig(6, 40)
 	cfg.Net = randnet.DefaultConfig(60)
@@ -51,11 +52,11 @@ func BenchmarkDesignSlack(b *testing.B) {
 
 // BenchmarkArenaPropagation isolates the arena propagation kernel from graph
 // build and report assembly: one prebuilt arena, one reusable state, one
-// recycled propagation scratch. The sequential pass is the zero-alloc hot
-// path (the allocs/op column must read 0); the work-stealing pass pays only
-// goroutine startup and scheduler traffic on top, so comparing the two at
-// GOMAXPROCS=1 vs all cores shows exactly what the work-stealing schedule
-// buys (and costs) on a given machine.
+// recycled scratch slice. The sequential pass is the zero-alloc hot path
+// (the allocs/op column must read 0); the parallel pass pays only goroutine
+// startup and cursor traffic on top of its tree sweeps, so comparing the two
+// at GOMAXPROCS=1 vs all cores shows what sweeping nets in parallel buys
+// (and costs) on a given machine.
 func BenchmarkArenaPropagation(b *testing.B) {
 	cfg := randnet.DefaultDesignConfig(6, 40)
 	cfg.Net = randnet.DefaultConfig(60)
@@ -67,32 +68,22 @@ func BenchmarkArenaPropagation(b *testing.B) {
 	da := g.arena()
 	ctx := context.Background()
 	const th = 0.7
-	b.Run("sequential", func(b *testing.B) {
+	run := func(b *testing.B, workers int) {
 		st := da.newState()
-		var s rctree.Scratch
-		if err := da.propagateSeq(ctx, st, th, &s); err != nil {
+		scratch := make([]rctree.Scratch, workers)
+		if err := da.propagate(ctx, st, th, workers, scratch); err != nil {
 			b.Fatal(err) // warm the scratch before measuring
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := da.propagateSeq(ctx, st, th, &s); err != nil {
+			if err := da.propagate(ctx, st, th, workers, scratch); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("worksteal", func(b *testing.B) {
-		st := da.newState()
-		workers := runtime.GOMAXPROCS(0)
-		ps := da.newPropScratch(workers)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := da.propagate(ctx, st, th, workers, ps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+	b.Run("sequential", func(b *testing.B) { run(b, 1) })
+	b.Run("parallel", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
 // BenchmarkArenaPropagationObs measures what telemetry costs the full

@@ -98,7 +98,7 @@ func oracleReport(g *Graph, state []oracleNet, defRequired float64) *Report {
 }
 
 // stateFor runs the full arena sweep of d across the given worker count (1
-// is sequential; more is work-stealing, whatever GOMAXPROCS is).
+// is sequential; more sweeps trees in parallel, whatever GOMAXPROCS is).
 func stateFor(t *testing.T, d *netlist.Design, th float64, workers int) []netTiming {
 	t.Helper()
 	g, err := NewGraph(d)
@@ -172,8 +172,8 @@ func assertReportsClose(t *testing.T, got, want *Report, label string) {
 }
 
 // TestDifferentialArenaVsOracle is the cross-check of the arena kernel: 300
-// randomized designs propagated sequentially and work-stealing at 3 and 4
-// workers must agree with the oracle on every net bound, arrival interval,
+// randomized designs propagated sequentially and with parallel tree sweeps
+// at 3 and 4 workers must agree with the oracle on every net bound, arrival interval,
 // endpoint slack, WNS and TNS to 1e-9.
 func TestDifferentialArenaVsOracle(t *testing.T) {
 	designs := 300

@@ -63,13 +63,14 @@
 // pointer-linked tree) to 1e-9 on every quantity the report carries, fresh
 // and across randomized ECO edit sequences.
 //
-// Parallel propagation is work-stealing across GOMAXPROCS workers, with no
-// level barriers: each net carries an atomic remaining-fanin counter, a
-// finished net pushes the successors that just became ready onto its own
-// deque (popped LIFO, chasing the fanout cone depth-first for locality),
-// and idle workers steal FIFO. Results are bit-identical across worker
-// counts — each net's computation is a pure function of its drivers' final
-// state.
+// A full propagation runs in two phases. A net's delays depend only on its
+// own RC tree, so the tree sweeps have no order: up to GOMAXPROCS workers
+// take nets in levelized order from one atomic cursor, and a failure returns
+// the earliest failing net's error in that order, as the sequential sweep
+// would. Nets couple only through arrivals, so one DAG pass then walks the
+// levels on the caller's goroutine, hulling each net's fanin and adding its
+// delays; VarArena.Propagate runs the same pass over λ-scaled nominal
+// delays. Results are bit-identical across worker counts.
 //
 // # Incremental re-timing (ECO sessions)
 //

@@ -147,8 +147,9 @@ const (
 )
 
 // NewSession builds the graph, mounts one EditTree per net, and runs the
-// initial full analysis (work-stealing across GOMAXPROCS workers unless
-// opt.Sequential). Options are fixed for the session's lifetime.
+// initial full analysis (tree sweeps across GOMAXPROCS workers unless
+// opt.Sequential, then one DAG arrival pass). Options are fixed for the
+// session's lifetime.
 func NewSession(ctx context.Context, d *netlist.Design, opt Options) (*Session, error) {
 	_, op := trace.StartOp(ctx, opt.Obs, "timing_levelize")
 	g, err := NewGraph(d)

@@ -38,8 +38,8 @@ func (iv Interval) hull(o Interval) Interval {
 }
 
 // Options configures an analysis. The zero value uses threshold 0.5, no
-// default required time, 5 critical paths, and work-stealing parallel
-// propagation across GOMAXPROCS workers.
+// default required time, 5 critical paths, and tree sweeps across
+// GOMAXPROCS workers followed by one DAG arrival pass.
 type Options struct {
 	// Threshold is the receiving gates' switching threshold as a fraction of
 	// the step (0 means 0.5).
@@ -50,7 +50,8 @@ type Options struct {
 	// K is how many critical paths to backtrack (0 means 5; negative means
 	// none).
 	K int
-	// Sequential computes each net one at a time on the caller's goroutine.
+	// Sequential sweeps each net's tree one at a time on the caller's
+	// goroutine.
 	Sequential bool
 	// Obs receives engine-phase telemetry (graph/arena build spans,
 	// propagation timings, dirty-cone sweep sizes). Nil — the default —
@@ -277,7 +278,7 @@ func resolveThreshold(th float64) (float64, error) {
 }
 
 // resolve applies the Options defaults: threshold 0.5, 5 critical paths, and
-// work-stealing parallelism across GOMAXPROCS workers unless Sequential.
+// tree sweeps across GOMAXPROCS workers unless Sequential.
 func (opt Options) resolve() (resolved, error) {
 	th, err := resolveThreshold(opt.Threshold)
 	if err != nil {
@@ -336,7 +337,7 @@ func (g *Graph) Analyze(ctx context.Context, opt Options) (*Report, error) {
 func (g *Graph) computeState(ctx context.Context, r resolved) ([]netTiming, error) {
 	da := g.arenaWith(ctx, r.obs)
 	st := da.newState()
-	sched := "worksteal"
+	sched := "parallel"
 	if r.workers <= 1 {
 		sched = "sequential"
 	}

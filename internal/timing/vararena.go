@@ -3,8 +3,6 @@ package timing
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/rctree"
 )
 
 // VarArena is a variation view over a graph's flat arena. The paper's
@@ -61,8 +59,7 @@ func (g *Graph) VarArena(threshold, defRequired float64) (*VarArena, error) {
 	// The one tree sweep: its state holds the nominal delays and, at λ = 1,
 	// the nominal arrivals, so the view starts out propagated.
 	st := a.newState()
-	var s rctree.Scratch
-	if err := a.propagateSeq(context.TODO(), st, threshold, &s); err != nil {
+	if err := a.propagate(context.TODO(), st, threshold, 1, nil); err != nil {
 		return nil, err
 	}
 	va := &VarArena{a: a, nomMin: st.delayMin, nomMax: st.delayMax,
@@ -124,24 +121,17 @@ func (va *VarArena) SetFactors(rScale, cScale float64, rNet, cNet []float64) err
 	return nil
 }
 
-// Propagate walks the levelized order on the caller's goroutine: per net it
-// hulls the fanin exactly as the full sweep does, then writes each output's
-// arrival as input + λ·nominal delay. At λ = 1 the arrivals are bit-identical
-// to Graph.Analyze's. Tree and bound errors surface from Graph.VarArena, not
-// here. Arrivals and slacks read afterwards reflect this propagation.
+// Propagate runs the full sweep's DAG pass on the caller's goroutine over
+// λ-scaled nominal delays: per net it hulls the fanin and writes each
+// output's arrival as input + λ·nominal delay. At λ = 1 the arrivals are
+// bit-identical to Graph.Analyze's. Tree and bound errors surface from
+// Graph.VarArena, not here. Arrivals and slacks read afterwards reflect this
+// propagation.
 func (va *VarArena) Propagate(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	a, st := va.a, va.st
-	for _, i := range a.order {
-		inMin, inMax, _ := a.gather(st, i)
-		l := va.lambda[i]
-		for sl := a.outOff[i]; sl < a.outOff[i+1]; sl++ {
-			st.arrMin[sl] = inMin + va.nomMin[sl]*l
-			st.arrMax[sl] = inMax + va.nomMax[sl]*l
-		}
-	}
+	va.a.arrive(va.st, va.nomMin, va.nomMax, va.lambda)
 	return nil
 }
 

@@ -336,8 +336,12 @@ type Log struct {
 	dir     string
 	meta    Meta
 	f       *os.File
-	pending int           // edits appended since the live snapshot
-	obs     *obs.Registry // inherited from the store; nil disables telemetry
+	pending int // edits appended since the live snapshot
+	// err is the first write or sync error on f, sticky until a Rotate opens
+	// a fresh log: a short write's fragment would otherwise fuse with the
+	// next appended line into a corrupt complete line that fails recovery.
+	err error
+	obs *obs.Registry // inherited from the store; nil disables telemetry
 }
 
 func (l *Log) openLog() error {
@@ -352,6 +356,8 @@ func (l *Log) openLog() error {
 
 // Append renders the edits through the ECO grammar, appends them to the live
 // log and fsyncs before returning: an acknowledged edit survives a crash.
+// After a failed write or fsync the log refuses every Append with that error
+// until a successful Rotate.
 func (l *Log) Append(edits []timing.Edit) error {
 	return l.AppendCtx(context.Background(), edits)
 }
@@ -360,6 +366,9 @@ func (l *Log) Append(edits []timing.Edit) error {
 // owns the wal_append histogram/span around this call). The fsync — usually
 // the dominant cost — gets its own nested wal_fsync span and histogram.
 func (l *Log) append(ctx context.Context, edits []timing.Edit) error {
+	if l.err != nil {
+		return l.err
+	}
 	text := timing.FormatEdits(edits)
 	// Guard against unreplayable lines reaching disk: FormatEdits renders
 	// malformed hand-assembled edits as lines a reparse rejects.
@@ -367,14 +376,16 @@ func (l *Log) append(ctx context.Context, edits []timing.Edit) error {
 		return fmt.Errorf("wal: refusing unreplayable edits: %w", err)
 	}
 	if _, err := l.f.WriteString(text); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		l.err = fmt.Errorf("wal: %w", err)
+		return l.err
 	}
 	_, op := trace.StartOp(ctx, l.obs, "wal_fsync")
 	err := l.f.Sync()
 	op.SetError(err)
 	op.End()
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		l.err = fmt.Errorf("wal: %w", err)
+		return l.err
 	}
 	l.pending += len(edits)
 	return nil
@@ -391,7 +402,8 @@ func (l *Log) Seq() uint64 { return l.meta.Seq }
 // atomically, switches appends to the (empty) log N+1, rewrites meta, and
 // retires the old pair. A crash anywhere in between leaves a complete pair
 // on disk — old before the snapshot rename commits, new after. deck is
-// written as is and not retained.
+// written as is and not retained. Once the new log is open, an earlier
+// write or fsync failure no longer blocks Append.
 func (l *Log) Rotate(deck []byte, totalEdits int) error {
 	return l.rotate(context.Background(), deck, totalEdits)
 }
@@ -426,6 +438,7 @@ func (l *Log) rotate(ctx context.Context, deck []byte, totalEdits int) error {
 		return err
 	}
 	old.Close()
+	l.err = nil
 	if err := writeMeta(l.dir, l.meta); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -266,4 +267,56 @@ func TestAppendRefusesUnreplayable(t *testing.T) {
 		t.Fatalf("recovery after refused append: %v, %d edits", err, len(rec.Edits))
 	}
 	l2.Close()
+}
+
+// TestAppendPoisonedAfterWriteError checks that a failed write poisons the
+// log: the next Append is refused without writing, recovery returns exactly
+// the edits appended before the failure, and a Rotate heals the log.
+func TestAppendPoisonedAfterWriteError(t *testing.T) {
+	st, _ := Open(t.TempDir())
+	l, err := st.Create("x9", testDeck, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := testEdits()[:1]
+	if err := l.Append(before); err != nil {
+		t.Fatal(err)
+	}
+	good := l.f
+	ro, err := os.Open(good.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f = ro
+	werr := l.Append(testEdits()[1:])
+	if werr == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	l.f = good
+	ro.Close()
+	if err := l.Append(testEdits()[1:]); !errors.Is(err, werr) {
+		t.Fatalf("append after a write failure: %v, want the sticky %v", err, werr)
+	}
+	if l.Pending() != len(before) {
+		t.Fatalf("pending = %d, want %d", l.Pending(), len(before))
+	}
+	l.Close()
+
+	rec, l2, err := st.Recover("x9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got, want := timing.FormatEdits(rec.Edits), timing.FormatEdits(before); got != want || rec.TornBytes != 0 {
+		t.Fatalf("recovered %q (torn %d), want %q", got, rec.TornBytes, want)
+	}
+
+	// Rotation opens a fresh log, which takes appends again.
+	l2.err = werr
+	if err := l2.Rotate([]byte(testDeck), len(before)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Append(testEdits()[1:]); err != nil {
+		t.Fatalf("append after rotation: %v", err)
+	}
 }

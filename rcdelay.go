@@ -266,9 +266,9 @@ func NewTimingGraph(d *Design) (*TimingGraph, error) { return timing.NewGraph(d)
 // net's output bounds are computed in levelized order and interval arrival
 // times (min of the paper's lower bounds, max of the upper bounds) propagate
 // along the stage edges to every endpoint. The zero DesignOptions use
-// threshold 0.5 and propagate over the design's flat arena, work-stealing
-// across GOMAXPROCS workers (DesignOptions.Sequential keeps it on the
-// caller's goroutine).
+// threshold 0.5 and propagate over the design's flat arena: tree sweeps
+// across GOMAXPROCS workers (DesignOptions.Sequential keeps them on the
+// caller's goroutine), then one levelized arrival pass.
 func AnalyzeDesign(ctx context.Context, d *Design, opt DesignOptions) (*DesignReport, error) {
 	return timing.Analyze(ctx, d, opt)
 }

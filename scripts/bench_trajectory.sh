@@ -3,7 +3,7 @@
 # the derived speedups) at the repo root:
 #
 #   BENCH_incremental.json  full-vs-incremental EditTree sweeps
-#   BENCH_timing.json       sequential vs work-stealing chip slack and
+#   BENCH_timing.json       sequential vs parallel-sweep chip slack and
 #                           arena propagation kernel, telemetry overheads,
 #                           full-reanalyze vs dirty-cone ECO re-timing,
 #                           sequential vs concurrent closure-trial evaluation,
@@ -118,12 +118,12 @@ END {
             bname[k], bmp[k], ns[k], (i < n-1 ? "," : "")
     }
     printf "  ],\n"
-    speedup("worksteal_vs_sequential_singlecore", "DesignSlack/arena-sequential@1", "DesignSlack/arena-parallel@1")
+    speedup("parallel_vs_sequential_singlecore", "DesignSlack/arena-sequential@1", "DesignSlack/arena-parallel@1")
     if (maxmp > 1) {
-        speedup("worksteal_vs_sequential_multicore", \
+        speedup("parallel_vs_sequential_multicore", \
             "DesignSlack/arena-sequential@" maxmp, "DesignSlack/arena-parallel@" maxmp)
-        speedup("propagation_worksteal_vs_sequential_multicore", \
-            "ArenaPropagation/sequential@" maxmp, "ArenaPropagation/worksteal@" maxmp)
+        speedup("propagation_parallel_vs_sequential_multicore", \
+            "ArenaPropagation/sequential@" maxmp, "ArenaPropagation/parallel@" maxmp)
     }
     speedup("eco_dirty_cone_vs_full", "DesignECO/full-reanalyze@1", "DesignECO/dirty-cone@1")
     speedup("corner_sweep_arena_vs_rebuild", "CornerSweep/rebuild@1", "CornerSweep/arena@1")
