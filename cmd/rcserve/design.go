@@ -11,6 +11,7 @@ import (
 
 	rcdelay "repro"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -90,13 +91,20 @@ func designSummary(e *entry[*designSession]) designSummaryJSON {
 // session on it. The initial full analysis rides the flat arena core —
 // self-contained, allocation-lean and parallel-schedulable — rather than the
 // server's shared batch engine; the engine (and its cross-client memoization
-// cache) still serves the /analyze tree-batch endpoint.
+// cache) still serves the /analyze tree-batch endpoint. Each phase — body
+// decode, deck parse, session mount and WAL create — records a span and a
+// histogram of its own.
 func (s *server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
+	ctx := r.Context()
 	var req designRequest
+	_, op := trace.StartOp(ctx, s.obs, "design_decode")
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	op.SetError(err)
+	op.End()
+	if err != nil {
 		httpError(w, r, fmt.Sprintf("bad request: %v", err), badRequestStatus(err))
 		return
 	}
@@ -104,24 +112,30 @@ func (s *server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, "request names no design: set design to a multi-net deck", http.StatusUnprocessableEntity)
 		return
 	}
+	_, op = trace.StartOp(ctx, s.obs, "netlist_parse")
 	design, err := rcdelay.ParseDesign(req.Design)
+	op.SetError(err)
+	op.End()
 	if err != nil {
 		httpError(w, r, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	sess, err := rcdelay.NewDesignSession(r.Context(), design, rcdelay.DesignOptions{
+	mctx, op := trace.StartOp(ctx, s.obs, "timing_session_mount")
+	sess, err := rcdelay.NewDesignSession(mctx, design, rcdelay.DesignOptions{
 		Threshold: req.Threshold,
 		Required:  req.Required,
 		K:         req.K,
 		Obs:       s.obs,
 	})
+	op.SetError(err)
+	op.End()
 	if err != nil {
 		httpError(w, r, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 	ent := s.designs.create(&designSession{sess: sess, opts: req})
 	defer s.designs.release(ent)
-	if err := s.walCreate(ent, design); err != nil {
+	if err := s.walCreate(ctx, ent, req.Design); err != nil {
 		s.designs.delete(ent.id)
 		httpError(w, r, fmt.Sprintf("durability write failed: %v", err), http.StatusInternalServerError)
 		return

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -411,4 +412,245 @@ func TestDesignRecoveryAfterOutputAndStructuralEdits(t *testing.T) {
 			t.Errorf("endpoint %s slack = %g, want %g", key, got, want)
 		}
 	}
+}
+
+// TestDesignWALHealsPoisonedLog: a failed append leaves the log refusing
+// appends, while the batch is already applied in memory. The edit handler
+// heals it with one rotation from the live session, so the edit answers
+// 200, the log moves to a fresh sequence, later edits keep logging, and a
+// restart reproduces every edit (to 1e-9: the healing rotation's snapshot
+// is re-timed by a fresh sweep).
+func TestDesignWALHealsPoisonedLog(t *testing.T) {
+	dir := t.TempDir()
+	srv1, _ := walServer(t, dir)
+	body, _ := json.Marshal(map[string]any{"design": chipDeck, "threshold": 0.7, "required": 700})
+	code, created := serveJSON(t, srv1, http.MethodPost, "/design", string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	edit := func(srv *server, i int) {
+		t.Helper()
+		code, resp := serveJSON(t, srv, http.MethodPost, "/design/"+id+"/edit", `{"edits": [`+crashEdit(i)+`]}`)
+		if code != http.StatusOK || resp["applied"].(float64) != 1 {
+			t.Fatalf("edit %d = %d: %v", i, code, resp)
+		}
+	}
+	edit(srv1, 0)
+
+	ent, _ := srv1.designs.get(id)
+	ds := ent.val
+	ds.mu.Lock()
+	seq := ds.wlog.Seq()
+	ds.wlog.Close() // the next write fails and poisons the log
+	ds.mu.Unlock()
+	edit(srv1, 1)
+	ds.mu.Lock()
+	healed := ds.wlog.Seq()
+	ds.mu.Unlock()
+	srv1.designs.release(ent)
+	if healed != seq+1 {
+		t.Errorf("log seq after the failed append = %d, want %d (one healing rotation)", healed, seq+1)
+	}
+	edit(srv1, 2)
+	if got := srv1.obs.Counter("rcserve_wal_heals_total").Value(); got != 1 {
+		t.Errorf("rcserve_wal_heals_total = %d, want 1", got)
+	}
+	code, want := serve(srv1, http.MethodGet, "/design/"+id+"/slack", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET slack = %d: %s", code, want)
+	}
+
+	srv2, n := walServer(t, dir) // crash: srv1 is abandoned as is
+	if n != 1 {
+		t.Fatalf("recovered %d designs, want 1", n)
+	}
+	if _, info := serveJSON(t, srv2, http.MethodGet, "/design/"+id, ""); info["edits"].(float64) != 3 {
+		t.Errorf("recovered edit count = %v, want 3", info["edits"])
+	}
+	code, got := serve(srv2, http.MethodGet, "/design/"+id+"/slack", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET recovered slack = %d: %s", code, got)
+	}
+	sameReport(t, got, want)
+}
+
+// reportJSON cuts the report out of a /design/{id}/slack body; the gen
+// before it counts Apply batches, which a replay folds into one.
+func reportJSON(t *testing.T, body []byte) string {
+	t.Helper()
+	i := bytes.Index(body, []byte(`"report": `))
+	if i < 0 {
+		t.Fatalf("no report in %s", body)
+	}
+	return string(body[i:])
+}
+
+// sameReport asserts two /design/{id}/slack bodies carry the same report:
+// the same fields, endpoints in the same order and the same path hops, and
+// every number within 1e-9.
+func sameReport(t *testing.T, got, want []byte) {
+	t.Helper()
+	var g, w struct {
+		Report any `json:"report"`
+	}
+	if err := json.Unmarshal(got, &g); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want, &w); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(path string, g, w any)
+	walk = func(path string, g, w any) {
+		switch w := w.(type) {
+		case map[string]any:
+			gm, ok := g.(map[string]any)
+			if !ok || len(gm) != len(w) {
+				t.Errorf("%s = %v, want %v", path, g, w)
+				return
+			}
+			for k, wv := range w {
+				walk(path+"."+k, gm[k], wv)
+			}
+		case []any:
+			ga, ok := g.([]any)
+			if !ok || len(ga) != len(w) {
+				t.Errorf("%s = %v, want %v", path, g, w)
+				return
+			}
+			for i := range w {
+				walk(fmt.Sprintf("%s[%d]", path, i), ga[i], w[i])
+			}
+		case float64:
+			if gf, ok := g.(float64); !ok || math.Abs(gf-w) > 1e-9 {
+				t.Errorf("%s = %v, want %v", path, g, w)
+			}
+		default:
+			if g != w {
+				t.Errorf("%s = %v, want %v", path, g, w)
+			}
+		}
+	}
+	walk("report", g.Report, w.Report)
+}
+
+// postedDeck is a design as a client might type it, which WriteDesign
+// would rewrite: CRLF line ends, comments, upper- and lower-case cards,
+// SPICE suffixes (1.8k, 40m) and stages out of WriteDesign's order.
+var postedDeck = strings.ReplaceAll(`* posted by hand
+.DESIGN posted
+.net drv
+.input in
+r1 in o 380
+c1 o 0 40m
+.output o
+.endnet
+* the bus: a line and a side branch
+.NET bus
+.Input in
+u1 in far 1.8k 110m
+C1 far 0 13m
+R2 in mid 0.5k
+C2 mid 0 20m
+.OUTPUT far
+.output mid
+.ENDNET
+.net aux
+.input in
+R1 in o 220
+C1 o 0 60m
+.output o
+.endnet
+.net sink
+.input in
+R1 in o 150
+C1 o 0 30m
+.output o
+.endnet
+.stage bus far sink 25
+.stage aux o sink 40
+.stage drv o bus 25
+.stage drv o aux 10
+.require sink o 700
+.Require bus mid 300
+.end
+`, "\n", "\r\n")
+
+// postedEdits are the edits TestPostedDeckRecovery logs, in batches.
+var postedEdits = []string{
+	`{"op": "setR", "net": "drv", "node": "o", "r": 350}`,
+	`{"op": "grow", "net": "bus", "parent": "mid", "name": "tap", "r": 40, "c": 0.01}`,
+	`{"op": "addC", "net": "aux", "node": "o", "c": 0.02}`,
+	`{"op": "setLine", "net": "bus", "node": "far", "r": 1500, "c": 0.09}`,
+	`{"op": "scaleDriver", "net": "sink", "factor": 0.8}`,
+	`{"op": "addOutput", "net": "bus", "node": "tap"}`,
+}
+
+// TestPostedDeckRecovery: snapshot 1 is the deck as posted, byte for byte,
+// and recovery rebuilds from it the session the live one was built from.
+// Crash before any rotation (snapshot 1 + log): the same parse and the same
+// edits give a slack report byte-identical to the live one. Crash after a
+// rotation (the canonical snapshot 2 + log): the nets edited before it come
+// back from a fresh sweep of the snapshot rather than from the live
+// session's incremental aggregates, which may differ in the last bits, so
+// the report must match in every field, endpoint and hop, and in every
+// number to 1e-9.
+func TestPostedDeckRecovery(t *testing.T) {
+	dir := t.TempDir()
+	srv1, _ := walServer(t, dir)
+	srv1.snapEvery = 0
+	body, _ := json.Marshal(map[string]any{"design": postedDeck, "threshold": 0.7, "required": 500})
+	code, created := serveJSON(t, srv1, http.MethodPost, "/design", string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	snap, err := os.ReadFile(filepath.Join(dir, id, "snap.1.ckt"))
+	if err != nil || string(snap) != postedDeck {
+		t.Fatalf("snap.1.ckt is not the deck as posted (%v):\n%q", err, snap)
+	}
+	edit := func(srv *server, e string) {
+		t.Helper()
+		if code, resp := serveJSON(t, srv, http.MethodPost, "/design/"+id+"/edit", `{"edits": [`+e+`]}`); code != http.StatusOK {
+			t.Fatalf("edit %s = %d: %v", e, code, resp)
+		}
+	}
+	crash := func(live *server, wantSeq string, exact bool) *server {
+		t.Helper()
+		code, want := serve(live, http.MethodGet, "/design/"+id+"/slack", "")
+		if code != http.StatusOK {
+			t.Fatalf("GET slack = %d: %s", code, want)
+		}
+		if _, err := os.Stat(filepath.Join(dir, id, "snap."+wantSeq+".ckt")); err != nil {
+			t.Fatalf("live snapshot: %v", err)
+		}
+		srv, n := walServer(t, dir) // live is abandoned as is
+		if n != 1 {
+			t.Fatalf("recovered %d designs, want 1", n)
+		}
+		srv.snapEvery = 0
+		code, got := serve(srv, http.MethodGet, "/design/"+id+"/slack", "")
+		if code != http.StatusOK {
+			t.Fatalf("GET recovered slack = %d: %s", code, got)
+		}
+		if !exact {
+			sameReport(t, got, want)
+		} else if g, w := reportJSON(t, got), reportJSON(t, want); g != w {
+			t.Errorf("recovered from snapshot %s, the report differs from the live one:\n%s\nwant:\n%s", wantSeq, g, w)
+		}
+		return srv
+	}
+
+	for _, e := range postedEdits[:3] {
+		edit(srv1, e)
+	}
+	srv2 := crash(srv1, "1", true) // before any rotation: snapshot 1 + a 3-edit log
+
+	if n, err := srv2.snapshotAll(); err != nil || n != 1 {
+		t.Fatalf("snapshotAll = %d, %v; want 1, nil", n, err)
+	}
+	for _, e := range postedEdits[3:] {
+		edit(srv2, e)
+	}
+	crash(srv2, "2", false) // after a rotation: the canonical snapshot 2 + a 3-edit log
 }

@@ -326,3 +326,50 @@ func TestTraceSlowPinning(t *testing.T) {
 		t.Errorf("recent ring = %d traces, want 64", got)
 	}
 }
+
+// TestDesignCreateTraceSpans: a POST /design trace attributes each phase of
+// the create — body decode, deck parse, session mount (with the levelize
+// and propagate spans nested in it) and the WAL create — to a span of its
+// own under the request.
+func TestDesignCreateTraceSpans(t *testing.T) {
+	srv, _ := walServer(t, t.TempDir())
+	body, _ := json.Marshal(map[string]any{"design": chipDeck, "threshold": 0.7})
+	const tid = "0af7651916cd43dd8448eb211c80319c"
+	req := httptest.NewRequest(http.MethodPost, "/design", bytes.NewReader(body))
+	req.Header.Set("traceparent", "00-"+tid+"-b7ad6b7169203331-01")
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %s", w.Code, w.Body.String())
+	}
+	code, tree := serveJSON(t, srv, http.MethodGet, "/debug/traces/"+tid, "")
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/traces/%s = %d: %v", tid, code, tree)
+	}
+	raw, _ := json.Marshal(tree["spans"])
+	var roots []*traceNode
+	if err := json.Unmarshal(raw, &roots); err != nil {
+		t.Fatalf("span tree did not decode: %v", err)
+	}
+	root := findSpan(roots, "rcserve.request")
+	if root == nil {
+		t.Fatalf("no rcserve.request span in %s", raw)
+	}
+	for _, name := range []string{"design_decode", "netlist_parse", "timing_session_mount", "wal_create"} {
+		sp := findSpan(root.Children, name)
+		if sp == nil {
+			t.Errorf("no %s span under the request in %s", name, raw)
+			continue
+		}
+		if sp.ParentID != root.SpanID {
+			t.Errorf("%s parent = %q, want the request span %q", name, sp.ParentID, root.SpanID)
+		}
+	}
+	if mount := findSpan(root.Children, "timing_session_mount"); mount != nil {
+		for _, name := range []string{"timing_levelize", "timing_propagate"} {
+			if findSpan(mount.Children, name) == nil {
+				t.Errorf("no %s span under timing_session_mount in %s", name, raw)
+			}
+		}
+	}
+}

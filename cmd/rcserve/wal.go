@@ -30,14 +30,17 @@ func (s *server) openWAL(dir string) error {
 	return nil
 }
 
-// walCreate persists a brand-new design session. Called with the entry
-// pinned; the session is young enough that no lock is needed for opts.
-func (s *server) walCreate(ent *entry[*designSession], design *rcdelay.Design) error {
+// walCreate persists a brand-new design session with deck, the deck as
+// posted, as its first snapshot: the session was built from ParseDesign of
+// exactly that text, so recovery rebuilds it without a re-render. Called
+// with the entry pinned; the session is young enough that no lock is needed
+// for opts.
+func (s *server) walCreate(ctx context.Context, ent *entry[*designSession], deck string) error {
 	if s.wal == nil {
 		return nil
 	}
 	ds := ent.val
-	l, err := s.wal.Create(ent.id, rcdelay.WriteDesign(design), wal.Meta{
+	l, err := s.wal.CreateCtx(ctx, ent.id, deck, wal.Meta{
 		Threshold: ds.opts.Threshold,
 		Required:  ds.opts.Required,
 		K:         ds.opts.K,
@@ -56,12 +59,22 @@ func (s *server) walCreate(ent *entry[*designSession], design *rcdelay.Design) e
 // response. When the log grows past -snapshot-every edits the session is
 // snapshotted inline (the nets edited since the last snapshot materialized,
 // then an atomic rename) so replay length stays bounded.
+//
+// A failed append leaves the log refusing appends until a rotation, while
+// the batch is already applied in memory. So walAppend rotates once from the
+// live session: the fresh snapshot holds the batch, which makes it durable,
+// and the log is healed for the next batch. Only when that rotation fails
+// too does the append's error reach the client.
 func (s *server) walAppend(ctx context.Context, ds *designSession, edits []rcdelay.DesignEdit) error {
 	if ds.wlog == nil || len(edits) == 0 {
 		return nil
 	}
 	if err := ds.wlog.AppendCtx(ctx, edits); err != nil {
-		return err
+		if rerr := s.walSnapshotLocked(ctx, ds); rerr != nil {
+			return fmt.Errorf("%w (healing rotation: %v)", err, rerr)
+		}
+		s.count("rcserve_wal_heals_total", 1)
+		return nil
 	}
 	if s.snapEvery > 0 && ds.wlog.Pending() >= s.snapEvery {
 		return s.walSnapshotLocked(ctx, ds)

@@ -253,6 +253,10 @@ type engine struct {
 	// mount builds a swept corner's view of the session: scaledCorner, or
 	// the shadow-session oracle in closure_test.go.
 	mount func(*timing.Session, mcd.Corner) *cornerState
+	// forks[w] is trial worker w's: a fork of the session, then one of each
+	// swept corner's view, in corners order. Each round re-forks them in
+	// place (ForkInto), so they and the trees they cloned outlive a round.
+	forks [][]*timing.Session
 }
 
 // cornerState is one swept corner's view of the design and its running
@@ -492,21 +496,24 @@ type trial struct {
 // evaluate runs every candidate as an independent what-if trial: its edits
 // are applied to a fork of the session — and to a fork of each swept
 // corner's view — and the forks are Reverted afterwards. Each pool worker
-// owns one set of forks for the round, taken sequentially before the pool
-// starts (Fork mutates the parent's copy-on-write bookkeeping); a Revert
-// leaves a fork as a fresh Fork would be, so a trial's outcome does not
+// owns one set of forks, re-forked in place for the round sequentially
+// before the pool starts (ForkInto mutates the parent's copy-on-write
+// bookkeeping); ForkInto and Revert leave a fork as a fresh Fork would be,
+// so a trial's outcome does not
 // depend on which worker ran it or what that worker ran before. The result
 // slice is indexed like cands, so scheduling cannot reorder anything. Each
 // trial attaches a closure_trial span under ctx's closure_run span — safe
 // from the pool workers, the per-trace collector is mutex-protected.
 func (e *engine) evaluate(ctx context.Context, cands []Move) []trial {
-	// forks[w] is worker w's: a fork of the session, then one of each
-	// swept corner's view, in engine.corners order.
-	forks := make([][]*timing.Session, min(e.opt.Concurrency, len(cands)))
-	for w := range forks {
-		forks[w] = append(forks[w], e.sess.Fork())
-		for _, cs := range e.corners {
-			forks[w] = append(forks[w], cs.sess.Fork())
+	workers := min(e.opt.Concurrency, len(cands))
+	for len(e.forks) < workers {
+		e.forks = append(e.forks, make([]*timing.Session, 1+len(e.corners)))
+	}
+	forks := e.forks[:workers]
+	for _, f := range forks {
+		f[0] = e.sess.ForkInto(f[0])
+		for j, cs := range e.corners {
+			f[1+j] = cs.sess.ForkInto(f[1+j])
 		}
 	}
 	results := make([]trial, len(cands))

@@ -55,6 +55,8 @@ type EditTree struct {
 	maxMag  float64                // largest aggregate delta magnitude since that pass
 	cache   map[NodeID]cachedTimes // allocated by the first Times
 	path    []NodeID               // scratch for root-path walks
+	// slab backs the children lists New or Clone built; CloneInto reuses it.
+	slab []NodeID
 }
 
 // New builds an overlay on t. The tree is copied (t stays immutable and may
@@ -84,6 +86,7 @@ func New(t *rctree.Tree) *EditTree {
 			children: slabAppend(&slab, t.Children(id)),
 		}
 	}
+	et.slab = slab
 	et.recomputeAggregates()
 	return et
 }
@@ -124,26 +127,44 @@ func (et *EditTree) ownNames() {
 // edit on the copy, and discard it — the original keeps serving readers. A
 // clone and its source may be read concurrently, but each side's mutations
 // (including Times, which fills a memo) must stay single-goroutine, as usual.
-func (et *EditTree) Clone() *EditTree {
-	c := &EditTree{
-		nodes:   append([]enode(nil), et.nodes...),
+func (et *EditTree) Clone() *EditTree { return et.CloneInto(nil) }
+
+// CloneInto is Clone into dst's storage: dst becomes the clone, reusing its
+// slices, children slab and (cleared) query memo where they are large
+// enough, so a trial loop that clones the same net again and again stops
+// allocating for it. dst must be a tree nobody reads any more; a nil dst
+// allocates, as Clone does.
+func (et *EditTree) CloneInto(dst *EditTree) *EditTree {
+	if dst == nil {
+		dst = &EditTree{}
+	}
+	// Each non-root node is listed as a child at most once, so one slab of
+	// len(nodes) holds every children list.
+	slab := dst.slab[:0]
+	if cap(slab) < len(et.nodes) {
+		slab = make([]NodeID, 0, len(et.nodes))
+	}
+	cache := dst.cache
+	clear(cache)
+	*dst = EditTree{
+		nodes:   append(dst.nodes[:0], et.nodes...),
 		byName:  maps.Clone(et.byName), // nil while the index is src's
 		src:     et.src,
-		outputs: append([]NodeID(nil), et.outputs...),
-		s0:      append([]float64(nil), et.s0...),
-		s1:      append([]float64(nil), et.s1...),
+		outputs: append(dst.outputs[:0], et.outputs...),
+		s0:      append(dst.s0[:0], et.s0...),
+		s1:      append(dst.s1[:0], et.s1...),
 		gen:     et.gen,
 		alive:   et.alive,
 		edits:   et.edits,
 		maxMag:  et.maxMag,
+		cache:   cache,
+		path:    dst.path[:0],
 	}
-	// Each non-root node is listed as a child at most once, so one slab of
-	// len(nodes) holds every children list.
-	slab := make([]NodeID, 0, len(c.nodes))
-	for i := range c.nodes {
-		c.nodes[i].children = slabAppend(&slab, et.nodes[i].children)
+	for i := range dst.nodes {
+		dst.nodes[i].children = slabAppend(&slab, et.nodes[i].children)
 	}
-	return c
+	dst.slab = slab
+	return dst
 }
 
 // recomputeAggregates rebuilds s0 and s1 from the element values in one

@@ -756,3 +756,89 @@ func TestSlotsChildren(t *testing.T) {
 		t.Fatal("Children out of range should be nil")
 	}
 }
+
+// TestCloneIntoReusedTree: CloneInto over a tree that served other edits —
+// another net's overlay, or an overlay of the same net edited to the same
+// generation with other values, grown and queried — answers exactly what
+// Clone of the same source answers, keeps none of the old tree's names,
+// children or memo, and stays independent of its source both ways.
+func TestCloneIntoReusedTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 30; trial++ {
+		tree := randnet.Tree(rng, randnet.DefaultConfig(5+rng.Intn(40)))
+		src := New(tree)
+		old := New(randnet.Tree(rng, randnet.DefaultConfig(5+rng.Intn(40))))
+		if trial%2 == 1 {
+			old = New(tree) // the same net: its memo stamps collide with src's
+		}
+		for k := 0; k < 3; k++ {
+			for _, et := range []*EditTree{src, old} {
+				if err := et.SetResistance(NodeID(1+rng.Intn(et.Slots()-1)), 1+rng.Float64()*50); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if trial%3 == 0 { // a source with a private name map
+			if _, err := src.Grow(Root, fmt.Sprintf("src%d", trial), rctree.EdgeLine, 4, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := old.AllTimes(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := old.Grow(Root, "stale", rctree.EdgeResistor, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+		want := src.Clone()
+		got := src.CloneInto(old)
+		if got != old {
+			t.Fatal("CloneInto did not reuse its destination")
+		}
+		if _, ok := got.Lookup("stale"); ok {
+			t.Fatalf("trial %d: the reused tree still resolves a name of its old state", trial)
+		}
+		if got.Gen() != want.Gen() || got.NumNodes() != want.NumNodes() || got.Slots() != want.Slots() ||
+			!slices.Equal(got.Outputs(), want.Outputs()) {
+			t.Fatalf("trial %d: CloneInto metadata differs from Clone's", trial)
+		}
+		for id := NodeID(0); int(id) < want.Slots(); id++ {
+			if got.Name(id) != want.Name(id) || !slices.Equal(got.Children(id), want.Children(id)) {
+				t.Fatalf("trial %d: node %d differs from Clone's", trial, id)
+			}
+			if id, ok := got.Lookup(want.Name(id)); ok != (want.Name(id) != "") || (ok && got.Name(id) != want.Name(id)) {
+				t.Fatalf("trial %d: Lookup(%q) differs from Clone's", trial, want.Name(id))
+			}
+		}
+		for _, e := range want.Outputs() {
+			a, err := want.Times(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := got.Times(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			timesClose(t, b, a, 0, "CloneInto against Clone")
+		}
+		// Diverge both sides; each must keep matching its own full recompute.
+		id := NodeID(1 + rng.Intn(want.Slots()-1))
+		if err := src.SetCapacitance(id, 30); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.SetResistance(id, 123); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := got.Grow(id, fmt.Sprintf("g%d", trial), rctree.EdgeResistor, 2, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, et := range []*EditTree{src, got} {
+			for _, e := range et.Outputs() {
+				tm, err := et.Times(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				timesClose(t, tm, fullTimes(t, et, e), 1e-9, "after divergence")
+			}
+		}
+	}
+}

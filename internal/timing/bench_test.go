@@ -283,7 +283,7 @@ func ecoBatches(s *Session, seed int64) func() []Edit {
 		edits := make([]Edit, 1+rng.Intn(4))
 		for i := range edits {
 			n := rng.Intn(len(s.trees))
-			net, et := s.g.nodes[n].name, s.trees[n]
+			net, et := s.g.nodes[n].name, s.netTree(n)
 			node := et.Name(incr.NodeID(1 + rng.Intn(et.Slots()-1)))
 			switch rng.Intn(3) {
 			case 0:

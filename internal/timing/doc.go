@@ -74,8 +74,9 @@
 //
 // # Incremental re-timing (ECO sessions)
 //
-// A Session keeps the design hot across edits: every net mounts an incr
-// EditTree, and Apply absorbs ECO operations (setR, setC, addC, setLine,
+// A Session keeps the design hot across edits: a net's first edit mounts an
+// incr EditTree on the graph's tree (an unedited net is read straight from
+// the graph), and Apply absorbs ECO operations (setR, setC, addC, setLine,
 // scaleDriver, grow, prune, addOutput, removeOutput — addressed "net.node")
 // in O(depth) per edited net. Re-timing is a dirty-cone sweep: only the
 // edited nets re-derive their bound intervals, and arrivals re-propagate
@@ -90,10 +91,12 @@
 // cost what changed too: AppendReportJSON merges the re-derived endpoints
 // of the nets an Apply changed into the last read's order and formats only
 // their numbers, and AppendDeck materializes only the nets whose EditTree
-// changed; both are byte-identical to the full renders, and forks never
-// carry their state. Fork takes a copy-on-write what-if copy in O(nets),
-// and Revert returns a fork to its parent's state in O(nets it touched), so
-// a trial loop forks once and reverts between trials. The property tests pin Session equivalence to a
+// changed (an unmounted net renders the graph's tree); both are
+// byte-identical to the full renders, and forks never carry their state.
+// Fork takes a copy-on-write what-if copy in O(nets), Revert returns a fork
+// to its parent's state in O(nets it touched), and ForkInto re-forks a fork
+// in place after its parent moved on, so a trial loop keeps one fork and
+// the trees it cloned across trials and rounds. The property tests pin Session equivalence to a
 // from-scratch Analyze of the materialized design to 1e-9 over randomized
 // edit sequences, and BenchmarkDesignECO measures the dirty-cone speedup
 // against a full re-analysis.

@@ -145,8 +145,9 @@ type liveDeck struct {
 }
 
 // deckSection locates one net's .net section in liveDeck.text and names the
-// tree state it renders: the EditTree and its generation. Holding the tree
-// keeps its address from being reused, so the pair identifies the state.
+// tree state it renders: the EditTree and its generation, or a nil tree for
+// the graph's own (immutable) tree. Holding the tree keeps its address from
+// being reused, so the pair identifies the state.
 type deckSection struct {
 	tree     *incr.EditTree
 	gen      uint64
@@ -157,7 +158,7 @@ type deckSection struct {
 // netlist.WriteDesign(Design()) renders it, materializing only the nets
 // whose EditTree changed since the previous call; the header, the stage and
 // require cards and every other net's section are copied from the kept
-// deck.
+// deck. A net no edit has reached renders the graph's tree as is.
 func (s *Session) AppendDeck(dst []byte) ([]byte, error) {
 	ld, d := s.deck, s.g.design
 	fresh := ld == nil
@@ -173,9 +174,16 @@ func (s *Session) AppendDeck(dst []byte) ([]byte, error) {
 	for i, et := range s.trees {
 		sec := &ld.secs[i]
 		off := len(dst) - start
-		if sec.tree == et && sec.gen == et.Gen() {
+		var gen uint64
+		if et != nil {
+			gen = et.Gen()
+		}
+		switch {
+		case !fresh && sec.tree == et && sec.gen == gen:
 			dst = append(dst, ld.text[sec.off:sec.end]...)
-		} else {
+		case et == nil:
+			dst = netlist.AppendNet(dst, s.g.nodes[i].name, s.g.nodes[i].tree)
+		default:
 			t, _, err := et.Materialize()
 			if err != nil {
 				s.deck = nil // the sections are half updated
@@ -183,7 +191,7 @@ func (s *Session) AppendDeck(dst []byte) ([]byte, error) {
 			}
 			dst = netlist.AppendNet(dst, s.g.nodes[i].name, t)
 		}
-		*sec = deckSection{tree: et, gen: et.Gen(), off: off, end: len(dst) - start}
+		*sec = deckSection{tree: et, gen: gen, off: off, end: len(dst) - start}
 	}
 	if fresh {
 		dst = netlist.AppendDesignTail(dst, d.Stages, d.Requires)

@@ -234,3 +234,55 @@ func TestRevertSiblingForksRace(t *testing.T) {
 		}
 	}
 }
+
+// TestForkIntoMatchesFreshFork: a trial fork re-forked in place each round
+// while its parent moves on between rounds, as closure's worker forks are,
+// must print as its parent right after ForkInto, and every trial on it must
+// give the ApplyResult, error and state of the same batch on a fresh Fork —
+// although it reuses the trees earlier trials cloned, for the same nets
+// (whose memo stamps then collide) and for others.
+func TestForkIntoMatchesFreshFork(t *testing.T) {
+	designs := 24
+	if testing.Short() {
+		designs = 6
+	}
+	rng := rand.New(rand.NewSource(13))
+	for n := 0; n < designs; n++ {
+		d, required := worstDesign(t, rng)
+		s := newTestSession(t, d, Options{Threshold: 0.6, Required: required})
+		p, kind := s, "session"
+		if n%3 == 2 {
+			p, kind = s.Scaled(0.5+1.5*rng.Float64()), "scaled view"
+		}
+		seq := 0
+		var r *Session
+		for round := 0; round < 6; round++ {
+			r = p.ForkInto(r)
+			label := fmt.Sprintf("design %d (%s) round %d", n, kind, round)
+			if got, want := sessionPrint(t, r), sessionPrint(t, p); got != want {
+				t.Fatalf("%s: re-forked fork differs from its parent at byte %d", label, firstDiff([]byte(got), []byte(want)))
+			}
+			net := p.g.nodes[rng.Intn(len(p.g.nodes))].name
+			for trial := 0; trial < 4; trial++ {
+				fresh := p.Fork()
+				batch := trialBatch(rng, p, &seq)
+				if trial < 2 { // two trials on one net from one state: the second reuses the first's tree
+					batch = []Edit{{Op: "scaleDriver", Net: net, Factor: f64(0.5 + rng.Float64())}}
+				}
+				wantRes, wantErr := fresh.Apply(batch)
+				gotRes, gotErr := r.Apply(batch)
+				if errText(gotErr) != errText(wantErr) || !reflect.DeepEqual(gotRes, wantRes) {
+					t.Fatalf("%s trial %d: %+v %q, fresh fork %+v %q", label, trial, gotRes, errText(gotErr), wantRes, errText(wantErr))
+				}
+				renderAtRandom(t, rng, r, label)
+				if got, want := sessionPrint(t, r), sessionPrint(t, fresh); got != want {
+					t.Fatalf("%s trial %d: state differs from a fresh fork's at byte %d", label, trial, firstDiff([]byte(got), []byte(want)))
+				}
+				if err := r.Revert(); err != nil {
+					t.Fatalf("%s trial %d: Revert: %v", label, trial, err)
+				}
+			}
+			p.Apply(randomBatch(rng, p, &seq)) // the parent moves on, as an accepted move does
+		}
+	}
+}

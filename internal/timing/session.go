@@ -71,10 +71,11 @@ func (r ApplyResult) MarshalJSON() ([]byte, error) {
 }
 
 // Session is the incremental re-timing engine over one design: a Graph plus
-// one mutable EditTree per net. Apply absorbs ECO edits in O(depth) per
-// edited net and re-propagates interval arrivals only through the downstream
-// fanout cone, with early exit where arrivals settle — against the full
-// levelized sweep AnalyzeDesign pays (BenchmarkDesignECO measures the gap).
+// a mutable EditTree for each net an edit has reached. Apply absorbs ECO
+// edits in O(depth) per edited net and re-propagates interval arrivals only
+// through the downstream fanout cone, with early exit where arrivals settle
+// — against the full levelized sweep AnalyzeDesign pays (BenchmarkDesignECO
+// measures the gap).
 //
 // A Session is not safe for concurrent use; wrap it in a mutex (as
 // cmd/rcserve does) to share one across request handlers.
@@ -83,12 +84,10 @@ type Session struct {
 	th       float64
 	k        int
 	required float64
-	trees    []*incr.EditTree
-	// protected[i] names net i's outputs that stage edges tap or .require
-	// cards pin; pruning or undesignating them would orphan the graph
-	// structure, so those edits are rejected.
-	protected []map[string]bool
-	state     []netTiming
+	// trees[i] is net i's EditTree, mounted on the net's first edit (or
+	// first ViewNetTree); nil means the graph's immutable tree, unchanged.
+	trees []*incr.EditTree
+	state []netTiming
 	// netMin/netNeg are per-net endpoint-slack aggregates (worst slack and
 	// summed negative slack), refreshed only for dirty nets. WNS/TNS after an
 	// Apply cost one O(nets) fold over them, and WorstEndpoints expands only
@@ -98,10 +97,10 @@ type Session struct {
 	// owned is the per-net dirty-range/ownership byte: ownTreeBit marks
 	// trees[i] as exclusively this session's, ownStateBit the same for
 	// state[i]'s arrival slice. Fork clears both bits on both sides; applyOne
-	// clones a shared tree and refreshOut a shared slice before their first
-	// mutation — copy-on-write, so a fork costs O(nets) flag-and-struct
-	// copies instead of O(design) data. touchedBit marks, on a fork, a net
-	// listed in touched.
+	// clones a shared tree (or mounts an unmounted one) and refreshOut a
+	// shared slice before their first mutation — copy-on-write, so a fork
+	// costs O(nets) flag-and-struct copies instead of O(design) data.
+	// touchedBit marks, on a fork, a net listed in touched.
 	owned []uint8
 	// lambda scales every net delay: 1 for a session, the corner's R·C
 	// product for a Scaled view.
@@ -131,6 +130,10 @@ type Session struct {
 	// touched lists, on a fork, each net changed since the Fork or the last
 	// Revert, once, with the tree it had before — what Revert puts back.
 	touched []touchedNet
+	// spare[i] is, on a fork, the private tree net i had until a Revert put
+	// the shared one back; the net's next clone reuses its storage. nil
+	// until the first such Revert.
+	spare []*incr.EditTree
 }
 
 // touchedNet is one entry of Session.touched.
@@ -146,10 +149,10 @@ const (
 	touchedBit
 )
 
-// NewSession builds the graph, mounts one EditTree per net, and runs the
-// initial full analysis (tree sweeps across GOMAXPROCS workers unless
-// opt.Sequential, then one DAG arrival pass). Options are fixed for the
-// session's lifetime.
+// NewSession builds the graph and runs the initial full analysis (tree
+// sweeps across GOMAXPROCS workers unless opt.Sequential, then one DAG
+// arrival pass). No EditTree is mounted until an edit reaches its net.
+// Options are fixed for the session's lifetime.
 func NewSession(ctx context.Context, d *netlist.Design, opt Options) (*Session, error) {
 	_, op := trace.StartOp(ctx, opt.Obs, "timing_levelize")
 	g, err := NewGraph(d)
@@ -163,7 +166,8 @@ func NewSession(ctx context.Context, d *netlist.Design, opt Options) (*Session, 
 
 // Session mounts an incremental re-timing session on an existing graph. The
 // initial full analysis runs on the graph's flat arena; the session's own
-// ECO machinery then re-times dirty cones incrementally.
+// ECO machinery then re-times dirty cones incrementally, mounting each net's
+// EditTree on its first edit.
 func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 	r, err := opt.resolve()
 	if err != nil {
@@ -174,30 +178,20 @@ func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		g:         g,
-		th:        r.th,
-		k:         r.k,
-		required:  opt.Required,
-		trees:     make([]*incr.EditTree, len(g.nodes)),
-		protected: make([]map[string]bool, len(g.nodes)),
-		state:     state,
-		netMin:    make([]float64, len(g.nodes)),
-		netNeg:    make([]float64, len(g.nodes)),
-		owned:     make([]uint8, len(g.nodes)),
-		lambda:    1,
-		obs:       r.obs,
+		g:        g,
+		th:       r.th,
+		k:        r.k,
+		required: opt.Required,
+		trees:    make([]*incr.EditTree, len(g.nodes)),
+		state:    state,
+		netMin:   make([]float64, len(g.nodes)),
+		netNeg:   make([]float64, len(g.nodes)),
+		owned:    make([]uint8, len(g.nodes)),
+		lambda:   1,
+		obs:      r.obs,
 	}
 	for i := range g.nodes {
-		node := &g.nodes[i]
-		s.trees[i] = incr.New(node.tree)
-		s.owned[i] = ownTreeBit | ownStateBit
-		s.protected[i] = make(map[string]bool, len(node.drives)+len(node.required))
-		for name := range node.drives {
-			s.protected[i][name] = true
-		}
-		for name := range node.required {
-			s.protected[i][name] = true
-		}
+		s.owned[i] = ownStateBit
 		s.refreshSummary(i)
 	}
 	return s, nil
@@ -206,7 +200,7 @@ func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 // Fork returns an independent what-if copy of the session in O(nets): the
 // per-net timing state is deep-copied, while the EditTrees — the bulk of a
 // session's memory — are shared copy-on-write, cloned only when one side
-// first edits that net. Edits to a fork never show through to the parent and
+// first edits that net (a net neither side has mounted is mounted afresh). Edits to a fork never show through to the parent and
 // vice versa. A trial vehicle takes one fork and, between trials, Reverts it
 // to the parent's state in O(nets the trial touched) instead of forking
 // again.
@@ -217,24 +211,49 @@ func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 // reads the parent. Each individual Session, parent included, remains
 // single-writer as always, and Fork itself must not race an Apply on the
 // same session.
-func (s *Session) Fork() *Session {
-	f := &Session{
+func (s *Session) Fork() *Session { return s.ForkInto(nil) }
+
+// ForkInto is Fork into f's storage: f, a fork taken earlier from a session
+// on the same graph, becomes a fresh fork of s, keeping its slices, its
+// dirty-cone scratch and its private trees for reuse by the next clones of
+// their nets. A trial loop whose parent changes between rounds (closure
+// accepting a move) keeps one fork per worker this way instead of forking
+// anew each round. f must not be used as what it was before; a nil f, or
+// one that is no fork of this graph, allocates a fresh fork as Fork does.
+func (s *Session) ForkInto(f *Session) *Session {
+	if f == nil || f.parent == nil || f.g != s.g {
+		f = &Session{}
+	}
+	for _, u := range f.touched {
+		f.keepSpare(u)
+	}
+	owned := f.owned
+	if len(owned) == len(s.trees) {
+		clear(owned)
+	} else {
+		owned = make([]uint8, len(s.trees))
+	}
+	*f = Session{
 		g:         s.g,
 		th:        s.th,
 		k:         s.k,
 		required:  s.required,
-		trees:     append([]*incr.EditTree(nil), s.trees...),
-		protected: s.protected, // immutable after NewSession
-		state:     append([]netTiming(nil), s.state...),
-		netMin:    append([]float64(nil), s.netMin...),
-		netNeg:    append([]float64(nil), s.netNeg...),
-		owned:     make([]uint8, len(s.trees)),
+		trees:     append(f.trees[:0], s.trees...),
+		state:     append(f.state[:0], s.state...),
+		netMin:    append(f.netMin[:0], s.netMin...),
+		netNeg:    append(f.netNeg[:0], s.netNeg...),
+		owned:     owned,
 		lambda:    s.lambda,
 		gen:       s.gen,
 		report:    s.report, // reports are immutable once built
-		obs:       s.obs,    // registries are goroutine-safe; forks share one
+		queued:    f.queued,
+		buckets:   f.buckets,
+		moved:     f.moved,
+		obs:       s.obs, // registries are goroutine-safe; forks share one
 		parent:    s,
 		forkEpoch: s.epoch,
+		touched:   f.touched[:0],
+		spare:     f.spare,
 		// live and deck stay nil: a fork renders from scratch if ever asked.
 	}
 	// The copied netTiming structs still point at the parent's name, delay
@@ -273,6 +292,7 @@ func (s *Session) Revert() error {
 	}
 	for _, u := range s.touched {
 		i := u.net
+		s.keepSpare(u)
 		s.trees[i], s.state[i], s.owned[i] = u.tree, p.state[i], 0
 		s.netMin[i], s.netNeg[i] = p.netMin[i], p.netNeg[i]
 		s.mark(i)
@@ -283,9 +303,24 @@ func (s *Session) Revert() error {
 	return nil
 }
 
+// keepSpare keeps, on a fork about to put back touched net u.net's earlier
+// tree, the private tree it has now for the net's next clone to reuse. It
+// drops the fork's deck state, whose sections name trees by address: a
+// reused tree would alias a section's state.
+func (s *Session) keepSpare(u touchedNet) {
+	i := u.net
+	if et := s.trees[i]; s.owned[i]&ownTreeBit != 0 && et != u.tree {
+		if s.spare == nil {
+			s.spare = make([]*incr.EditTree, len(s.trees))
+		}
+		s.spare[i] = et
+		s.deck = nil
+	}
+}
+
 // touch records on a fork that net i is about to change, with its current
-// tree, the first time since the Fork or the last Revert; on a session or a
-// Scaled view it does nothing.
+// tree (nil when unmounted), the first time since the Fork or the last
+// Revert; on a session or a Scaled view it does nothing.
 func (s *Session) touch(i int) {
 	if s.parent != nil && s.owned[i]&touchedBit == 0 {
 		s.owned[i] |= touchedBit
@@ -346,14 +381,38 @@ func (s *Session) ownOut(i int) []Interval {
 }
 
 // ownTree returns net i's EditTree for mutation, cloning it first if it is
-// still shared with a fork (or a fork's parent).
+// still shared with a fork (or a fork's parent), or mounting it on the
+// graph's tree if no edit has reached the net yet.
 func (s *Session) ownTree(i int) *incr.EditTree {
 	if s.owned[i]&ownTreeBit == 0 {
 		s.touch(i)
-		s.trees[i] = s.trees[i].Clone()
+		if et := s.trees[i]; et != nil {
+			var spare *incr.EditTree
+			if s.spare != nil {
+				spare, s.spare[i] = s.spare[i], nil
+			}
+			s.trees[i] = et.CloneInto(spare)
+		} else {
+			s.trees[i] = incr.New(s.g.nodes[i].tree)
+		}
 		s.owned[i] |= ownTreeBit
 	}
 	return s.trees[i]
+}
+
+// nodeTree is the topology a structural guard reads: a mounted EditTree, or
+// the graph's tree for a net no edit has reached.
+type nodeTree interface {
+	Lookup(name string) (incr.NodeID, bool)
+	Parent(id incr.NodeID) incr.NodeID
+}
+
+// tree returns net i's current topology without mounting it.
+func (s *Session) tree(i int) nodeTree {
+	if et := s.trees[i]; et != nil {
+		return et
+	}
+	return s.g.nodes[i].tree
 }
 
 // Gen returns the session generation; it bumps once per Apply that changed
@@ -449,13 +508,17 @@ func (s *Session) CriticalUpstream(net string) []string {
 // CloneNetTree returns an independent clone of one net's current EditTree —
 // a safe probe vehicle for move generators that want to bisect a parameter
 // without touching the session (opt.MaxParam over a cloned tree is the
-// intended pairing).
+// intended pairing). A net no edit has reached is cloned from the graph's
+// tree.
 func (s *Session) CloneNetTree(net string) (*incr.EditTree, bool) {
 	i, err := s.netIndex(net)
 	if err != nil {
 		return nil, false
 	}
-	return s.trees[i].Clone(), true
+	if et := s.trees[i]; et != nil {
+		return et.Clone(), true
+	}
+	return incr.New(s.g.nodes[i].tree), true
 }
 
 // ViewNetTree returns one net's live EditTree for topology inspection
@@ -463,11 +526,16 @@ func (s *Session) CloneNetTree(net string) (*incr.EditTree, bool) {
 // the O(n) clone CloneNetTree pays. The view is strictly read-only: callers
 // must not invoke mutating methods — nor Times, which fills a memo — and
 // must not hold the view across an Apply, which may swap the tree out under
-// copy-on-write. Probing edits belongs on a CloneNetTree copy.
+// copy-on-write. Probing edits belongs on a CloneNetTree copy. The first
+// view of a net no edit has reached mounts its EditTree, so ViewNetTree is
+// a write under the session's single-writer rule, as Apply is.
 func (s *Session) ViewNetTree(net string) (*incr.EditTree, bool) {
 	i, err := s.netIndex(net)
 	if err != nil {
 		return nil, false
+	}
+	if s.trees[i] == nil {
+		s.ownTree(i)
 	}
 	return s.trees[i], true
 }
@@ -480,12 +548,7 @@ func (s *Session) ProtectedOutputs(net string) []string {
 	if err != nil {
 		return nil
 	}
-	names := make([]string, 0, len(s.protected[i]))
-	for name := range s.protected[i] {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return s.g.protectedOutputs(i)
 }
 
 // Apply performs the edits in order and re-times the affected cone. On the
@@ -549,13 +612,13 @@ func (s *Session) applyOne(e Edit) (int, error) {
 	}
 	switch e.Op {
 	case "prune":
-		if id, ok := s.trees[i].Lookup(e.Node); ok {
+		if id, ok := s.tree(i).Lookup(e.Node); ok {
 			if name, bad := s.pruneWouldOrphan(i, id); bad {
 				return 0, fmt.Errorf("cannot prune %q: output %q is tapped by a stage or pinned by a require", e.Node, name)
 			}
 		}
 	case "removeOutput":
-		if s.protected[i][e.Node] {
+		if s.g.protects(i, e.Node) {
 			return 0, fmt.Errorf("output %q is tapped by a stage or pinned by a require", e.Node)
 		}
 	}
@@ -738,14 +801,13 @@ func EdgeKindOf(kind string, c float64) (rctree.EdgeKind, error) {
 // protected output's root path — O(protected · depth), no child lists needed.
 // It names the least such output, so the refusal reads the same every time.
 func (s *Session) pruneWouldOrphan(i int, q incr.NodeID) (string, bool) {
-	et := s.trees[i]
-	least, found := "", false
-	for name := range s.protected[i] {
-		if id, ok := et.Lookup(name); ok && under(et, id, q) && (!found || name < least) {
-			least, found = name, true
+	t := s.tree(i)
+	for _, name := range s.g.protectedOutputs(i) {
+		if id, ok := t.Lookup(name); ok && under(t, id, q) {
+			return name, true
 		}
 	}
-	return least, found
+	return "", false
 }
 
 // outputsUnder counts et's designated outputs lying at or below node q.
@@ -761,8 +823,8 @@ func outputsUnder(et *incr.EditTree, q incr.NodeID) int {
 
 // under reports whether node x lies at or below node q, walking x's root
 // path.
-func under(et *incr.EditTree, x, q incr.NodeID) bool {
-	for ; x != q; x = et.Parent(x) {
+func under(t nodeTree, x, q incr.NodeID) bool {
+	for ; x != q; x = t.Parent(x) {
 		if x == incr.Root {
 			return false
 		}
@@ -771,8 +833,9 @@ func under(et *incr.EditTree, x, q incr.NodeID) bool {
 }
 
 // recomputeDelay derives net i's designated output names and delay
-// intervals from its EditTree: one O(depth) characteristic-times query plus
-// a bound evaluation per output, scaled by the session's λ.
+// intervals from its EditTree, which the edit that dirtied the net mounted:
+// one O(depth) characteristic-times query plus a bound evaluation per
+// output, scaled by the session's λ.
 func (s *Session) recomputeDelay(i int) ([]string, []Interval, error) {
 	et := s.trees[i]
 	outs := et.Outputs()
@@ -1046,8 +1109,9 @@ func (s *Session) WorstEndpoints(k int) []EndpointSlack {
 }
 
 // Design materializes the current session state back into a standalone
-// design: every net's EditTree compacts to an immutable tree, and the stage
-// and require cards carry over unchanged (structural guards keep them valid).
+// design: every mounted net's EditTree compacts to an immutable tree, a net
+// no edit has reached keeps the graph's tree, and the stage and require
+// cards carry over unchanged (structural guards keep them valid).
 // AnalyzeDesign of the result agrees with the session's Report to numerical
 // tolerance — the property tests pin this down. A Scaled view materializes
 // its unscaled trees.
@@ -1058,9 +1122,12 @@ func (s *Session) Design() (*netlist.Design, error) {
 		Requires: append([]netlist.Require(nil), s.g.design.Requires...),
 	}
 	for i, et := range s.trees {
-		t, _, err := et.Materialize()
-		if err != nil {
-			return nil, fmt.Errorf("timing: materialize net %q: %w", s.g.nodes[i].name, err)
+		t := s.g.nodes[i].tree
+		if et != nil {
+			var err error
+			if t, _, err = et.Materialize(); err != nil {
+				return nil, fmt.Errorf("timing: materialize net %q: %w", s.g.nodes[i].name, err)
+			}
 		}
 		d.Nets = append(d.Nets, netlist.DesignNet{Name: s.g.nodes[i].name, Tree: t})
 	}

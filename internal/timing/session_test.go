@@ -383,7 +383,7 @@ const (
 // 0-6 (every op but the output edits).
 func randomEditOf(rng *rand.Rand, s *Session, seq *int, op int) Edit {
 	i := rng.Intn(len(s.trees))
-	et := s.trees[i]
+	et := s.netTree(i)
 	net := s.g.nodes[i].name
 	// Collect live non-root node names through the public surface: slot IDs
 	// only grow by one per Grow, so a fixed scan bound covers them all.

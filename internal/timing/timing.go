@@ -3,6 +3,7 @@ package timing
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -222,6 +223,28 @@ func (g *Graph) endpointRequired(i int, name string, defRequired float64) (req f
 		return defRequired, true
 	}
 	return math.Inf(1), true
+}
+
+// protects reports whether net i's output name is tapped by a stage edge or
+// pinned by a .require card: pruning or undesignating it would orphan the
+// graph structure, so a session refuses those edits.
+func (g *Graph) protects(i int, name string) bool {
+	node := &g.nodes[i]
+	_, pinned := node.required[name]
+	return pinned || node.drives[name]
+}
+
+// protectedOutputs lists net i's protected outputs in sorted order.
+func (g *Graph) protectedOutputs(i int) []string {
+	node := &g.nodes[i]
+	names := slices.Collect(maps.Keys(node.drives))
+	for name := range node.required {
+		if !node.drives[name] {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
 }
 
 // Nets reports the number of nets in the graph.

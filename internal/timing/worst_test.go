@@ -89,7 +89,7 @@ func worstDesign(t *testing.T, rng *rand.Rand) (*netlist.Design, float64) {
 // rejected edits.
 func randomOutputEdit(rng *rand.Rand, s *Session) Edit {
 	i := rng.Intn(len(s.trees))
-	et := s.trees[i]
+	et := s.netTree(i)
 	net := s.g.nodes[i].name
 	if rng.Intn(2) == 0 {
 		outs := et.Outputs()

@@ -12,6 +12,7 @@ import (
 // Instrument attaches a metrics registry to the store. Logs handed out by
 // subsequent Create/Recover calls record durability telemetry on it:
 //
+//	wal_create_seconds    one observation per Create (snapshot 1, log, meta)
 //	wal_append_seconds    one observation per Append (render + write + fsync)
 //	wal_fsync_seconds     the fsync alone, nested under the append
 //	wal_snapshot_seconds  snapshot write + rename during a rotation
@@ -23,6 +24,17 @@ import (
 // A nil registry (the default) disables all of it. Instrument is not
 // synchronized with in-flight operations; call it right after Open.
 func (s *Store) Instrument(reg *obs.Registry) { s.obs = reg }
+
+// CreateCtx is Create with trace propagation: a wal_create span attaches
+// under ctx's active trace span, alongside the wal_create_seconds histogram
+// both forms record.
+func (s *Store) CreateCtx(ctx context.Context, id, deck string, meta Meta) (*Log, error) {
+	_, op := trace.StartOp(ctx, s.obs, "wal_create")
+	l, err := s.create(id, deck, meta)
+	op.SetError(err)
+	op.End()
+	return l, err
+}
 
 // AppendCtx is Append with trace propagation: a wal_append span (with a
 // nested wal_fsync span) attaches under ctx's active trace span, alongside

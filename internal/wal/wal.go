@@ -38,7 +38,9 @@ type Meta struct {
 // Store manages per-design durability state under one data directory:
 //
 //	<dir>/<id>/meta.json      analysis options + snapshot bookkeeping
-//	<dir>/<id>/snap.<N>.ckt   materialized design deck (netlist.WriteDesign)
+//	<dir>/<id>/snap.<N>.ckt   design deck: snap.1 is the deck as posted,
+//	                          later ones the session's canonical render
+//	                          (Session.AppendDeck, netlist.WriteDesign form)
 //	<dir>/<id>/wal.<N>.log    ECO edits accepted since snapshot N
 //	                          (timing.FormatEdits lines, fsynced per append)
 //
@@ -131,13 +133,21 @@ func (s *Store) Remove(id string) error {
 	if err := os.RemoveAll(s.designDir(id)); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	syncDir(s.dir) // or a crash could bring the design back
 	return nil
 }
 
 // Create persists a brand-new design: meta.json, the initial snapshot
-// (sequence 1) and an empty live log, all fsynced before it returns. The
-// returned Log accepts the design's appended edits.
+// (sequence 1) holding deck exactly as given, and an empty live log, all
+// fsynced — the files and their directory entries — before it returns.
+// The returned Log accepts the design's appended edits.
 func (s *Store) Create(id, deck string, meta Meta) (*Log, error) {
+	return s.CreateCtx(context.Background(), id, deck, meta)
+}
+
+// create is the Create body, shared with the span-attaching CreateCtx
+// (which owns the wal_create histogram/span around this call).
+func (s *Store) create(id, deck string, meta Meta) (*Log, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("wal: bad id %q", id)
 	}
@@ -149,14 +159,19 @@ func (s *Store) Create(id, deck string, meta Meta) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(dir, snapName(1)), []byte(deck)); err != nil {
+	syncDir(s.dir)
+	if err := writeFileSync(filepath.Join(dir, snapName(1)), deck); err != nil {
+		return nil, err
+	}
+	// The log exists before meta.json names its sequence, and writeMeta's
+	// directory fsync makes both entries durable, so recovery never meets a
+	// committed sequence without its log.
+	l := &Log{dir: dir, meta: meta, obs: s.obs}
+	if err := l.openLog(); err != nil {
 		return nil, err
 	}
 	if err := writeMeta(dir, meta); err != nil {
-		return nil, err
-	}
-	l := &Log{dir: dir, meta: meta, obs: s.obs}
-	if err := l.openLog(); err != nil {
+		l.Close()
 		return nil, err
 	}
 	return l, nil
@@ -203,6 +218,7 @@ func (s *Store) recover(id string) (*Recovered, *Log, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	committed := seq == meta.Seq
 	meta.Seq = seq
 	deckBytes, err := os.ReadFile(filepath.Join(dir, snapName(seq)))
 	if err != nil {
@@ -213,8 +229,14 @@ func (s *Store) recover(id string) (*Recovered, *Log, error) {
 	logPath := filepath.Join(dir, logName(seq))
 	raw, err := os.ReadFile(logPath)
 	switch {
+	case os.IsNotExist(err) && !committed:
+		// Crash between snapshot rename and log creation: the snapshot holds
+		// every edit, nothing to replay.
 	case os.IsNotExist(err):
-		// Crash between snapshot rename and log creation: nothing to replay.
+		// Create and rotate open the log before meta.json commits its
+		// sequence, so its edits are gone: fail rather than lose them
+		// silently.
+		return nil, nil, fmt.Errorf("wal: %s: the live log of committed snapshot %d is missing", dir, seq)
 	case err != nil:
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	default:
@@ -488,13 +510,20 @@ func readMeta(dir string) (Meta, error) {
 	return m, nil
 }
 
-// writeFileSync writes data and fsyncs the file before closing it.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes data and fsyncs the file before closing it. A string
+// is written without a []byte copy.
+func writeFileSync[T string | []byte](path string, data T) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	switch d := any(data).(type) {
+	case string:
+		_, err = f.WriteString(d)
+	case []byte:
+		_, err = f.Write(d)
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -508,10 +537,13 @@ func writeFileSync(path string, data []byte) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so renames within it are durable. Best-effort:
-// some filesystems reject directory fsync; the rename itself is still
-// atomic there.
-func syncDir(dir string) {
+// syncDir fsyncs a directory so the entries created, renamed or removed in
+// it are durable. Tests replace it to record its targets.
+var syncDir = fsyncDir
+
+// fsyncDir is syncDir's body. Best-effort: some filesystems reject directory
+// fsync; a rename is still atomic there.
+func fsyncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()

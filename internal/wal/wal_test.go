@@ -320,3 +320,101 @@ func TestAppendPoisonedAfterWriteError(t *testing.T) {
 		t.Fatalf("append after rotation: %v", err)
 	}
 }
+
+// dirSync is one recorded syncDir call: its target and which of the
+// design's files existed when it ran.
+type dirSync struct {
+	dir       string
+	designDir bool // the design directory existed
+	log, meta bool // wal.1.log and meta.json existed in it
+}
+
+// recordSyncDir swaps the syncDir seam for a recorder of its calls about
+// design id under root, and restores it when the test ends.
+func recordSyncDir(t *testing.T, root, id string) *[]dirSync {
+	t.Helper()
+	var calls []dirSync
+	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
+	design := filepath.Join(root, id)
+	prev := syncDir
+	syncDir = func(dir string) {
+		calls = append(calls, dirSync{
+			dir:       dir,
+			designDir: exists(design),
+			log:       exists(filepath.Join(design, logName(1))),
+			meta:      exists(filepath.Join(design, "meta.json")),
+		})
+	}
+	t.Cleanup(func() { syncDir = prev })
+	return &calls
+}
+
+// TestCreateAndRemoveSyncDirectories: a design Create returns is durable
+// in full, and one Remove retires stays retired. Create fsyncs the store
+// root once the design directory exists, and fsyncs the design directory
+// once the live log and meta.json are both in it, so neither the design
+// nor its log's entry can vanish in a crash after the 201. Remove fsyncs
+// the root after the directory is gone. The snapshot holds the deck
+// byte for byte.
+func TestCreateAndRemoveSyncDirectories(t *testing.T) {
+	root := t.TempDir()
+	st, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := recordSyncDir(t, root, "d1")
+	const posted = "* as posted\r\n.design d\r\n.net drv\r\n.input in\r\nr1 in o 1k\r\nC1 o 0 2\r\n.output o\r\n.endnet\r\n.end\r\n"
+	l, err := st.Create("d1", posted, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var rootSynced, designSynced bool
+	for _, c := range *calls {
+		rootSynced = rootSynced || c.dir == root && c.designDir
+		designSynced = designSynced || c.dir == filepath.Join(root, "d1") && c.log && c.meta
+	}
+	if !rootSynced {
+		t.Errorf("Create never fsynced the store root after making the design directory: %+v", *calls)
+	}
+	if !designSynced {
+		t.Errorf("Create never fsynced the design directory holding both the live log and meta.json: %+v", *calls)
+	}
+	snap, err := os.ReadFile(filepath.Join(root, "d1", snapName(1)))
+	if err != nil || string(snap) != posted {
+		t.Errorf("snapshot 1 = %q (%v), want the deck as posted", snap, err)
+	}
+
+	*calls = nil
+	if err := st.Remove("d1"); err != nil {
+		t.Fatal(err)
+	}
+	removed := false
+	for _, c := range *calls {
+		removed = removed || c.dir == root && !c.designDir
+	}
+	if !removed {
+		t.Errorf("Remove never fsynced the store root after deleting the design: %+v", *calls)
+	}
+}
+
+// TestRecoverRefusesMissingCommittedLog: meta.json commits a sequence only
+// after its log exists, so a committed sequence without its log has lost
+// acknowledged edits. Recovery must say so instead of replaying nothing.
+func TestRecoverRefusesMissingCommittedLog(t *testing.T) {
+	st, _ := Open(t.TempDir())
+	l, err := st.Create("x7", testDeck, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(testEdits()); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := os.Remove(filepath.Join(st.Dir(), "x7", logName(1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Recover("x7"); err == nil || !strings.Contains(err.Error(), "live log") {
+		t.Fatalf("Recover of a committed sequence without its log = %v, want a missing-log error", err)
+	}
+}

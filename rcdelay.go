@@ -236,9 +236,10 @@ type (
 	// ArrivalInterval is a closed [min, max] interval bracketing an arrival
 	// time.
 	ArrivalInterval = timing.Interval
-	// DesignSession is the incremental re-timing engine: one EditTree per
-	// net, O(depth) ECO edits, dirty-cone arrival re-propagation. Not safe
-	// for concurrent use — wrap it in a mutex to share across goroutines.
+	// DesignSession is the incremental re-timing engine: an EditTree per
+	// edited net (mounted on its first edit), O(depth) ECO edits,
+	// dirty-cone arrival re-propagation. Not safe for concurrent use — wrap
+	// it in a mutex to share across goroutines.
 	DesignSession = timing.Session
 	// DesignEdit is one ECO operation on a design session, addressed by net
 	// (and node) name.
