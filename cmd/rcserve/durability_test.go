@@ -654,3 +654,75 @@ func TestPostedDeckRecovery(t *testing.T) {
 	}
 	crash(srv2, "2", false) // after a rotation: the canonical snapshot 2 + a 3-edit log
 }
+
+// tieDeck has two identical drivers into one sink, their .stage cards out
+// of canonical order, so the sink's worst fanin is an exact tie.
+const tieDeck = `.design tie
+.net b
+.input in
+R1 in o 200
+C1 o 0 0.05
+.output o
+.endnet
+.net a
+.input in
+R1 in o 200
+C1 o 0 0.05
+.output o
+.endnet
+.net sink
+.input in
+R1 in o 150
+C1 o 0 0.03
+.output o
+.endnet
+.stage b o sink 10
+.stage a o sink 10
+.require sink o 20
+.end
+`
+
+// TestRecoveredTieNamesLivePath: a design whose critical path ends in an
+// exact fanin tie, edited once, rotated to the canonical deck and
+// recovered, must name the same critical path as the live session. Both
+// break the tie by fanin order, and the graph builds each net's fanin in
+// the canonical stage order whatever the order of the posted cards.
+func TestRecoveredTieNamesLivePath(t *testing.T) {
+	dir := t.TempDir()
+	srv1, _ := walServer(t, dir)
+	srv1.snapEvery = 0
+	body, _ := json.Marshal(map[string]any{"design": tieDeck, "threshold": 0.7})
+	code, created := serveJSON(t, srv1, http.MethodPost, "/design", string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	if code, resp := serveJSON(t, srv1, http.MethodPost, "/design/"+id+"/edit",
+		`{"edits": [{"op": "scaleDriver", "net": "sink", "factor": 0.9}]}`); code != http.StatusOK {
+		t.Fatalf("edit = %d: %v", code, resp)
+	}
+	if n, err := srv1.snapshotAll(); err != nil || n != 1 {
+		t.Fatalf("snapshotAll = %d, %v; want 1, nil", n, err)
+	}
+	hops := func(srv *server) string {
+		t.Helper()
+		code, resp := serveJSON(t, srv, http.MethodGet, "/design/"+id+"/slack", "")
+		if code != http.StatusOK {
+			t.Fatalf("GET slack = %d: %v", code, resp)
+		}
+		paths := resp["report"].(map[string]any)["paths"].([]any)
+		if len(paths) == 0 {
+			t.Fatalf("no critical path: %v", resp)
+		}
+		h, _ := json.Marshal(paths[0].(map[string]any)["hops"])
+		return string(h)
+	}
+	live := hops(srv1)
+	srv2, n := walServer(t, dir)
+	if n != 1 {
+		t.Fatalf("recovered %d designs, want 1", n)
+	}
+	if got := hops(srv2); got != live {
+		t.Fatalf("recovered critical path %s, live %s", got, live)
+	}
+}

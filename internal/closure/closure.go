@@ -62,12 +62,12 @@ type Options struct {
 	Progress func(ProgressEvent)
 	// Corners, when non-empty, makes the run corner-aware: each corner is a
 	// Session.Scaled view of the main session (every net delay times
-	// RScale·CScale), every candidate move is trialed at every corner with
-	// the same edits, moves that regress any corner's WNS are vetoed even
-	// when they improve the typical corner, gains are scored at the
-	// currently-worst corner, and the run only closes once every corner
-	// meets timing. A corner with scales (1, 1) is the main session itself
-	// and is skipped.
+	// RScale·CScale), every candidate move is trialed at every corner by a
+	// view fork that follows the typical trial's delays, moves that regress
+	// any corner's WNS are vetoed even when they improve the typical corner,
+	// gains are scored at the currently-worst corner, and the run only
+	// closes once every corner meets timing. A corner with scales (1, 1) is
+	// the main session itself and is skipped.
 	Corners []mcd.Corner
 }
 
@@ -260,20 +260,20 @@ type engine struct {
 }
 
 // cornerState is one swept corner's view of the design and its running
-// WNS/TNS. edits maps a move's edit list into the view's value space.
+// WNS/TNS. follow re-times the view, or a fork of it, after src — the
+// session or a trial fork of it — applied a move's edits.
 type cornerState struct {
 	c        mcd.Corner
 	sess     *timing.Session
-	edits    func([]timing.Edit) []timing.Edit
+	follow   func(view *timing.Session, ctx context.Context, src *timing.Session, edits []timing.Edit) (timing.ApplyResult, error)
 	wns, tns float64
 }
 
 // scaledCorner mounts corner c as sess.Scaled(RScale·CScale): the paper's
 // bounds are degree-1 homogeneous in R·C, so the corner scales every net
-// delay by that product, and the view takes a move's edits as they are.
+// delay by that product, and the view follows the session's delays.
 func scaledCorner(sess *timing.Session, c mcd.Corner) *cornerState {
-	return &cornerState{c: c, sess: sess.Scaled(c.RScale * c.CScale),
-		edits: func(e []timing.Edit) []timing.Edit { return e }}
+	return &cornerState{c: c, sess: sess.Scaled(c.RScale * c.CScale), follow: (*timing.Session).Follow}
 }
 
 // mountCorners mounts a view per non-typical corner.
@@ -428,7 +428,7 @@ func (e *engine) run(ctx context.Context) (*Report, error) {
 		}
 		prevW, prevT := curW, curT
 		for _, cs := range e.corners {
-			cres, err := cs.sess.ApplyCtx(actx, cs.edits(winner.Edits))
+			cres, err := cs.follow(cs.sess, actx, e.sess, winner.Edits)
 			if err != nil {
 				aop.SetError(err)
 				aop.End()
@@ -494,8 +494,8 @@ type trial struct {
 }
 
 // evaluate runs every candidate as an independent what-if trial: its edits
-// are applied to a fork of the session — and to a fork of each swept
-// corner's view — and the forks are Reverted afterwards. Each pool worker
+// are applied to a fork of the session, a fork of each swept corner's view
+// follows that fork, and the forks are Reverted afterwards. Each pool worker
 // owns one set of forks, re-forked in place for the round sequentially
 // before the pool starts (ForkInto mutates the parent's copy-on-write
 // bookkeeping); ForkInto and Revert leave a fork as a fresh Fork would be,
@@ -528,7 +528,7 @@ func (e *engine) evaluate(ctx context.Context, cands []Move) []trial {
 		if err == nil && len(e.corners) > 0 {
 			tr.corner = make([]timing.ApplyResult, len(e.corners))
 			for j, cs := range e.corners {
-				cres, cerr := f[1+j].ApplyCtx(tctx, cs.edits(cands[i].Edits))
+				cres, cerr := cs.follow(f[1+j], tctx, f[0], cands[i].Edits)
 				if cerr != nil {
 					tr.err = cerr
 					break

@@ -163,12 +163,28 @@ func TestCloseChip(t *testing.T) {
 // required time that makes its worst endpoints fail by a healthy margin.
 func failingRandomDesign(t *testing.T, seed int64) (*netlist.Design, float64) {
 	t.Helper()
+	return failingDesign(t, seed, 10)
+}
+
+// stageHeavyDesign is failingRandomDesign with gate delays of up to 30000,
+// about one net level's delay, where failingRandomDesign's are a rounding
+// error beside its nets: its paths differ in their shares of unscaled
+// .stage delay, so a corner's λ can reorder them.
+func stageHeavyDesign(t *testing.T, seed int64) (*netlist.Design, float64) {
+	t.Helper()
+	return failingDesign(t, seed, 30000)
+}
+
+// failingDesign draws the random layered design with gate delays drawn
+// from (0, delayMax] and a default required time 0.8 × its latest arrival.
+func failingDesign(t *testing.T, seed int64, delayMax float64) (*netlist.Design, float64) {
+	t.Helper()
 	cfg := randnet.DesignConfig{
 		Levels:   3,
 		Width:    3,
 		Net:      randnet.DefaultConfig(8 + int(seed%7)),
 		FaninMax: 2,
-		DelayMax: 10,
+		DelayMax: delayMax,
 	}
 	d := randnet.DesignSeed(seed, cfg)
 	probe, err := timing.Analyze(context.Background(), d, timing.Options{Threshold: 0.7, Required: 1e12, Sequential: true})
@@ -510,7 +526,8 @@ func scaleEdits(edits []timing.Edit, c mcd.Corner) []timing.Edit {
 
 // shadowCorner is the corner path Session.Scaled replaced, kept as the
 // oracle: a fresh session on the ScaleDesign'd materialization of the
-// design, whose edits go through scaleEdits.
+// design, which applies each move's edits through scaleEdits instead of
+// following the typical session.
 func shadowCorner(t *testing.T) func(*timing.Session, mcd.Corner) *cornerState {
 	return func(sess *timing.Session, c mcd.Corner) *cornerState {
 		t.Helper()
@@ -534,16 +551,25 @@ func shadowCorner(t *testing.T) func(*timing.Session, mcd.Corner) *cornerState {
 			t.Fatal(err)
 		}
 		return &cornerState{c: c, sess: shadow,
-			edits: func(e []timing.Edit) []timing.Edit { return scaleEdits(e, c) }}
+			follow: func(v *timing.Session, ctx context.Context, _ *timing.Session, e []timing.Edit) (timing.ApplyResult, error) {
+				return v.ApplyCtx(ctx, scaleEdits(e, c))
+			}}
 	}
 }
 
 // TestScaledCornersMatchShadowSessions runs each corner-aware closure twice,
-// once on Session.Scaled corner views and once on the shadow sessions they
-// replaced, over the demo chip, the relaxed chip (mined from its slow
-// corner) and 12 random failing designs under three corner sets. The runs must accept the same edit script and stop for the
-// same reason after the same trials and vetoes, with every corner's WNS
-// within 1e-9 relative.
+// once on Session.Scaled corner views that follow the typical session and
+// once on the shadow sessions they replaced, over the demo chip, the
+// relaxed chip (mined from its slow corner), 12 random failing designs and
+// 8 stage-heavy ones under three corner sets. The runs must accept the same
+// edit script and stop for the same reason after the same trials and
+// vetoes, and every corner trial and accepted move must time each corner's
+// WNS and TNS within 1e-9 relative — the numbers every veto and every
+// corner-scored gain is decided on.
+//
+// No run vetoes: every move generator only lowers resistance or
+// capacitance, and the bounds never rise when they fall, so no move slows a
+// path at any corner. The per-trial comparison carries the check instead.
 func TestScaledCornersMatchShadowSessions(t *testing.T) {
 	cornerSets := [][]mcd.Corner{
 		mcd.DefaultCorners(),
@@ -563,23 +589,55 @@ func TestScaledCornersMatchShadowSessions(t *testing.T) {
 		d, required := failingRandomDesign(t, seed)
 		designs = append(designs, design{fmt.Sprint("seed ", seed), d, timing.Options{Threshold: 0.7, Required: required}})
 	}
+	for seed := int64(0); seed < 8; seed++ {
+		d, required := stageHeavyDesign(t, seed)
+		designs = append(designs, design{fmt.Sprint("stage-heavy seed ", seed), d, timing.Options{Threshold: 0.7, Required: required}})
+	}
 	ctx := context.Background()
+	// followed is one corner re-timing: a trial's or an accepted move's.
+	type followed struct {
+		corner, edits string
+		wns, tns      float64
+		err           bool
+	}
 	for _, dz := range designs {
 		for k, corners := range cornerSets {
 			label := fmt.Sprintf("%s corners %d", dz.name, k)
-			run := func(mount func(*timing.Session, mcd.Corner) *cornerState) *Report {
+			run := func(mount func(*timing.Session, mcd.Corner) *cornerState) (*Report, []followed) {
 				sess, err := timing.NewSession(ctx, dz.d, dz.topt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := &engine{sess: sess, opt: Options{MaxMoves: 16, Corners: corners}.resolve(), mount: mount}
+				var log []followed
+				record := func(s *timing.Session, c mcd.Corner) *cornerState {
+					cs := mount(s, c)
+					follow := cs.follow
+					cs.follow = func(v *timing.Session, ctx context.Context, src *timing.Session, e []timing.Edit) (timing.ApplyResult, error) {
+						res, err := follow(v, ctx, src, e)
+						log = append(log, followed{c.Name, timing.FormatEdits(e), res.WNS, res.TNS, err != nil})
+						return res, err
+					}
+					return cs
+				}
+				// One trial worker, so the log's order is the candidates'.
+				e := &engine{sess: sess, opt: Options{MaxMoves: 16, Corners: corners, Concurrency: 1}.resolve(), mount: record}
 				rep, err := e.run(ctx)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				return rep
+				return rep, log
 			}
-			got, want := run(scaledCorner), run(shadowCorner(t))
+			got, gotLog := run(scaledCorner)
+			want, wantLog := run(shadowCorner(t))
+			if len(gotLog) != len(wantLog) {
+				t.Fatalf("%s: %d corner re-timings, shadow %d", label, len(gotLog), len(wantLog))
+			}
+			for i, g := range gotLog {
+				w := wantLog[i]
+				if g.corner != w.corner || g.edits != w.edits || g.err != w.err || !closeEnough(g.wns, w.wns) || !closeEnough(g.tns, w.tns) {
+					t.Fatalf("%s: corner re-timing %d: %+v, shadow %+v", label, i, g, w)
+				}
+			}
 			if g, w := timing.FormatEdits(got.Edits), timing.FormatEdits(want.Edits); g != w {
 				t.Fatalf("%s: scaled views accepted\n%s\nshadow sessions\n%s", label, g, w)
 			}

@@ -33,11 +33,13 @@
 // the live session. The paper's TP, TD and TR are sums of R·C products and
 // its delay bounds are degree-1 homogeneous in them, so scaling every R by
 // r and every C by c scales each net delay by exactly r·c: a view needs no
-// scaled netlist and no tree sweep of its own, and it takes every trial's
-// and accepted move's edits as they are. Each trial worker also forks each
-// view once per round, and a trial applies and reverts the view forks
-// alongside the typical one; a move that regresses any corner's WNS is
-// vetoed.
+// scaled netlist, no tree of its own and no tree query. A trial applies its
+// edits once, to the typical fork; each trial worker also forks each view
+// once per round, and the view forks Follow the typical fork — λ times its
+// new delays for the edited nets, then their own dirty-cone sweep — and
+// revert alongside it. An accepted move is applied to the session and
+// followed by each view the same way. A move that regresses any corner's
+// WNS is vetoed.
 //
 // # Move generators
 //

@@ -96,7 +96,12 @@
 // Fork takes a copy-on-write what-if copy in O(nets), Revert returns a fork
 // to its parent's state in O(nets it touched), and ForkInto re-forks a fork
 // in place after its parent moved on, so a trial loop keeps one fork and
-// the trees it cloned across trials and rounds. The property tests pin Session equivalence to a
+// the trees it cloned across trials and rounds. Scaled(λ) is a corner view:
+// every net delay λ times the session's, since the bounds are degree-1
+// homogeneous in R·C. A view takes no edits; after its source (or a fork of
+// it) applies some, Follow installs λ times the source's new delays for the
+// edited nets and runs the same dirty-cone sweep, so a view never mounts,
+// clones or queries a tree. The property tests pin Session equivalence to a
 // from-scratch Analyze of the materialized design to 1e-9 over randomized
 // edit sequences, and BenchmarkDesignECO measures the dirty-cone speedup
 // against a full re-analysis.

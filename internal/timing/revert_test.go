@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -65,6 +66,22 @@ func trialBatch(rng *rand.Rand, s *Session, seq *int) []Edit {
 	return batch
 }
 
+// trialApply runs batch as a closure trial does: on fork f of a session it
+// applies the batch; when f is a fork of a Scaled view, src — a fork of the
+// view's source — applies it and f follows the prefix src applied, and the
+// result is f's, with src's error.
+func trialApply(f, src *Session, batch []Edit) (ApplyResult, error) {
+	if src == nil {
+		return f.Apply(batch)
+	}
+	res, err := src.Apply(batch)
+	fres, ferr := f.Follow(context.Background(), src, batch[:res.Applied])
+	if ferr != nil {
+		return fres, ferr
+	}
+	return fres, err
+}
+
 // errText is an error's text, "" for nil.
 func errText(err error) string {
 	if err == nil {
@@ -75,11 +92,13 @@ func errText(err error) string {
 
 // TestRevertMatchesFreshFork: one fork runs trial after trial, Reverted
 // between them, on random designs whose parent is a session, an edited
-// session or a Scaled view. Every trial's ApplyResult and error must equal
+// session or a Scaled view (whose fork follows a fork of the view's source,
+// itself Reverted alongside). Every trial's ApplyResult and error must equal
 // those of the same batch on a fresh Fork, the fork's state after the trial
 // must equal the fresh fork's, and after each Revert the fork must print
-// exactly as its parent does — the live slack JSON included, which only
-// stays right if Revert marks what it restores.
+// exactly as its parent does — the live slack JSON and the deck of the
+// trees it borrowed included, which only stay right if Revert marks and
+// restores what it changed.
 func TestRevertMatchesFreshFork(t *testing.T) {
 	designs := 60
 	if testing.Short() {
@@ -94,18 +113,24 @@ func TestRevertMatchesFreshFork(t *testing.T) {
 			s.Apply(randomBatch(rng, s, &seq)) // refusals keep the applied prefix
 		}
 		p, kind := s, "session"
+		var src, rsrc *Session // on a view: the source, and r's fork of it
 		if n%3 == 2 {
 			p, kind = s.Scaled(0.5+1.5*rng.Float64()), "scaled view"
+			src, rsrc = s, s.Fork()
 		}
 		want := sessionPrint(t, p)
 		r := p.Fork()
 		for trial := 0; trial < 10; trial++ {
 			label := fmt.Sprintf("design %d (%s) trial %d", n, kind, trial)
 			fresh := p.Fork()
+			var freshSrc *Session
+			if src != nil {
+				freshSrc = src.Fork()
+			}
 			for b := 1 + rng.Intn(2); b > 0; b-- { // one or two Applies per trial
 				batch := trialBatch(rng, p, &seq)
-				wantRes, wantErr := fresh.Apply(batch)
-				gotRes, gotErr := r.Apply(batch)
+				wantRes, wantErr := trialApply(fresh, freshSrc, batch)
+				gotRes, gotErr := trialApply(r, rsrc, batch)
 				if errText(gotErr) != errText(wantErr) {
 					t.Fatalf("%s: error %q, fresh fork %q", label, errText(gotErr), errText(wantErr))
 				}
@@ -119,6 +144,11 @@ func TestRevertMatchesFreshFork(t *testing.T) {
 			}
 			if err := r.Revert(); err != nil {
 				t.Fatalf("%s: Revert: %v", label, err)
+			}
+			if rsrc != nil {
+				if err := rsrc.Revert(); err != nil {
+					t.Fatalf("%s: source fork Revert: %v", label, err)
+				}
 			}
 			if r.Gen() != p.Gen() {
 				t.Fatalf("%s: reverted gen %d, parent %d", label, r.Gen(), p.Gen())
@@ -240,7 +270,9 @@ func TestRevertSiblingForksRace(t *testing.T) {
 // must print as its parent right after ForkInto, and every trial on it must
 // give the ApplyResult, error and state of the same batch on a fresh Fork —
 // although it reuses the trees earlier trials cloned, for the same nets
-// (whose memo stamps then collide) and for others.
+// (whose memo stamps then collide) and for others. A Scaled view's fork
+// follows a fork of the view's source, re-forked alongside it; the view
+// moves on by following its source.
 func TestForkIntoMatchesFreshFork(t *testing.T) {
 	designs := 24
 	if testing.Short() {
@@ -251,13 +283,17 @@ func TestForkIntoMatchesFreshFork(t *testing.T) {
 		d, required := worstDesign(t, rng)
 		s := newTestSession(t, d, Options{Threshold: 0.6, Required: required})
 		p, kind := s, "session"
+		var src, rsrc *Session // on a view: the source, and r's fork of it
 		if n%3 == 2 {
-			p, kind = s.Scaled(0.5+1.5*rng.Float64()), "scaled view"
+			p, kind, src = s.Scaled(0.5+1.5*rng.Float64()), "scaled view", s
 		}
 		seq := 0
 		var r *Session
 		for round := 0; round < 6; round++ {
 			r = p.ForkInto(r)
+			if src != nil {
+				rsrc = src.ForkInto(rsrc)
+			}
 			label := fmt.Sprintf("design %d (%s) round %d", n, kind, round)
 			if got, want := sessionPrint(t, r), sessionPrint(t, p); got != want {
 				t.Fatalf("%s: re-forked fork differs from its parent at byte %d", label, firstDiff([]byte(got), []byte(want)))
@@ -265,12 +301,16 @@ func TestForkIntoMatchesFreshFork(t *testing.T) {
 			net := p.g.nodes[rng.Intn(len(p.g.nodes))].name
 			for trial := 0; trial < 4; trial++ {
 				fresh := p.Fork()
+				var freshSrc *Session
+				if src != nil {
+					freshSrc = src.Fork()
+				}
 				batch := trialBatch(rng, p, &seq)
 				if trial < 2 { // two trials on one net from one state: the second reuses the first's tree
 					batch = []Edit{{Op: "scaleDriver", Net: net, Factor: f64(0.5 + rng.Float64())}}
 				}
-				wantRes, wantErr := fresh.Apply(batch)
-				gotRes, gotErr := r.Apply(batch)
+				wantRes, wantErr := trialApply(fresh, freshSrc, batch)
+				gotRes, gotErr := trialApply(r, rsrc, batch)
 				if errText(gotErr) != errText(wantErr) || !reflect.DeepEqual(gotRes, wantRes) {
 					t.Fatalf("%s trial %d: %+v %q, fresh fork %+v %q", label, trial, gotRes, errText(gotErr), wantRes, errText(wantErr))
 				}
@@ -281,8 +321,13 @@ func TestForkIntoMatchesFreshFork(t *testing.T) {
 				if err := r.Revert(); err != nil {
 					t.Fatalf("%s trial %d: Revert: %v", label, trial, err)
 				}
+				if rsrc != nil {
+					if err := rsrc.Revert(); err != nil {
+						t.Fatalf("%s trial %d: source fork Revert: %v", label, trial, err)
+					}
+				}
 			}
-			p.Apply(randomBatch(rng, p, &seq)) // the parent moves on, as an accepted move does
+			trialApply(p, src, randomBatch(rng, p, &seq)) // the parent moves on, as an accepted move does
 		}
 	}
 }

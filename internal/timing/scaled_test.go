@@ -50,7 +50,9 @@ func assertBitIdentical(t *testing.T, got, want *timing.Session, label string) {
 }
 
 // TestScaledOneIsBitExact: a Scaled(1) view equals its session bit for
-// bit, at the mount and after both absorb the same edit batches.
+// bit, at the mount and after it follows each edit batch the session
+// applies. The view follows the whole batch, refused edits included: the
+// nets past a refusal follow as no-ops.
 func TestScaledOneIsBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for n := 0; n < 30; n++ {
@@ -63,10 +65,9 @@ func TestScaledOneIsBitExact(t *testing.T) {
 		assertBitIdentical(t, v, s, fmt.Sprintf("design %d mount", n))
 		for k := 0; k < 10; k++ {
 			batch := timing.RandomBatch(rng, s, &seq)
-			_, serr := s.Apply(batch)
-			_, verr := v.Apply(batch)
-			if (serr == nil) != (verr == nil) {
-				t.Fatalf("design %d batch %d: session error %v, view error %v", n, k, serr, verr)
+			s.Apply(batch)
+			if _, err := v.Follow(context.Background(), s, batch); err != nil {
+				t.Fatalf("design %d batch %d: Follow: %v", n, k, err)
 			}
 			assertBitIdentical(t, v, s, fmt.Sprintf("design %d batch %d", n, k))
 		}
@@ -130,16 +131,21 @@ func assertMatchesScaledDesign(t *testing.T, v *timing.Session, r, c float64, la
 	}
 }
 
+// slackState renders a session's WNS/TNS and every constrained endpoint.
+func slackState(s *timing.Session) string {
+	wns, tns := s.Summary()
+	return fmt.Sprintf("%v %v %+v", wns, tns, s.WorstEndpoints(math.MaxInt32))
+}
+
 // state renders what a session answers without its memoized report:
-// WNS/TNS, every constrained endpoint, and the deck of its trees.
+// slackState and the deck of its trees.
 func state(t *testing.T, s *timing.Session) string {
 	t.Helper()
 	d, err := s.Design()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wns, tns := s.Summary()
-	return fmt.Sprintf("%v %v %+v\n%s", wns, tns, s.WorstEndpoints(math.MaxInt32), netlist.WriteDesign(d))
+	return slackState(s) + "\n" + netlist.WriteDesign(d)
 }
 
 func close9(a, b float64) bool {
@@ -149,14 +155,16 @@ func close9(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// TestScaledMatchesScaledDesign: a Scaled(r·c) view of a session, taking
-// the session's unscaled edits, stays the timing of the design with every R
-// scaled by r and every C by c. Random edit batches land on the parent and
-// on the view in turn, and on a fork of the view (a closure trial); after
-// each, the view and the fork must match a fresh session on the scaled
-// materialization of their own design, edits to the parent must not show in
-// the view, and edits to the view must not show in the parent.
+// TestScaledMatchesScaledDesign: a Scaled(r·c) view of a session, following
+// the session's edits, stays the timing of the design with every R scaled
+// by r and every C by c. Random edit batches land on the parent, which the
+// view then follows, and on a fork of the parent, which a fork of the view
+// follows (a closure trial); after each, the view and its fork must match a
+// fresh session on the scaled materialization of their own design, a
+// parent edit must not show in the view's slacks before it follows, and
+// following must not change the parent, nor a fork's following the view.
 func TestScaledMatchesScaledDesign(t *testing.T) {
+	ctx := context.Background()
 	corners := [][2]float64{{1.3, 0.9}, {0.95, 1.25}, {1.15, 1.15}, {0.5, 0.6}}
 	rng := rand.New(rand.NewSource(11))
 	for n := 0; n < 40; n++ {
@@ -167,24 +175,31 @@ func TestScaledMatchesScaledDesign(t *testing.T) {
 		seq := 0
 		for k := 0; k < 8; k++ {
 			label := fmt.Sprintf("design %d batch %d", n, k)
-			before := state(t, v)
-			s.Apply(timing.RandomBatch(rng, s, &seq))
-			if state(t, v) != before {
-				t.Fatalf("%s: a parent edit showed in the view", label)
+			before := slackState(v)
+			batch := timing.RandomBatch(rng, s, &seq)
+			res, _ := s.Apply(batch)
+			if slackState(v) != before {
+				t.Fatalf("%s: a parent edit showed in the view before it followed", label)
 			}
 			before = state(t, s)
-			v.Apply(timing.RandomBatch(rng, v, &seq))
+			if _, err := v.Follow(ctx, s, batch[:res.Applied]); err != nil {
+				t.Fatalf("%s: Follow: %v", label, err)
+			}
 			if state(t, s) != before {
-				t.Fatalf("%s: a view edit showed in the parent", label)
+				t.Fatalf("%s: following changed the parent", label)
 			}
 			assertMatchesScaledDesign(t, v, rc[0], rc[1], label)
 			if k%3 == 2 {
 				before = state(t, v)
-				f := v.Fork()
-				f.Apply(timing.RandomBatch(rng, f, &seq))
+				sf, f := s.Fork(), v.Fork()
+				batch := timing.RandomBatch(rng, sf, &seq)
+				res, _ := sf.Apply(batch)
+				if _, err := f.Follow(ctx, sf, batch[:res.Applied]); err != nil {
+					t.Fatalf("%s fork: Follow: %v", label, err)
+				}
 				assertMatchesScaledDesign(t, f, rc[0], rc[1], label+" fork")
 				if state(t, v) != before {
-					t.Fatalf("%s: a fork edit showed in the view", label)
+					t.Fatalf("%s: a fork's follow showed in the view", label)
 				}
 			}
 		}

@@ -99,11 +99,13 @@ type Session struct {
 	// state[i]'s arrival slice. Fork clears both bits on both sides; applyOne
 	// clones a shared tree (or mounts an unmounted one) and refreshOut a
 	// shared slice before their first mutation — copy-on-write, so a fork
-	// costs O(nets) flag-and-struct copies instead of O(design) data.
-	// touchedBit marks, on a fork, a net listed in touched.
+	// costs O(nets) flag-and-struct copies instead of O(design) data. A
+	// Scaled view never sets ownTreeBit: it owns no tree, and Follow only
+	// borrows its source's. touchedBit marks, on a fork, a net listed in
+	// touched.
 	owned []uint8
-	// lambda scales every net delay: 1 for a session, the corner's R·C
-	// product for a Scaled view.
+	// lambda is 0 for a session; on a Scaled view and its forks it is the
+	// factor λ by which Follow scales the source's delays.
 	lambda float64
 	gen    uint64
 	report *Report // memoized; nil after any state change
@@ -187,7 +189,6 @@ func (g *Graph) Session(ctx context.Context, opt Options) (*Session, error) {
 		netMin:   make([]float64, len(g.nodes)),
 		netNeg:   make([]float64, len(g.nodes)),
 		owned:    make([]uint8, len(g.nodes)),
-		lambda:   1,
 		obs:      r.obs,
 	}
 	for i := range g.nodes {
@@ -304,17 +305,20 @@ func (s *Session) Revert() error {
 }
 
 // keepSpare keeps, on a fork about to put back touched net u.net's earlier
-// tree, the private tree it has now for the net's next clone to reuse. It
-// drops the fork's deck state, whose sections name trees by address: a
-// reused tree would alias a section's state.
+// tree, the private tree it has now for the net's next clone to reuse. Any
+// other tree it drops — a view-fork's borrowed one, which its source may
+// reuse. Either way it drops the fork's deck state, whose sections name
+// trees by address: a reused tree would alias a section's state.
 func (s *Session) keepSpare(u touchedNet) {
 	i := u.net
-	if et := s.trees[i]; s.owned[i]&ownTreeBit != 0 && et != u.tree {
-		if s.spare == nil {
-			s.spare = make([]*incr.EditTree, len(s.trees))
-		}
-		s.spare[i] = et
+	if et := s.trees[i]; et != u.tree {
 		s.deck = nil
+		if s.owned[i]&ownTreeBit != 0 {
+			if s.spare == nil {
+				s.spare = make([]*incr.EditTree, len(s.trees))
+			}
+			s.spare[i] = et
+		}
 	}
 }
 
@@ -333,40 +337,38 @@ func (s *Session) touch(i int) {
 // products and TMin/TMax (eqs. 13–17) are degree-1 homogeneous in them, so
 // a corner that scales every resistance by r and every capacitance by c
 // scales each net delay by exactly λ = r·c; gate delays and required times
-// do not scale. The view is re-timed by one levelized pass that sets delay
-// = λ·delay and out = in + delay (VarArena's order, no tree sweep), and the
-// delays it re-derives for edited nets are scaled the same way, so the view
-// takes the session's edits unscaled. As with Fork, edits to either side
-// never show in the other. λ must be finite and positive; at λ = 1 the view
-// equals the session bit for bit. Design and AppendDeck render the view's
-// trees, which are unscaled.
+// do not scale. The view is a Fork that Follows the session over every net,
+// and it changes only by Follow: it refuses Apply, and it never mounts,
+// clones or owns a tree. Edits to the session do not show in the view's
+// timing until it follows them. λ must be finite and positive; at λ = 1 the
+// view equals the session bit for bit.
 func (s *Session) Scaled(lambda float64) *Session {
 	v := s.Fork()
-	v.parent = nil // every net changes below, untouched: not revertible
-	v.lambda *= lambda
-	v.report = nil
-	n := 0
-	for i := range v.state {
-		n += len(v.state[i].delay)
+	v.parent, v.lambda = nil, lambda // every net changes below, untouched: not revertible
+	all := make([]Edit, len(s.g.nodes))
+	for i := range all {
+		all[i].Net = s.g.nodes[i].name
 	}
-	delay, out := make([]Interval, n), make([]Interval, n)
-	for _, level := range v.g.levels {
-		for _, i := range level {
-			st := &v.state[i]
-			st.input, st.worst = v.g.gatherInput(v.state, i)
-			m := len(st.delay)
-			d, o := delay[:m:m], out[:m:m]
-			delay, out = delay[m:], out[m:]
-			for j, dj := range st.delay {
-				d[j] = Interval{dj.Min * lambda, dj.Max * lambda}
-				o[j] = st.input.plus(d[j])
-			}
-			st.delay, st.out = d, o
-			v.owned[i] |= ownStateBit
-			v.refreshSummary(i)
-		}
-	}
+	v.Follow(context.Background(), s, all) // cannot fail: every name resolves
 	return v
+}
+
+// Follow re-times a Scaled view, or a fork of one, after src — the session
+// it scales, or a fork of that session — applied edits: for each net the
+// edits name it installs src's current output names and λ times src's
+// current delays, then runs the view's own dirty-cone sweep. These are the
+// delays the view's own copy of the edited trees would give, at the cost of
+// no tree edit or query. A named net src did not change (say, past an edit it
+// refused) keeps its timing, so a caller may pass the whole batch. Follow
+// borrows src's trees, unscaled, for the view's Design and AppendDeck,
+// which render them as src holds them; a view's fork Reverts them with
+// everything else. Follow on a session, or with no src or one on another
+// graph, is refused; an unknown net stops it as Apply stops.
+func (s *Session) Follow(ctx context.Context, src *Session, edits []Edit) (ApplyResult, error) {
+	if src == nil {
+		return ApplyResult{Gen: s.gen}, errors.New("timing: Follow needs a source session")
+	}
+	return s.retime(ctx, src, edits)
 }
 
 // ownOut returns net i's arrival slice for in-place mutation, cloning it
@@ -528,13 +530,18 @@ func (s *Session) CloneNetTree(net string) (*incr.EditTree, bool) {
 // must not hold the view across an Apply, which may swap the tree out under
 // copy-on-write. Probing edits belongs on a CloneNetTree copy. The first
 // view of a net no edit has reached mounts its EditTree, so ViewNetTree is
-// a write under the session's single-writer rule, as Apply is.
+// a write under the session's single-writer rule, as Apply is. A Scaled
+// view mounts nothing: its view of an unmounted net is a fresh overlay on
+// the graph's tree.
 func (s *Session) ViewNetTree(net string) (*incr.EditTree, bool) {
 	i, err := s.netIndex(net)
 	if err != nil {
 		return nil, false
 	}
 	if s.trees[i] == nil {
+		if s.lambda != 0 {
+			return incr.New(s.g.nodes[i].tree), true // a view mounts nothing
+		}
 		s.ownTree(i)
 	}
 	return s.trees[i], true
@@ -561,14 +568,30 @@ func (s *Session) Apply(edits []Edit) (ApplyResult, error) {
 
 // ApplyCtx is Apply with trace propagation: when ctx carries an active trace
 // span, the apply (and its dirty-cone re-propagation) attach child spans
-// under it alongside the duration histograms both forms always record.
+// under it alongside the duration histograms both forms always record. A
+// Scaled view refuses it: a view changes only by Follow.
 func (s *Session) ApplyCtx(ctx context.Context, edits []Edit) (ApplyResult, error) {
+	return s.retime(ctx, nil, edits)
+}
+
+// retime is ApplyCtx's and Follow's shared body. It resolves each edit's
+// net and, on a session (no src), applies the edit, stopping at the first
+// error; then it re-times the dirty cone of those nets, whose delays come
+// from their trees on a session and from src on a view. A session refuses
+// a src, and a view needs one on its graph.
+func (s *Session) retime(ctx context.Context, src *Session, edits []Edit) (ApplyResult, error) {
+	if (src == nil) != (s.lambda == 0) || src != nil && src.g != s.g {
+		return ApplyResult{Gen: s.gen}, errors.New("timing: a session changes by Apply, a Scaled view only by Follow from a source on its graph")
+	}
 	ctx, op := trace.StartOp(ctx, s.obs, "timing_eco_apply")
 	var res ApplyResult
 	edited := map[int]bool{}
 	var firstErr error
 	for idx, e := range edits {
-		i, err := s.applyOne(e)
+		i, err := s.netIndex(e.Net)
+		if err == nil && src == nil {
+			err = s.applyOne(i, e)
+		}
 		if err != nil {
 			firstErr = fmt.Errorf("timing: edit %d (%s): %w", idx, e.Op, err)
 			break
@@ -581,7 +604,7 @@ func (s *Session) ApplyCtx(ctx context.Context, edits []Edit) (ApplyResult, erro
 		// the trace view gets its own child span so a request tree shows the
 		// propagate phase distinctly.
 		_, psp := trace.StartSpan(ctx, "timing_propagate")
-		if err := s.propagate(edited, &res); err != nil && firstErr == nil {
+		if err := s.propagate(edited, src, &res); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		psp.SetAttr("dirty_nets", fmt.Sprint(res.DirtyNets))
@@ -601,31 +624,27 @@ func (s *Session) ApplyCtx(ctx context.Context, edits []Edit) (ApplyResult, erro
 	return res, firstErr
 }
 
-// applyOne performs one edit on its net and returns the net index. The
-// design-level guards are the session's: outputs that stage edges tap or
-// requires pin cannot be pruned away or undesignated. ApplyTreeEdit does the
-// rest on the net's own (copy-on-write) EditTree.
-func (s *Session) applyOne(e Edit) (int, error) {
-	i, err := s.netIndex(e.Net)
-	if err != nil {
-		return 0, err
-	}
+// applyOne performs one edit on its net i. The design-level guards are the
+// session's: outputs that stage edges tap or requires pin cannot be pruned
+// away or undesignated. ApplyTreeEdit does the rest on the net's own
+// (copy-on-write) EditTree.
+func (s *Session) applyOne(i int, e Edit) error {
 	switch e.Op {
 	case "prune":
 		if id, ok := s.tree(i).Lookup(e.Node); ok {
 			if name, bad := s.pruneWouldOrphan(i, id); bad {
-				return 0, fmt.Errorf("cannot prune %q: output %q is tapped by a stage or pinned by a require", e.Node, name)
+				return fmt.Errorf("cannot prune %q: output %q is tapped by a stage or pinned by a require", e.Node, name)
 			}
 		}
 	case "removeOutput":
 		if s.g.protects(i, e.Node) {
-			return 0, fmt.Errorf("output %q is tapped by a stage or pinned by a require", e.Node)
+			return fmt.Errorf("output %q is tapped by a stage or pinned by a require", e.Node)
 		}
 	}
 	if err := ApplyTreeEdit(s.ownTree(i), e); err != nil {
-		return 0, fmt.Errorf("net %q: %w", e.Net, err)
+		return fmt.Errorf("net %q: %w", e.Net, err)
 	}
-	return i, nil
+	return nil
 }
 
 // ApplyTreeEdit performs one edit on a single net's EditTree: the op
@@ -667,22 +686,24 @@ func ApplyTreeEdit(et *incr.EditTree, e Edit) error {
 		}
 		return nil
 	}
+	// Every op but scaleDriver and grow addresses a node: resolve it first,
+	// so its error comes before any number's, as the ops read.
+	var id incr.NodeID
 	switch e.Op {
-	case "setR":
-		id, err := node(e.Node)
-		if err != nil {
+	case "setR", "setC", "addC", "setLine", "prune", "addOutput", "removeOutput":
+		var err error
+		if id, err = node(e.Node); err != nil {
 			return err
 		}
+	}
+	switch e.Op {
+	case "setR":
 		r, err := num("r", e.R)
 		if err != nil {
 			return err
 		}
 		return et.SetResistance(id, r)
 	case "setC":
-		id, err := node(e.Node)
-		if err != nil {
-			return err
-		}
 		c, err := num("c", e.C)
 		if err != nil {
 			return err
@@ -692,10 +713,6 @@ func ApplyTreeEdit(et *incr.EditTree, e Edit) error {
 		}
 		return et.SetCapacitance(id, c)
 	case "addC":
-		id, err := node(e.Node)
-		if err != nil {
-			return err
-		}
 		c, err := num("c", e.C)
 		if err != nil {
 			return err
@@ -705,10 +722,6 @@ func ApplyTreeEdit(et *incr.EditTree, e Edit) error {
 		}
 		return et.AddCapacitance(id, c)
 	case "setLine":
-		id, err := node(e.Node)
-		if err != nil {
-			return err
-		}
 		r, err := num("r", e.R)
 		if err != nil {
 			return err
@@ -748,10 +761,6 @@ func ApplyTreeEdit(et *incr.EditTree, e Edit) error {
 		_, err = et.Grow(parent, e.Name, kind, r, c)
 		return err
 	case "prune":
-		id, err := node(e.Node)
-		if err != nil {
-			return err
-		}
 		if outputsUnder(et, id) == len(et.Outputs()) {
 			return fmt.Errorf("cannot prune %q: the net would be left without designated outputs", e.Node)
 		}
@@ -760,16 +769,8 @@ func ApplyTreeEdit(et *incr.EditTree, e Edit) error {
 		}
 		return et.Prune(id)
 	case "addOutput":
-		id, err := node(e.Node)
-		if err != nil {
-			return err
-		}
 		return et.AddOutput(id)
 	case "removeOutput":
-		id, err := node(e.Node)
-		if err != nil {
-			return err
-		}
 		if len(et.Outputs()) == 1 {
 			return fmt.Errorf("cannot remove %q: the net would be left without designated outputs", e.Node)
 		}
@@ -832,11 +833,22 @@ func under(t nodeTree, x, q incr.NodeID) bool {
 	return true
 }
 
-// recomputeDelay derives net i's designated output names and delay
-// intervals from its EditTree, which the edit that dirtied the net mounted:
-// one O(depth) characteristic-times query plus a bound evaluation per
-// output, scaled by the session's λ.
-func (s *Session) recomputeDelay(i int) ([]string, []Interval, error) {
+// netDelay derives edited net i's designated output names and delay
+// intervals. A session reads them from its EditTree, which the edit that
+// dirtied the net mounted: one O(depth) characteristic-times query plus a
+// bound evaluation per output. A view takes src's current names and λ times
+// its current delays, and borrows its tree; propagate touched the net
+// first, so a Revert puts the view's own pointer back.
+func (s *Session) netDelay(i int, src *Session) ([]string, []Interval, error) {
+	if src != nil {
+		s.trees[i] = src.trees[i]
+		st := &src.state[i]
+		delay := make([]Interval, len(st.delay))
+		for j, d := range st.delay {
+			delay[j] = Interval{d.Min * s.lambda, d.Max * s.lambda}
+		}
+		return st.names, delay, nil
+	}
 	et := s.trees[i]
 	outs := et.Outputs()
 	names := make([]string, len(outs))
@@ -851,17 +863,18 @@ func (s *Session) recomputeDelay(i int) ([]string, []Interval, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("timing: net %q output %q: %w", s.g.nodes[i].name, names[j], err)
 		}
-		delay[j] = Interval{b.TMin(s.th) * s.lambda, b.TMax(s.th) * s.lambda}
+		delay[j] = Interval{b.TMin(s.th), b.TMax(s.th)}
 	}
 	return names, delay, nil
 }
 
 // propagate re-times the dirty cone: the edited nets re-derive their output
-// delays from their EditTrees, then arrivals sweep level by level through
+// delays from their EditTrees, or on a view follow src's, then arrivals
+// sweep level by level through
 // the downstream fanout, early-exiting any net whose input interval (and
 // delay) came back unchanged. Only fanouts tapping an output whose arrival
 // actually moved are enqueued, so a mid-cone settle stops the wave.
-func (s *Session) propagate(edited map[int]bool, res *ApplyResult) error {
+func (s *Session) propagate(edited map[int]bool, src *Session, res *ApplyResult) error {
 	var firstErr error
 	if s.queued == nil {
 		s.queued = make([]bool, len(s.g.nodes))
@@ -895,7 +908,7 @@ func (s *Session) propagate(edited map[int]bool, res *ApplyResult) error {
 			st.input, st.worst = in, worst
 			var moved bool
 			if delayDirty {
-				names, delay, err := s.recomputeDelay(i)
+				names, delay, err := s.netDelay(i, src)
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err
@@ -1114,7 +1127,7 @@ func (s *Session) WorstEndpoints(k int) []EndpointSlack {
 // cards carry over unchanged (structural guards keep them valid).
 // AnalyzeDesign of the result agrees with the session's Report to numerical
 // tolerance — the property tests pin this down. A Scaled view materializes
-// its unscaled trees.
+// the unscaled trees it borrowed from its source.
 func (s *Session) Design() (*netlist.Design, error) {
 	d := &netlist.Design{
 		Name:     s.g.design.Name,

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -154,10 +155,16 @@ func NewGraph(d *netlist.Design) (*Graph, error) {
 		g.nodes[from].drives[s.FromOutput] = true
 	}
 	// Kahn levelization: a net is placeable once every fanin edge has been
-	// consumed; its level is one past the deepest driver.
+	// consumed; its level is one past the deepest driver. Each fanin is put
+	// in canonical stage order (netlist.WriteDesign's) on the way, so a
+	// worst-fanin tie breaks the same way whatever the order of the .stage
+	// cards: a design re-read from its canonical deck names the same paths.
 	remaining := make([]int, len(g.nodes))
 	var queue []int
 	for i := range g.nodes {
+		slices.SortStableFunc(g.nodes[i].fanin, func(a, b faninEdge) int {
+			return cmp.Or(strings.Compare(g.nodes[a.driver].name, g.nodes[b.driver].name), strings.Compare(a.output, b.output))
+		})
 		remaining[i] = len(g.nodes[i].fanin)
 		if remaining[i] == 0 {
 			queue = append(queue, i)

@@ -7,16 +7,17 @@
 #                           arena propagation kernel, telemetry overheads,
 #                           full-reanalyze vs dirty-cone ECO re-timing,
 #                           sequential vs concurrent closure-trial evaluation,
-#                           and the corner sweep's in-place arena rescale vs
-#                           per-sample netlist rebuild
+#                           corner-aware vs plain closure on the closure
+#                           workload's shape, and the corner sweep's in-place
+#                           arena rescale vs per-sample netlist rebuild
 #   BENCH_serve.json        rcserve under rcload: per-operation p50/p99 at
 #                           two concurrency levels plus kill -9 recovery
 #                           timing (via scripts/serve_smoke.sh)
 #
-# The timing suite runs twice — once pinned to GOMAXPROCS=1 and once on all
-# cores (the second run is skipped on a single-core machine) — and every
-# benchmark entry records the gomaxprocs it ran under, so a multicore speedup
-# claim can never hide a single-core measurement.
+# The timing suite runs pinned to GOMAXPROCS=1, then at 2 and on all cores
+# where the machine has them — and every benchmark entry records the
+# gomaxprocs it ran under, so a multicore speedup claim can never hide a
+# single-core measurement.
 #
 # These files are the performance trajectory: re-run after perf work and
 # commit the result so regressions show up in review.
@@ -72,7 +73,8 @@ END {
 echo "wrote BENCH_incremental.json:"
 cat BENCH_incremental.json
 
-# Timing suite: once pinned to one P, once on every core the machine has.
+# Timing suite: pinned to one P, then at two and on every core the machine
+# has.
 # Each run's output is prefixed with a GOMAXPROCS marker line so the awk
 # below can tag every entry with the parallelism it was measured under.
 run_timing() {
@@ -84,9 +86,13 @@ run_timing() {
 raw="$(run_timing 1)"
 if [ "$maxprocs" -gt 1 ]; then
     raw="$raw
-$(run_timing "$maxprocs")"
+$(run_timing 2)"
 else
-    echo "bench_trajectory: single-core machine, skipping the all-cores run" >&2
+    echo "bench_trajectory: single-core machine, skipping the multicore runs" >&2
+fi
+if [ "$maxprocs" -gt 2 ]; then
+    raw="$raw
+$(run_timing "$maxprocs")"
 fi
 echo "$raw"
 printf '%s\n' "$raw" | awk -v date="$date" -v goversion="$goversion" -v maxprocs="$maxprocs" '
@@ -128,6 +134,10 @@ END {
     speedup("eco_dirty_cone_vs_full", "DesignECO/full-reanalyze@1", "DesignECO/dirty-cone@1")
     speedup("corner_sweep_arena_vs_rebuild", "CornerSweep/rebuild@1", "CornerSweep/arena@1")
     speedup("closure_concurrent_vs_sequential", "Closure/sequential@" maxmp, "Closure/concurrent@" maxmp)
+    # What corner-aware closure costs over the plain run: the view of each
+    # swept corner follows every trial and accepted move.
+    speedup("closure_corners_vs_workload_1cpu", "Closure/corners@1", "Closure/workload@1")
+    speedup("closure_corners_vs_workload_2cpu", "Closure/corners@2", "Closure/workload@2")
     # Ratio of instrumented to bare propagation: a registry-enabled pass per
     # the observability contract must stay within 2% of the no-op path
     # (metrics_overhead <= 1.02).
