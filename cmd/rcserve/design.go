@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -286,28 +287,21 @@ func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 
 // designCloseRequest is the POST /design/{id}/close body: the repair
 // budgets. All fields are optional (an empty body closes with the default
-// 32-move budget and no cost ceiling); sequential forces one-at-a-time
-// trial evaluation, which accepts the same moves, only slower.
+// 32-move budget and no cost ceiling); any other field is a 400.
 type designCloseRequest struct {
 	MaxMoves     int     `json:"maxMoves,omitempty"`
 	MaxCost      float64 `json:"maxCost,omitempty"`
 	TopEndpoints int     `json:"topEndpoints,omitempty"`
-	Sequential   bool    `json:"sequential,omitempty"`
 }
 
-// options maps the request onto the closure engine's options; sequential
-// is one trial worker.
+// options maps the request onto the closure engine's options.
 func (req designCloseRequest) options(reg *obs.Registry) rcdelay.ClosureOptions {
-	o := rcdelay.ClosureOptions{
+	return rcdelay.ClosureOptions{
 		MaxMoves:     req.MaxMoves,
 		MaxCost:      req.MaxCost,
 		TopEndpoints: req.TopEndpoints,
 		Obs:          reg,
 	}
-	if req.Sequential {
-		o.Concurrency = 1
-	}
-	return o
 }
 
 // designCloseResponse answers with the closure report — accepted edits,
@@ -323,11 +317,19 @@ type designCloseResponse struct {
 	Error  string                 `json:"error,omitempty"`
 }
 
+// closeSession runs the closure engine on ds's session for at most
+// closeBudget. The caller holds ds.mu.
+func (s *server) closeSession(ctx context.Context, ds *designSession, o rcdelay.ClosureOptions) (*rcdelay.ClosureReport, error) {
+	ctx, cancel := context.WithTimeout(ctx, closeBudget)
+	defer cancel()
+	return rcdelay.CloseSession(ctx, ds.sess, o)
+}
+
 // handleDesignClose runs the automated timing-closure engine on the live
 // session under its lock: failing endpoints are mined for candidate repairs,
-// candidates are evaluated concurrently as what-if trials on session forks,
-// and the best slack-gain-per-cost moves are accepted until WNS >= 0 or a
-// budget runs out.
+// candidates are evaluated as what-if trials on session forks, and the best
+// slack-gain-per-cost moves are accepted until WNS >= 0, a budget runs out
+// or closeBudget expires.
 func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_close_requests_total", 1)
@@ -354,12 +356,13 @@ func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 	}
 	ds := ent.val
 	ds.mu.Lock()
-	report, err := rcdelay.CloseSession(r.Context(), ds.sess, req.options(s.obs))
+	report, err := s.closeSession(r.Context(), ds, req.options(s.obs))
 	var walErr error
 	if report != nil {
 		// A cancelled run still applied its accepted prefix; account for it
 		// in memory and in the WAL (closure moves are ECO edits like any
-		// other — a restart replays the repair).
+		// other — a restart replays the repair). The log write is on the
+		// request's context, not the expired compute budget's.
 		ds.edits += len(report.Edits)
 		walErr = s.walAppend(r.Context(), ds, report.Edits)
 	}

@@ -551,6 +551,13 @@ func TestDesignClose(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("close malformed = %d", w.Code)
 	}
+	// The removed sequential field is an unknown field like any other.
+	req = httptest.NewRequest(http.MethodPost, "/design/"+id+"/close", strings.NewReader(`{"sequential": true}`))
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "sequential") {
+		t.Errorf("close with sequential = %d: %s", w.Code, w.Body.String())
+	}
 }
 
 func TestDesignCorners(t *testing.T) {

@@ -326,6 +326,86 @@ func TestDesignCloseLogsMoves(t *testing.T) {
 	}
 }
 
+// stallingWriter is a response recorder that holds the first SSE move
+// frame for stall, as a client that stops reading holds the handler.
+type stallingWriter struct {
+	*httptest.ResponseRecorder
+	stall   time.Duration
+	stalled bool
+}
+
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	if !w.stalled && bytes.HasPrefix(p, []byte("event: move")) {
+		w.stalled = true
+		time.Sleep(w.stall)
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestDesignCloseDeadline: a /close run that outlives closeBudget stops
+// before its next round and answers "cancelled" with the moves it had
+// accepted. The design lock is free again, and a restart replays the
+// accepted prefix from the WAL.
+func TestDesignCloseDeadline(t *testing.T) {
+	prev := closeBudget
+	t.Cleanup(func() { closeBudget = prev })
+	dir := t.TempDir()
+	srv, _ := walServer(t, dir)
+	body, _ := json.Marshal(map[string]any{"design": failingDeck, "threshold": 0.7})
+	code, created := serveJSON(t, srv, http.MethodPost, "/design", string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+
+	// Buffered: a spent budget cuts the run before its first round.
+	closeBudget = 0
+	code, closed := serveJSON(t, srv, http.MethodPost, "/design/"+id+"/close", `{"maxMoves": 16}`)
+	report, _ := closed["report"].(map[string]any)
+	if code != http.StatusUnprocessableEntity || report["reason"] != "cancelled" || report["trajectory"] != nil ||
+		!strings.Contains(fmt.Sprint(closed["error"]), "deadline exceeded") {
+		t.Fatalf("close past its budget = %d: %v", code, closed)
+	}
+
+	// Streamed: the first accepted move's frame stalls the run past its
+	// budget, so it stops after exactly that move (the chip needs two).
+	closeBudget = 200 * time.Millisecond
+	w := &stallingWriter{ResponseRecorder: httptest.NewRecorder(), stall: 300 * time.Millisecond}
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/design/"+id+"/close?stream=1", strings.NewReader(`{"maxMoves": 16}`)))
+	stream := w.Body.String()
+	i := strings.Index(stream, "event: done\ndata: ")
+	if i < 0 {
+		t.Fatalf("no done event:\n%s", stream)
+	}
+	var done closeDoneEvent
+	if err := json.Unmarshal([]byte(strings.TrimSpace(stream[i+len("event: done\ndata: "):])), &done); err != nil {
+		t.Fatal(err)
+	}
+	if done.Reason != "cancelled" || done.Moves != 1 || !strings.Contains(done.Error, "deadline exceeded") {
+		t.Fatalf("stalled stream's done event = %+v", done)
+	}
+
+	ent, ok := srv.designs.get(id)
+	if !ok {
+		t.Fatal("design gone")
+	}
+	if !ent.val.mu.TryLock() {
+		t.Fatal("the design lock is still held after the close answered")
+	}
+	ent.val.mu.Unlock()
+	srv.designs.release(ent)
+	_, info := serveJSON(t, srv, http.MethodGet, "/design/"+id, "")
+	if info["edits"].(float64) == 0 || info["gen"].(float64) != float64(done.Gen) {
+		t.Fatalf("after the cut-off close: %v, done %+v", info, done)
+	}
+
+	srv2, _ := walServer(t, dir)
+	_, info2 := serveJSON(t, srv2, http.MethodGet, "/design/"+id, "")
+	if info2["wns"] != info["wns"] || info2["tns"] != info["tns"] || info2["edits"] != info["edits"] {
+		t.Errorf("recovered %v, want the accepted prefix %v", info2, info)
+	}
+}
+
 // TestDesignRecoveryAfterOutputAndStructuralEdits: with a snapshot every two
 // edits, rotations land right after output-only edits (addOutput,
 // removeOutput) and after grows and prunes. Each snapshot re-renders only

@@ -73,12 +73,14 @@
 //
 // POST /design/{id}/close turns the session over to the automated
 // timing-closure engine: candidate repairs (driver sizing, wire
-// rebuffering, load trimming, stub pruning) are evaluated concurrently as
-// what-if trials against session forks and accepted by slack gain per unit
-// cost until WNS >= 0 or the requested budgets ({"maxMoves": 16,
-// "maxCost": 50}) run out. The answer carries the accepted ECO edit list
-// (which stays applied to the session), the move-by-move trajectory, and
-// the Pareto frontier of (cost, WNS) states the search visited.
+// rebuffering, load trimming, stub pruning) are evaluated one after another
+// as what-if trials on reused session forks and accepted by slack gain per
+// unit cost until WNS >= 0, the requested budgets ({"maxMoves": 16,
+// "maxCost": 50}) run out, or the run's compute budget (closeBudget, a few
+// seconds under the write timeout) expires. The answer carries the accepted
+// ECO edit list (which stays applied to the session), the move-by-move
+// trajectory, and the Pareto frontier of (cost, WNS) states the search
+// visited.
 package main
 
 import (
@@ -117,7 +119,15 @@ const (
 	defaultShardQueue  = 64
 	defaultEditBurst   = 256
 	defaultSnapEvery   = 64 // WAL edits between automatic snapshots
+	writeTimeout       = 60 * time.Second
 )
+
+// closeBudget bounds a /close run's compute, a few seconds under
+// writeTimeout: past it the run stops at its next round and answers with
+// its partial report (reason "cancelled"), so the handler releases the
+// design lock while the connection can still carry the answer. Tests
+// shorten it.
+var closeBudget = writeTimeout - 5*time.Second
 
 func main() {
 	var (
@@ -178,7 +188,7 @@ func main() {
 		Handler:           srv,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      60 * time.Second,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       120 * time.Second,
 	}
 	logger.Info("rcserve: listening",

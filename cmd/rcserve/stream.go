@@ -20,10 +20,12 @@ import (
 //	event: done    — final state: closed, reason, WNS/TNS, cost, error
 
 // with every data line a JSON object. A client that disconnects mid-run
-// cancels the engine through the request context; the moves accepted before
-// the cancellation stay applied to the session (the done event is then never
-// observed by that client, but the session is consistent and a following
-// GET /design/{id}/slack reads the partial repair).
+// cancels the engine through the request context, and closeBudget bounds
+// the run like the buffered handler's; the moves accepted before the
+// cancellation stay applied to the session and are logged to the WAL (a
+// disconnected client never observes the done event, but the session is
+// consistent and a following GET /design/{id}/slack reads the partial
+// repair).
 
 // closeStartEvent is the "start" SSE payload.
 type closeStartEvent struct {
@@ -57,10 +59,9 @@ func finitePtr(v float64) *float64 {
 
 // sseWriter frames Server-Sent Events and flushes each one immediately so
 // the client sees moves as they are accepted, not when the run ends. The
-// mutex serializes frames: the engine's Progress callback may fire from a
-// worker goroutine while the handler goroutine writes its own events, and
-// http.ResponseWriter promises nothing about concurrent writers — without
-// the lock, frames interleave mid-line.
+// mutex serializes frames: http.ResponseWriter promises nothing about
+// concurrent writers, and without the lock, frames written from two
+// goroutines interleave mid-line.
 type sseWriter struct {
 	mu sync.Mutex
 	w  http.ResponseWriter
@@ -106,7 +107,7 @@ func (s *server) streamDesignClose(w http.ResponseWriter, r *http.Request, ent *
 	})
 	opt := req.options(s.obs)
 	opt.Progress = func(ev rcdelay.ClosureProgress) { sse.event("move", ev) }
-	report, err := rcdelay.CloseSession(r.Context(), ds.sess, opt)
+	report, err := s.closeSession(r.Context(), ds, opt)
 	var walErr error
 	if report != nil {
 		ds.edits += len(report.Edits)

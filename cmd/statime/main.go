@@ -31,8 +31,8 @@
 // With -close (which also implies -design), the automated timing-closure
 // engine repairs the design instead of just reporting on it: failing
 // endpoints are mined for candidate moves (driver sizing, wire rebuffering,
-// load trimming, stub pruning), candidates are evaluated concurrently as
-// what-if trials, and the best slack-gain-per-cost move is accepted until
+// load trimming, stub pruning), candidates are evaluated as what-if
+// trials, and the best slack-gain-per-cost move is accepted until
 // WNS >= 0, the -budget move count, or the -maxcost ceiling is hit. The
 // report carries the accepted ECO edit list (replayable via -eco), the
 // closure trajectory, and the Pareto frontier of (cost, WNS) states

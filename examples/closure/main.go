@@ -1,8 +1,8 @@
 // Closure: automated design-level timing repair. A chip whose sink endpoint
 // misses its required time goes into the closure engine, which mines the
 // failing cones for candidate moves (driver sizing, wire rebuffering, load
-// trimming, stub pruning), evaluates them concurrently as what-if trials on
-// copy-on-write session forks, and accepts the best slack gain per unit
+// trimming, stub pruning), evaluates them as what-if trials on a
+// copy-on-write session fork, and accepts the best slack gain per unit
 // cost until WNS reaches zero. The result is a replayable ECO edit list,
 // the move-by-move trajectory, and the Pareto frontier of (cost, WNS)
 // trade-offs the search visited — not just one greedy answer.
@@ -63,8 +63,8 @@ func main() {
 	}
 
 	// Let the engine repair the chip. The zero options give a 32-move
-	// budget, no cost ceiling, and concurrent trial evaluation; the
-	// accepted move sequence is deterministic either way.
+	// budget and no cost ceiling; the accepted move sequence is
+	// deterministic.
 	report, err := rcdelay.CloseTiming(context.Background(), design, rcdelay.ClosureOptions{
 		Timing: rcdelay.DesignOptions{Threshold: 0.7, K: 1},
 	})

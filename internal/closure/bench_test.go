@@ -34,15 +34,11 @@ func benchDesign(b *testing.B) (*netlist.Design, float64) {
 }
 
 // BenchmarkClosure times the repair loop end to end — endpoint ranking,
-// candidate generation, what-if trials, accept — with trial evaluation
-// sequential vs fanned across the worker pool. The session mount is paid
-// outside the timer, so the ratio isolates the trial-evaluation concurrency
-// win.
-// scripts/bench_trajectory.sh records it in BENCH_timing.json as
-// closure_concurrent_vs_sequential. The workload sub-benchmark runs the
-// closure workload's shape instead: 6×40 nets of 60 nodes, required time
-// 0.8 × the latest arrival, an 8-move budget, default trial concurrency;
-// corners runs the same with mcd.DefaultCorners.
+// candidate generation, what-if trials, accept — on the benchmark chip
+// (chip); the session mount is paid outside the timer. The workload
+// sub-benchmark runs the closure workload's shape instead: 6×40 nets of 60
+// nodes, required time 0.8 × the latest arrival, an 8-move budget; corners
+// runs the same with mcd.DefaultCorners.
 func BenchmarkClosure(b *testing.B) {
 	d, required := benchDesign(b)
 	// K < 0 skips critical-path backtracking; the repair loop never walks
@@ -67,14 +63,8 @@ func BenchmarkClosure(b *testing.B) {
 			}
 		}
 	}
-	base := Options{MaxMoves: 6, TopEndpoints: 4, ConeDepth: 4}
-	b.Run("sequential", func(b *testing.B) {
-		o := base
-		o.Concurrency = 1
-		run(b, d, topt, o)
-	})
-	b.Run("concurrent", func(b *testing.B) {
-		run(b, d, topt, base)
+	b.Run("chip", func(b *testing.B) {
+		run(b, d, topt, Options{MaxMoves: 6, TopEndpoints: 4})
 	})
 	// The closure workload's shape; corners adds the default slow/typ/fast
 	// corners to it.

@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/incr"
@@ -30,9 +28,12 @@ const (
 	tnsWeight      = 0.05 // TNS share of the combined objective
 )
 
+// coneDepth caps how many nets of each endpoint's critical upstream cone
+// generate candidates.
+const coneDepth = 4
+
 // Options configures a closure run. The zero value closes with a 32-move
-// budget, no cost ceiling, the 4 worst endpoints mined per iteration, and
-// concurrent trial evaluation across GOMAXPROCS workers.
+// budget, no cost ceiling and the 4 worst endpoints mined per iteration.
 type Options struct {
 	// Timing mounts the session when closing a Design directly
 	// (CloseDesign); Close on an existing session ignores it.
@@ -45,13 +46,6 @@ type Options struct {
 	// TopEndpoints is how many failing endpoints are mined for candidates
 	// per iteration (0 means 4).
 	TopEndpoints int
-	// ConeDepth caps how many nets of each endpoint's critical upstream
-	// cone generate candidates (0 means 4).
-	ConeDepth int
-	// Concurrency bounds the trial-evaluation workers (0 means GOMAXPROCS;
-	// 1 evaluates one trial at a time). The accepted move sequence is the
-	// same at every setting.
-	Concurrency int
 	// Obs receives run telemetry: moves generated/trialed/accepted, fork
 	// counts, run spans, and the live WNS/TNS/cost gauges. Nil disables it.
 	Obs *obs.Registry
@@ -126,12 +120,6 @@ func (o Options) resolve() Options {
 	}
 	if o.TopEndpoints <= 0 {
 		o.TopEndpoints = 4
-	}
-	if o.ConeDepth <= 0 {
-		o.ConeDepth = 4
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -253,10 +241,10 @@ type engine struct {
 	// mount builds a swept corner's view of the session: scaledCorner, or
 	// the shadow-session oracle in closure_test.go.
 	mount func(*timing.Session, mcd.Corner) *cornerState
-	// forks[w] is trial worker w's: a fork of the session, then one of each
-	// swept corner's view, in corners order. Each round re-forks them in
-	// place (ForkInto), so they and the trees they cloned outlive a round.
-	forks [][]*timing.Session
+	// forks are the trial forks: one of the session, then one of each swept
+	// corner's view, in corners order. Each round re-forks them in place
+	// (ForkInto), so they and the trees they cloned outlive a round.
+	forks []*timing.Session
 }
 
 // cornerState is one swept corner's view of the design and its running
@@ -493,42 +481,36 @@ type trial struct {
 	err    error
 }
 
-// evaluate runs every candidate as an independent what-if trial: its edits
-// are applied to a fork of the session, a fork of each swept corner's view
-// follows that fork, and the forks are Reverted afterwards. Each pool worker
-// owns one set of forks, re-forked in place for the round sequentially
-// before the pool starts (ForkInto mutates the parent's copy-on-write
-// bookkeeping); ForkInto and Revert leave a fork as a fresh Fork would be,
-// so a trial's outcome does not
-// depend on which worker ran it or what that worker ran before. The result
-// slice is indexed like cands, so scheduling cannot reorder anything. Each
-// trial attaches a closure_trial span under ctx's closure_run span — safe
-// from the pool workers, the per-trace collector is mutex-protected.
+// evaluate runs every candidate as an independent what-if trial, in
+// candidate order: its edits are applied to the session's fork, each swept
+// corner's view fork follows that fork, and the forks are Reverted
+// afterwards. The forks are re-forked in place once per round; ForkInto and
+// Revert leave a fork as a fresh Fork would be, so a trial's outcome does
+// not depend on the trials before it. The result slice is indexed like
+// cands. Each trial attaches a closure_trial span under ctx's closure_run
+// span.
 func (e *engine) evaluate(ctx context.Context, cands []Move) []trial {
-	workers := min(e.opt.Concurrency, len(cands))
-	for len(e.forks) < workers {
-		e.forks = append(e.forks, make([]*timing.Session, 1+len(e.corners)))
+	if e.forks == nil {
+		e.forks = make([]*timing.Session, 1+len(e.corners))
 	}
-	forks := e.forks[:workers]
-	for _, f := range forks {
-		f[0] = e.sess.ForkInto(f[0])
-		for j, cs := range e.corners {
-			f[1+j] = cs.sess.ForkInto(f[1+j])
-		}
+	f := e.forks
+	f[0] = e.sess.ForkInto(f[0])
+	for j, cs := range e.corners {
+		f[1+j] = cs.sess.ForkInto(f[1+j])
 	}
 	results := make([]trial, len(cands))
 	e.rep.Trials += len(cands)
-	e.opt.Obs.Counter("closure_forks_total").Add(int64(len(forks) * (1 + len(e.corners))))
+	e.opt.Obs.Counter("closure_forks_total").Add(int64(len(f)))
 	e.opt.Obs.Counter("closure_trials_total").Add(int64(len(cands)))
-	runTrial := func(f []*timing.Session, i int) {
-		tctx, top := trace.StartOp(ctx, e.opt.Obs, "closure_trial", "kind", cands[i].Kind)
-		top.Span().SetAttr("net", cands[i].Net)
-		res, err := f[0].ApplyCtx(tctx, cands[i].Edits)
+	for i, c := range cands {
+		tctx, top := trace.StartOp(ctx, e.opt.Obs, "closure_trial", "kind", c.Kind)
+		top.Span().SetAttr("net", c.Net)
+		res, err := f[0].ApplyCtx(tctx, c.Edits)
 		tr := trial{res: res, err: err}
 		if err == nil && len(e.corners) > 0 {
 			tr.corner = make([]timing.ApplyResult, len(e.corners))
 			for j, cs := range e.corners {
-				cres, cerr := cs.follow(f[1+j], tctx, f[0], cands[i].Edits)
+				cres, cerr := cs.follow(f[1+j], tctx, f[0], c.Edits)
 				if cerr != nil {
 					tr.err = cerr
 					break
@@ -551,28 +533,6 @@ func (e *engine) evaluate(ctx context.Context, cands []Move) []trial {
 			}
 		}
 	}
-	if len(forks) == 1 {
-		for i := range cands {
-			runTrial(forks[0], i)
-		}
-		return results
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := range forks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				runTrial(forks[w], i)
-			}
-		}()
-	}
-	for i := range cands {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 	return results
 }
 
@@ -607,8 +567,8 @@ func (e *engine) generate(worst []timing.EndpointSlack) (cands []Move, costFilte
 		}
 		mined++
 		cone := e.sess.CriticalUpstream(ep.Net)
-		if len(cone) > e.opt.ConeDepth {
-			cone = cone[:e.opt.ConeDepth]
+		if len(cone) > coneDepth {
+			cone = cone[:coneDepth]
 		}
 		for _, net := range cone {
 			for _, f := range []float64{0.7, 0.5} {

@@ -204,10 +204,10 @@ func failingDesign(t *testing.T, seed int64, delayMax float64) (*netlist.Design,
 }
 
 // TestClosurePropertyRandomDesigns is the acceptance property: across 50+
-// randomized failing designs, (1) the accepted edit list replays through
+// randomized failing designs, the accepted edit list replays through
 // ParseEdits + a fresh full AnalyzeDesign to the claimed WNS/TNS within
-// 1e-9 without tripping a structural guard, and (2) concurrent trial
-// evaluation accepts exactly the same move sequence as sequential.
+// 1e-9 without tripping a structural guard, and the run never leaves WNS
+// worse than it found it.
 func TestClosurePropertyRandomDesigns(t *testing.T) {
 	designs := 50
 	if testing.Short() {
@@ -216,50 +216,88 @@ func TestClosurePropertyRandomDesigns(t *testing.T) {
 	for seed := int64(0); seed < int64(designs); seed++ {
 		d, required := failingRandomDesign(t, seed)
 		topt := timing.Options{Threshold: 0.7, Required: required, Sequential: true}
-		base := Options{Timing: topt, MaxMoves: 5, TopEndpoints: 3, ConeDepth: 3}
-
-		seqOpt := base
-		seqOpt.Concurrency = 1
-		seq, err := CloseDesign(context.Background(), d, seqOpt)
+		rep, err := CloseDesign(context.Background(), d, Options{Timing: topt, MaxMoves: 5, TopEndpoints: 3})
 		if err != nil {
-			t.Fatalf("seed %d sequential: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		// Force a real worker pool even on a single-CPU machine, so the
-		// determinism claim covers genuine goroutine interleaving.
-		concOpt := base
-		concOpt.Concurrency = 4
-		conc, err := CloseDesign(context.Background(), d, concOpt)
-		if err != nil {
-			t.Fatalf("seed %d concurrent: %v", seed, err)
+		replayCheck(t, d, rep, topt)
+		if rep.FinalWNS < rep.InitialWNS {
+			t.Fatalf("seed %d: WNS regressed %g -> %g", seed, rep.InitialWNS, rep.FinalWNS)
 		}
+	}
+}
 
-		// Determinism: identical accepted-move sequences, bit for bit.
-		if timing.FormatEdits(seq.Edits) != timing.FormatEdits(conc.Edits) {
-			t.Fatalf("seed %d: concurrent and sequential accepted different edits:\n%s\nvs\n%s",
-				seed, timing.FormatEdits(seq.Edits), timing.FormatEdits(conc.Edits))
-		}
-		if len(seq.Moves) != len(conc.Moves) {
-			t.Fatalf("seed %d: move counts differ: %d vs %d", seed, len(seq.Moves), len(conc.Moves))
-		}
-		for i := range seq.Moves {
-			a, b := seq.Moves[i], conc.Moves[i]
-			if a.Move.Kind != b.Move.Kind || a.Move.Net != b.Move.Net || a.Move.Cost != b.Move.Cost ||
-				a.WNS != b.WNS || a.TNS != b.TNS {
-				t.Fatalf("seed %d move %d differs: %+v vs %+v", seed, i, a, b)
+// TestTrialForkReuseMatchesFreshForks: evaluate runs a round's trials on
+// one set of forks, re-forked in place each round and Reverted after every
+// trial. Its per-candidate results must be exactly those of a fresh
+// Session.Fork per candidate (and a fresh fork of each corner view
+// following it), with the candidates in order and reversed, at every
+// accepted state of a run, on random designs with and without corners — so
+// no trial sees state a previous trial or round left in a reused fork.
+func TestTrialForkReuseMatchesFreshForks(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(0); seed < 12; seed++ {
+		d, required := failingRandomDesign(t, seed)
+		topt := timing.Options{Threshold: 0.7, Required: required, K: -1}
+		for _, corners := range [][]mcd.Corner{nil, mcd.DefaultCorners()} {
+			label := fmt.Sprintf("seed %d corners %d", seed, len(corners))
+			o := Options{MaxMoves: 4, TopEndpoints: 3, Corners: corners}
+			sess, err := timing.NewSession(ctx, d, topt)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if seq.FinalWNS != conc.FinalWNS || seq.FinalTNS != conc.FinalTNS {
-			t.Fatalf("seed %d: final WNS/TNS differ: %g/%g vs %g/%g",
-				seed, seq.FinalWNS, seq.FinalTNS, conc.FinalWNS, conc.FinalTNS)
-		}
-
-		// Replay: the formatted edit list reproduces the claimed numbers on
-		// a from-scratch analysis.
-		replayCheck(t, d, conc, topt)
-
-		// The engine must never leave the design worse than it found it.
-		if conc.FinalWNS < conc.InitialWNS {
-			t.Fatalf("seed %d: WNS regressed %g -> %g", seed, conc.InitialWNS, conc.FinalWNS)
+			rep, err := Close(ctx, sess.Fork(), o)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			e := &engine{sess: sess, opt: o.resolve(), mount: scaledCorner, rep: &Report{}}
+			if err := e.mountCorners(); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; ; j++ {
+				cands, _ := e.generate(sess.WorstEndpoints(e.opt.TopEndpoints))
+				want := make([]trial, len(cands))
+				for i, c := range cands {
+					f := sess.Fork()
+					res, err := f.ApplyCtx(ctx, c.Edits)
+					want[i] = trial{res: res, err: err}
+					if err == nil && len(e.corners) > 0 {
+						want[i].corner = make([]timing.ApplyResult, len(e.corners))
+						for k, cs := range e.corners {
+							want[i].corner[k], err = cs.sess.Fork().Follow(ctx, f, c.Edits)
+							if err != nil {
+								t.Fatalf("%s: fresh corner fork: %v", label, err)
+							}
+						}
+					}
+				}
+				reversed := make([]Move, len(cands))
+				for i, c := range cands {
+					reversed[len(cands)-1-i] = c
+				}
+				inOrder, backwards := e.evaluate(ctx, cands), e.evaluate(ctx, reversed)
+				for i := range cands {
+					for _, got := range []trial{inOrder[i], backwards[len(cands)-1-i]} {
+						if fmt.Sprint(got.err) != fmt.Sprint(want[i].err) || !reflect.DeepEqual(got.res, want[i].res) || !reflect.DeepEqual(got.corner, want[i].corner) {
+							t.Fatalf("%s state %d candidate %d (%s %s): reused fork %+v, fresh fork %+v",
+								label, j, i, cands[i].Kind, cands[i].Net, got, want[i])
+						}
+					}
+				}
+				if j == len(rep.Moves) {
+					break
+				}
+				edits := rep.Moves[j].Move.Edits
+				if _, err := sess.Apply(edits); err != nil {
+					t.Fatalf("%s: replaying move %d: %v", label, j, err)
+				}
+				for _, cs := range e.corners {
+					if _, err := cs.follow(cs.sess, ctx, sess, edits); err != nil {
+						t.Fatalf("%s: corner %s follows move %d: %v", label, cs.c.Name, j, err)
+					}
+				}
+				e.rep.Cost = rep.Moves[j].CumCost
+			}
 		}
 	}
 }
@@ -406,19 +444,16 @@ func TestReportFormats(t *testing.T) {
 }
 
 // TestClosureCorners: a corner-aware run on the demo chip must (1) only
-// report closed when every swept corner meets timing, (2) keep each corner
-// view an elementwise-scaled view of the repaired design — verified
+// report closed when every swept corner meets timing and (2) keep each
+// corner view an elementwise-scaled view of the repaired design — verified
 // by replaying the corner-scaled edit list on an explicitly-scaled original
-// and re-analyzing from scratch — and (3) accept the same move sequence
-// concurrently as sequentially.
+// and re-analyzing from scratch.
 func TestClosureCorners(t *testing.T) {
 	d := parseChip(t)
 	topt := timing.Options{Threshold: 0.7, Sequential: true}
 	base := Options{Timing: topt, MaxMoves: 64, Corners: mcd.DefaultCorners()}
 
-	seqOpt := base
-	seqOpt.Concurrency = 1
-	rep, err := CloseDesign(context.Background(), d, seqOpt)
+	rep, err := CloseDesign(context.Background(), d, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,26 +516,6 @@ func TestClosureCorners(t *testing.T) {
 		}
 		if !closeEnough(got, want) {
 			t.Errorf("corner %s (idx %d): scaled replay WNS %g, engine claimed %g", c.Name, i, got, want)
-		}
-	}
-	// Determinism with corners: concurrent trials accept the same sequence.
-	concOpt := base
-	concOpt.Concurrency = 4
-	conc, err := CloseDesign(context.Background(), d, concOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if timing.FormatEdits(rep.Edits) != timing.FormatEdits(conc.Edits) {
-		t.Fatalf("concurrent corner run accepted different edits:\n%s\nvs\n%s",
-			timing.FormatEdits(rep.Edits), timing.FormatEdits(conc.Edits))
-	}
-	if rep.FinalWNS != conc.FinalWNS || rep.CornerVetoes != conc.CornerVetoes {
-		t.Errorf("concurrent corner run diverged: WNS %g/%g vetoes %d/%d",
-			rep.FinalWNS, conc.FinalWNS, rep.CornerVetoes, conc.CornerVetoes)
-	}
-	for i := range rep.Corners {
-		if rep.Corners[i].FinalWNS != conc.Corners[i].FinalWNS {
-			t.Errorf("corner %s final WNS differs across concurrency", rep.Corners[i].Name)
 		}
 	}
 }
@@ -619,8 +634,7 @@ func TestScaledCornersMatchShadowSessions(t *testing.T) {
 					}
 					return cs
 				}
-				// One trial worker, so the log's order is the candidates'.
-				e := &engine{sess: sess, opt: Options{MaxMoves: 16, Corners: corners, Concurrency: 1}.resolve(), mount: record}
+				e := &engine{sess: sess, opt: Options{MaxMoves: 16, Corners: corners}.resolve(), mount: record}
 				rep, err := e.run(ctx)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -665,7 +679,7 @@ func TestClosureCornersMineFromCorner(t *testing.T) {
 	d := relaxedChip(t)
 	topt := timing.Options{Threshold: 0.7, Sequential: true}
 	rep, err := CloseDesign(context.Background(), d, Options{
-		Timing: topt, Concurrency: 1, MaxMoves: 64, Corners: mcd.DefaultCorners(),
+		Timing: topt, MaxMoves: 64, Corners: mcd.DefaultCorners(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -734,7 +748,7 @@ func TestClosureRejectsBadCornerScales(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			corners := append(mcd.DefaultCorners(), mcd.Corner{Name: "bad", RScale: tc.rScale, CScale: tc.cScale})
 			_, err := CloseDesign(context.Background(), d, Options{
-				Timing: timing.Options{Threshold: 0.7, Sequential: true}, Concurrency: 1, MaxMoves: 4, Corners: corners,
+				Timing: timing.Options{Threshold: 0.7, Sequential: true}, MaxMoves: 4, Corners: corners,
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want %q", err, tc.want)
@@ -751,7 +765,7 @@ func TestGenerateFromWorstEndpointsMatchesFullTable(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		d, required := failingRandomDesign(t, seed)
 		topt := timing.Options{Threshold: 0.7, Required: required, Sequential: true}
-		o := Options{Timing: topt, MaxMoves: 6, TopEndpoints: 1 + int(seed%4), ConeDepth: 3}
+		o := Options{Timing: topt, MaxMoves: 6, TopEndpoints: 1 + int(seed%4)}
 		if seed%3 == 2 {
 			o.MaxCost = 12 // let the ceiling filter some candidates
 		}
@@ -792,7 +806,7 @@ func TestGenerateFromWorstEndpointsMatchesFullTable(t *testing.T) {
 func TestClosureMaxCost(t *testing.T) {
 	d := parseChip(t)
 	topt := timing.Options{Threshold: 0.7, Sequential: true}
-	ref, err := CloseDesign(context.Background(), d, Options{Timing: topt, Concurrency: 1})
+	ref, err := CloseDesign(context.Background(), d, Options{Timing: topt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +822,7 @@ func TestClosureMaxCost(t *testing.T) {
 		{"-Inf", math.Inf(-1), ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o := Options{Timing: topt, Concurrency: 1, MaxCost: tc.maxCost}
+			o := Options{Timing: topt, MaxCost: tc.maxCost}
 			sess, err := timing.NewSession(context.Background(), d, topt)
 			if err != nil {
 				t.Fatal(err)
@@ -836,25 +850,23 @@ func TestClosureMaxCost(t *testing.T) {
 }
 
 // TestClosureCountsForksTaken: closure_forks_total counts the forks a run
-// takes — each round, one fork of the session per trial worker, and as many
-// of each swept corner's view — and closure_trials_total the trials. The
-// runs spend their whole move budget, so every round is an accepted move's.
+// takes — each round, one fork of the session and one of each swept
+// corner's view — and closure_trials_total the trials. The runs spend their
+// whole move budget, so every round is an accepted move's.
 func TestClosureCountsForksTaken(t *testing.T) {
 	d, required := failingRandomDesign(t, 3)
 	topt := timing.Options{Threshold: 0.7, Required: required, Sequential: true}
 	for _, tc := range []struct {
-		name        string
-		concurrency int
-		corners     []mcd.Corner
+		name    string
+		corners []mcd.Corner
 	}{
-		{"sequential", 1, nil},
-		{"concurrent", 3, nil},
-		{"corners", 2, mcd.DefaultCorners()},
+		{"typical", nil},
+		{"corners", mcd.DefaultCorners()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			rep, err := CloseDesign(context.Background(), d, Options{
-				Timing: topt, MaxMoves: 3, Concurrency: tc.concurrency, Corners: tc.corners, Obs: reg,
+				Timing: topt, MaxMoves: 3, Corners: tc.corners, Obs: reg,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -862,13 +874,12 @@ func TestClosureCountsForksTaken(t *testing.T) {
 			if rep.Reason != "move budget exhausted" {
 				t.Fatalf("reason %q: the test needs a run that spends its budget", rep.Reason)
 			}
-			var forks, trials int64
+			var trials int64
 			for _, m := range rep.Moves {
-				forks += int64(min(tc.concurrency, m.Candidates) * (1 + len(rep.Corners)))
 				trials += int64(m.Candidates)
 			}
-			if got := reg.Counter("closure_forks_total").Value(); got != forks {
-				t.Errorf("closure_forks_total = %d, want %d", got, forks)
+			if got, want := reg.Counter("closure_forks_total").Value(), int64(len(rep.Moves)*(1+len(rep.Corners))); got != want {
+				t.Errorf("closure_forks_total = %d, want %d", got, want)
 			}
 			if got := reg.Counter("closure_trials_total").Value(); got != trials || got != int64(rep.Trials) {
 				t.Errorf("closure_trials_total = %d, want %d (report: %d)", got, trials, rep.Trials)

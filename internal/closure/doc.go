@@ -17,15 +17,14 @@
 // The loop stops when WNS ≥ 0, the move budget or cost ceiling is
 // exhausted, or no candidate improves timing.
 //
-// Trials are independent, so they evaluate concurrently across a worker
-// pool by default; Options.Concurrency 1 evaluates them one at a time.
-// Each worker takes one fork per round (Fork is O(nets)) and, after each
-// trial, Session.Revert puts it back to the live session's state in
-// O(nets the trial touched), leaving it as a fresh fork would be. Either
-// way the accepted move sequence is identical: every trial computes the
-// same numbers regardless of scheduling or of the trials its fork ran
-// before, and the argmax tie-breaks on candidate index. BenchmarkClosure
-// measures the concurrency win.
+// Trials run one after another on one fork, re-forked in place once per
+// round (ForkInto is O(nets)); after each trial, Session.Revert puts it
+// back to the live session's state in O(nets the trial touched), leaving
+// it as a fresh fork would be. So every trial computes the same numbers
+// whatever trials its fork ran before, and the argmax tie-breaks on
+// candidate index: the accepted move sequence is deterministic. A round's
+// trials take well under a millisecond on the closure workload's shape, so
+// a worker pool would cost more in forks and hand-offs than it saves.
 //
 // # Corners
 //
@@ -34,10 +33,10 @@
 // its delay bounds are degree-1 homogeneous in them, so scaling every R by
 // r and every C by c scales each net delay by exactly r·c: a view needs no
 // scaled netlist, no tree of its own and no tree query. A trial applies its
-// edits once, to the typical fork; each trial worker also forks each view
-// once per round, and the view forks Follow the typical fork — λ times its
-// new delays for the edited nets, then their own dirty-cone sweep — and
-// revert alongside it. An accepted move is applied to the session and
+// edits once, to the typical fork; each view is also forked once per round,
+// and the view forks Follow the typical fork — λ times its new delays for
+// the edited nets, then their own dirty-cone sweep — and revert alongside
+// it. An accepted move is applied to the session and
 // followed by each view the same way. A move that regresses any corner's
 // WNS is vetoed.
 //

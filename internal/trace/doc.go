@@ -16,11 +16,11 @@
 // untraced context, and a nil *Op all make every call a no-op, so the
 // disabled path costs one context lookup and one pointer test.
 //
-// Spans of one trace may complete from many goroutines (closure trials run
-// concurrently on session forks); the per-trace collector is mutex-protected
-// and span ids come from an atomic counter, so concurrent child spans are
-// safe. Each trace retains at most Options.MaxSpans spans; excess completions
-// are counted in Trace.Dropped rather than growing without bound.
+// Spans of one trace may complete from many goroutines; the per-trace
+// collector is mutex-protected and span ids come from an atomic counter, so
+// concurrent child spans are safe. Each trace retains at most
+// Options.MaxSpans spans; excess completions are counted in Trace.Dropped
+// rather than growing without bound.
 //
 // # Flight recorder
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 
 	"repro/internal/obs"
 	"repro/internal/timing"
@@ -133,21 +135,21 @@ func (s *Store) Remove(id string) error {
 	if err := os.RemoveAll(s.designDir(id)); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	syncDir(s.dir) // or a crash could bring the design back
-	return nil
+	return fsyncDir(s.dir) // or a crash could bring the design back
 }
 
 // Create persists a brand-new design: meta.json, the initial snapshot
 // (sequence 1) holding deck exactly as given, and an empty live log, all
 // fsynced — the files and their directory entries — before it returns.
-// The returned Log accepts the design's appended edits.
+// The returned Log accepts the design's appended edits. A Create that fails
+// removes the design's directory, so recovery never finds it.
 func (s *Store) Create(id, deck string, meta Meta) (*Log, error) {
 	return s.CreateCtx(context.Background(), id, deck, meta)
 }
 
 // create is the Create body, shared with the span-attaching CreateCtx
 // (which owns the wal_create histogram/span around this call).
-func (s *Store) create(id, deck string, meta Meta) (*Log, error) {
+func (s *Store) create(id, deck string, meta Meta) (l *Log, err error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("wal: bad id %q", id)
 	}
@@ -159,14 +161,21 @@ func (s *Store) create(id, deck string, meta Meta) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	syncDir(s.dir)
+	defer func() {
+		if err != nil {
+			os.RemoveAll(dir) // a design whose Create failed must not recover
+		}
+	}()
+	if err := fsyncDir(s.dir); err != nil {
+		return nil, err
+	}
 	if err := writeFileSync(filepath.Join(dir, snapName(1)), deck); err != nil {
 		return nil, err
 	}
 	// The log exists before meta.json names its sequence, and writeMeta's
 	// directory fsync makes both entries durable, so recovery never meets a
 	// committed sequence without its log.
-	l := &Log{dir: dir, meta: meta, obs: s.obs}
+	l = &Log{dir: dir, meta: meta, obs: s.obs}
 	if err := l.openLog(); err != nil {
 		return nil, err
 	}
@@ -449,19 +458,31 @@ func (l *Log) rotate(ctx context.Context, deck []byte, totalEdits int) error {
 		op.End()
 		return err
 	}
-	syncDir(l.dir)
+	// From here on a failed rotation stays on, or leaves, a log whose
+	// appends recovery could miss: snapshot next, once on disk, wins over
+	// the old pair, and the new log's directory entry is durable only after
+	// writeMeta's directory fsync. So every failure below refuses appends
+	// until a Rotate succeeds.
+	if err := fsyncDir(l.dir); err != nil {
+		l.err = err
+		op.SetError(err)
+		op.End()
+		return err
+	}
 	op.End()
 
 	old, oldSeq := l.f, l.meta.Seq
 	l.meta.Seq = next
 	l.meta.Edits = totalEdits
 	if err := l.openLog(); err != nil {
-		l.f, l.meta.Seq = old, oldSeq // stay on the old pair; it is still complete
+		l.f, l.meta.Seq = old, oldSeq
+		l.err = err
 		return err
 	}
 	old.Close()
 	l.err = nil
 	if err := writeMeta(l.dir, l.meta); err != nil {
+		l.err = err
 		return err
 	}
 	l.pending = 0
@@ -494,8 +515,7 @@ func writeMeta(dir string, m Meta) error {
 	if err := os.Rename(tmp, filepath.Join(dir, "meta.json")); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	syncDir(dir)
-	return nil
+	return fsyncDir(dir)
 }
 
 func readMeta(dir string) (Meta, error) {
@@ -538,14 +558,23 @@ func writeFileSync[T string | []byte](path string, data T) error {
 }
 
 // syncDir fsyncs a directory so the entries created, renamed or removed in
-// it are durable. Tests replace it to record its targets.
-var syncDir = fsyncDir
-
-// fsyncDir is syncDir's body. Best-effort: some filesystems reject directory
-// fsync; a rename is still atomic there.
-func fsyncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// it are durable. Tests replace it to record its targets and inject errors.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// fsyncDir runs syncDir on dir. A filesystem that rejects directory fsync
+// (EINVAL, ENOTSUP) still renames atomically, so that refusal is not an
+// error; any other, such as EIO, is returned.
+func fsyncDir(dir string) error {
+	err := syncDir(dir)
+	if err == nil || errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		return nil
+	}
+	return fmt.Errorf("wal: fsync directory: %w", err)
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/timing"
@@ -337,13 +338,14 @@ func recordSyncDir(t *testing.T, root, id string) *[]dirSync {
 	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
 	design := filepath.Join(root, id)
 	prev := syncDir
-	syncDir = func(dir string) {
+	syncDir = func(dir string) error {
 		calls = append(calls, dirSync{
 			dir:       dir,
 			designDir: exists(design),
 			log:       exists(filepath.Join(design, logName(1))),
 			meta:      exists(filepath.Join(design, "meta.json")),
 		})
+		return nil
 	}
 	t.Cleanup(func() { syncDir = prev })
 	return &calls
@@ -395,6 +397,89 @@ func TestCreateAndRemoveSyncDirectories(t *testing.T) {
 	}
 	if !removed {
 		t.Errorf("Remove never fsynced the store root after deleting the design: %+v", *calls)
+	}
+}
+
+// TestDirectoryFsyncErrors: a directory fsync that fails with EIO fails
+// Create, Remove, writeMeta and Rotate; the failed Create leaves no design
+// behind, and the failed Rotate leaves the log on its old pair, refusing
+// appends until a Rotate succeeds. A filesystem that refuses directory
+// fsync (EINVAL, ENOTSUP) fails none of them.
+func TestDirectoryFsyncErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		errno syscall.Errno
+		fail  bool
+	}{
+		{"EIO", syscall.EIO, true},
+		{"EINVAL", syscall.EINVAL, false},
+		{"ENOTSUP", syscall.ENOTSUP, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, _ := Open(t.TempDir())
+			l, err := st.Create("x1", testDeck, Meta{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if err := l.Append(testEdits()); err != nil {
+				t.Fatal(err)
+			}
+			doomed, err := st.Create("x2", testDeck, Meta{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			doomed.Close()
+
+			prev := syncDir
+			syncDir = func(dir string) error { return &os.PathError{Op: "sync", Path: dir, Err: tc.errno} }
+			defer func() { syncDir = prev }()
+			check := func(op string, err error) {
+				t.Helper()
+				if tc.fail && !errors.Is(err, tc.errno) || !tc.fail && err != nil {
+					t.Errorf("%s under a directory fsync failing with %s: %v", op, tc.name, err)
+				}
+			}
+			l3, err := st.Create("x3", testDeck, Meta{})
+			check("Create", err)
+			if l3 != nil {
+				l3.Close()
+			}
+			if _, err := os.Stat(filepath.Join(st.Dir(), "x3")); tc.fail != os.IsNotExist(err) {
+				t.Errorf("design directory after Create (failed: %v): stat error %v", tc.fail, err)
+			}
+			check("Remove", st.Remove("x2"))
+			check("writeMeta", writeMeta(filepath.Join(st.Dir(), "x1"), l.meta))
+			const rotated = testDeck + "* rotated\n"
+			check("Rotate", l.Rotate([]byte(rotated), 2))
+			if tc.fail {
+				// The failed Rotate stays on the old pair, but recovery
+				// would prefer the renamed snapshot 2 to it, so the log
+				// refuses appends until a Rotate succeeds.
+				if l.Seq() != 1 {
+					t.Fatalf("a failed Rotate switched to seq %d", l.Seq())
+				}
+				if err := l.Append(testEdits()[:1]); !errors.Is(err, tc.errno) {
+					t.Fatalf("append after a failed Rotate = %v, want the fsync error", err)
+				}
+				syncDir = prev
+				if err := l.Rotate([]byte(rotated), 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Append(testEdits()[:1]); err != nil {
+				t.Fatalf("append after Rotate: %v", err)
+			}
+			syncDir = prev
+			rec, l2, err := st.Recover("x1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			l2.Close()
+			if rec.Meta.Seq != 2 || rec.Deck != rotated || len(rec.Edits) != 1 {
+				t.Errorf("recovered seq %d with %d edits, want the rotated snapshot 2 with 1", rec.Meta.Seq, len(rec.Edits))
+			}
+		})
 	}
 }
 

@@ -32,8 +32,8 @@
 //     (POST /design/{id}/edit and statime -eco are the HTTP and CLI forms);
 //   - CloseTiming runs the automated timing-closure engine: failing endpoints
 //     are mined for candidate repairs (driver sizing, wire rebuffering, load
-//     trimming, stub pruning), candidates are evaluated concurrently as
-//     what-if trials on session forks, and the best slack-gain-per-cost move
+//     trimming, stub pruning), candidates are evaluated as what-if trials
+//     on a reused session fork, and the best slack-gain-per-cost move
 //     is accepted until WNS reaches zero or a budget runs out. The result is
 //     a replayable ECO edit list, the closure trajectory, and the Pareto
 //     frontier of (cost, WNS) states visited (POST /design/{id}/close and
@@ -408,15 +408,17 @@ func WriteChromeTrace(w io.Writer, traces []*RecordedTrace) error {
 // candidate repair moves on the failing endpoints' critical cones — driver
 // upscaling and opt-bisected driver sizing, wire rebuffering via
 // setLine+addC, load trimming via setC, parasitic-stub pruning — evaluates
-// the candidates concurrently as what-if trials on session forks, and
-// accepts the best slack-gain-per-cost move until WNS >= 0, the move budget,
-// or the cost ceiling is reached. The accepted edit list replays through
-// ParseEcoEdits/NewDesignSession (or statime -eco) to reproduce the reported
-// final WNS/TNS; the trajectory and Pareto frontier expose the cost/benefit
-// curve behind the greedy path. The input design is never mutated.
+// the candidates one after another as what-if trials on a session fork that
+// is reverted after each, and accepts the best slack-gain-per-cost move
+// until WNS >= 0, the move budget, or the cost ceiling is reached. The
+// accepted edit list replays through ParseEcoEdits/NewDesignSession (or
+// statime -eco) to reproduce the reported final WNS/TNS; the trajectory and
+// Pareto frontier expose the cost/benefit curve behind the greedy path. The
+// input design is never mutated.
 //
-// The accepted move sequence is deterministic: concurrent and sequential
-// trial evaluation produce identical results.
+// The accepted move sequence is deterministic: the argmax tie-breaks on
+// candidate order, and a reverted fork times each trial exactly as a fresh
+// fork would.
 func CloseTiming(ctx context.Context, d *Design, opt ClosureOptions) (*ClosureReport, error) {
 	return closure.CloseDesign(ctx, d, opt)
 }

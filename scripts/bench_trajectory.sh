@@ -6,9 +6,9 @@
 #   BENCH_timing.json       sequential vs parallel-sweep chip slack and
 #                           arena propagation kernel, telemetry overheads,
 #                           full-reanalyze vs dirty-cone ECO re-timing,
-#                           sequential vs concurrent closure-trial evaluation,
-#                           corner-aware vs plain closure on the closure
-#                           workload's shape, and the corner sweep's in-place
+#                           the closure repair loop, corner-aware vs plain
+#                           closure on the closure workload's shape, and the
+#                           corner sweep's in-place
 #                           arena rescale vs per-sample netlist rebuild
 #   BENCH_serve.json        rcserve under rcload: per-operation p50/p99 at
 #                           two concurrency levels plus kill -9 recovery
@@ -133,7 +133,6 @@ END {
     }
     speedup("eco_dirty_cone_vs_full", "DesignECO/full-reanalyze@1", "DesignECO/dirty-cone@1")
     speedup("corner_sweep_arena_vs_rebuild", "CornerSweep/rebuild@1", "CornerSweep/arena@1")
-    speedup("closure_concurrent_vs_sequential", "Closure/sequential@" maxmp, "Closure/concurrent@" maxmp)
     # What corner-aware closure costs over the plain run: the view of each
     # swept corner follows every trial and accepted move.
     speedup("closure_corners_vs_workload_1cpu", "Closure/corners@1", "Closure/workload@1")
