@@ -93,16 +93,17 @@ func designSummary(e *entry[*designSession]) designSummaryJSON {
 // self-contained, allocation-lean and parallel-schedulable — rather than the
 // server's shared batch engine; the engine (and its cross-client memoization
 // cache) still serves the /analyze tree-batch endpoint. Each phase — body
-// decode, deck parse, session mount and WAL create — records a span and a
-// histogram of its own.
+// read and decode, deck parse, session mount and WAL create — records a
+// span and a histogram of its own. The whole body counts against -max-body.
 func (s *server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	ctx := r.Context()
 	var req designRequest
 	_, op := trace.StartOp(ctx, s.obs, "design_decode")
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
+	body, err := readBody(w, r, s.maxBody)
+	if err == nil {
+		req, err = decodeDesignRequest(body)
+	}
 	op.SetError(err)
 	op.End()
 	if err != nil {
@@ -318,9 +319,9 @@ type designCloseResponse struct {
 }
 
 // closeSession runs the closure engine on ds's session for at most
-// closeBudget. The caller holds ds.mu.
+// computeBudget. The caller holds ds.mu.
 func (s *server) closeSession(ctx context.Context, ds *designSession, o rcdelay.ClosureOptions) (*rcdelay.ClosureReport, error) {
-	ctx, cancel := context.WithTimeout(ctx, closeBudget)
+	ctx, cancel := context.WithTimeout(ctx, computeBudget)
 	defer cancel()
 	return rcdelay.CloseSession(ctx, ds.sess, o)
 }
@@ -329,7 +330,7 @@ func (s *server) closeSession(ctx context.Context, ds *designSession, o rcdelay.
 // session under its lock: failing endpoints are mined for candidate repairs,
 // candidates are evaluated as what-if trials on session forks, and the best
 // slack-gain-per-cost moves are accepted until WNS >= 0, a budget runs out
-// or closeBudget expires.
+// or computeBudget expires.
 func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_close_requests_total", 1)
@@ -418,7 +419,8 @@ type designCornersResponse struct {
 // session's current design. The design is materialized under the session
 // lock (a consistent snapshot at one generation), then the sweep — the
 // expensive part — runs outside it, so edits are not blocked behind a long
-// variation analysis.
+// variation analysis. The sweep runs for at most computeBudget; past it the
+// answer is a 422 that carries no partial report.
 func (s *server) handleDesignCorners(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_corner_requests_total", 1)
@@ -456,7 +458,9 @@ func (s *server) handleDesignCorners(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, derr.Error(), http.StatusInternalServerError)
 		return
 	}
-	report, err := rcdelay.AnalyzeCorners(r.Context(), design, rcdelay.CornerOptions{
+	ctx, cancel := context.WithTimeout(r.Context(), computeBudget)
+	defer cancel()
+	report, err := rcdelay.AnalyzeCorners(ctx, design, rcdelay.CornerOptions{
 		Corners:    req.Corners,
 		Samples:    req.Samples,
 		Seed:       req.Seed,

@@ -342,13 +342,13 @@ func (w *stallingWriter) Write(p []byte) (int, error) {
 	return w.ResponseRecorder.Write(p)
 }
 
-// TestDesignCloseDeadline: a /close run that outlives closeBudget stops
+// TestDesignCloseDeadline: a /close run that outlives computeBudget stops
 // before its next round and answers "cancelled" with the moves it had
 // accepted. The design lock is free again, and a restart replays the
 // accepted prefix from the WAL.
 func TestDesignCloseDeadline(t *testing.T) {
-	prev := closeBudget
-	t.Cleanup(func() { closeBudget = prev })
+	prev := computeBudget
+	t.Cleanup(func() { computeBudget = prev })
 	dir := t.TempDir()
 	srv, _ := walServer(t, dir)
 	body, _ := json.Marshal(map[string]any{"design": failingDeck, "threshold": 0.7})
@@ -359,7 +359,7 @@ func TestDesignCloseDeadline(t *testing.T) {
 	id := created["id"].(string)
 
 	// Buffered: a spent budget cuts the run before its first round.
-	closeBudget = 0
+	computeBudget = 0
 	code, closed := serveJSON(t, srv, http.MethodPost, "/design/"+id+"/close", `{"maxMoves": 16}`)
 	report, _ := closed["report"].(map[string]any)
 	if code != http.StatusUnprocessableEntity || report["reason"] != "cancelled" || report["trajectory"] != nil ||
@@ -369,7 +369,7 @@ func TestDesignCloseDeadline(t *testing.T) {
 
 	// Streamed: the first accepted move's frame stalls the run past its
 	// budget, so it stops after exactly that move (the chip needs two).
-	closeBudget = 200 * time.Millisecond
+	computeBudget = 200 * time.Millisecond
 	w := &stallingWriter{ResponseRecorder: httptest.NewRecorder(), stall: 300 * time.Millisecond}
 	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/design/"+id+"/close?stream=1", strings.NewReader(`{"maxMoves": 16}`)))
 	stream := w.Body.String()
@@ -403,6 +403,33 @@ func TestDesignCloseDeadline(t *testing.T) {
 	_, info2 := serveJSON(t, srv2, http.MethodGet, "/design/"+id, "")
 	if info2["wns"] != info["wns"] || info2["tns"] != info["tns"] || info2["edits"] != info["edits"] {
 		t.Errorf("recovered %v, want the accepted prefix %v", info2, info)
+	}
+}
+
+// TestDesignCornersDeadline: a corners sweep that outlives computeBudget
+// stops at its next propagation and answers 422 "deadline exceeded" with no
+// partial report; with the budget back, the same request answers 200 with a
+// report.
+func TestDesignCornersDeadline(t *testing.T) {
+	prev := computeBudget
+	t.Cleanup(func() { computeBudget = prev })
+	srv := designServer()
+	body, _ := json.Marshal(map[string]any{"design": failingDeck, "threshold": 0.7})
+	code, created := serveJSON(t, srv, http.MethodPost, "/design", string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+
+	computeBudget = 0
+	code, swept := serveJSON(t, srv, http.MethodPost, "/design/"+id+"/corners", `{"samples": 8}`)
+	if _, partial := swept["report"]; code != http.StatusUnprocessableEntity || partial ||
+		!strings.Contains(fmt.Sprint(swept["error"]), "deadline exceeded") {
+		t.Fatalf("corners past its budget = %d: %v", code, swept)
+	}
+	computeBudget = prev
+	if code, swept = serveJSON(t, srv, http.MethodPost, "/design/"+id+"/corners", `{"samples": 8}`); code != http.StatusOK || swept["report"] == nil {
+		t.Fatalf("corners within its budget = %d: %v", code, swept)
 	}
 }
 
@@ -675,18 +702,51 @@ var postedEdits = []string{
 // session's incremental aggregates, which may differ in the last bits, so
 // the report must match in every field, endpoint and hop, and in every
 // number to 1e-9.
+//
+// The deck is posted three ways: as json.Marshal writes it and with é and
+// \/ escapes, which both take the one-pass decode, and with a surrogate
+// pair, which encoding/json decodes. Each way, snapshot 1 is the decoded
+// deck.
 func TestPostedDeckRecovery(t *testing.T) {
+	plain, _ := json.Marshal(map[string]any{"design": postedDeck, "threshold": 0.7, "required": 500})
+	quote := func(deck string) string {
+		q, _ := json.Marshal(deck)
+		return string(q)
+	}
+	escaped := strings.Replace(postedDeck, "* posted by hand", "* posted by hand: café/bistro", 1)
+	paired := strings.Replace(postedDeck, "* posted by hand", "* posted by hand \U0001F50C", 1)
+	for _, tc := range []struct {
+		name, deck, body string
+		fast             bool
+	}{
+		{"plain", postedDeck, string(plain), true},
+		{"escapes", escaped, `{"threshold": 0.7, "design": ` +
+			strings.NewReplacer("é", `\u00e9`, "/", `\/`).Replace(quote(escaped)) + `, "required": 500}`, true},
+		{"surrogate pair", paired, `{"design": ` +
+			strings.Replace(quote(paired), "\U0001F50C", `\ud83d\udd0c`, 1) + `, "threshold": 0.7, "required": 500}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, fast := decodeDesignFast([]byte(tc.body)); fast != tc.fast {
+				t.Fatalf("one-pass decode taken = %v, want %v", fast, tc.fast)
+			}
+			postedDeckRecovery(t, tc.body, tc.deck)
+		})
+	}
+}
+
+// postedDeckRecovery creates a design from body, which carries deck, and
+// runs TestPostedDeckRecovery's two crashes on it.
+func postedDeckRecovery(t *testing.T, body, deck string) {
 	dir := t.TempDir()
 	srv1, _ := walServer(t, dir)
 	srv1.snapEvery = 0
-	body, _ := json.Marshal(map[string]any{"design": postedDeck, "threshold": 0.7, "required": 500})
-	code, created := serveJSON(t, srv1, http.MethodPost, "/design", string(body))
+	code, created := serveJSON(t, srv1, http.MethodPost, "/design", body)
 	if code != http.StatusCreated {
 		t.Fatalf("POST /design = %d: %v", code, created)
 	}
 	id := created["id"].(string)
 	snap, err := os.ReadFile(filepath.Join(dir, id, "snap.1.ckt"))
-	if err != nil || string(snap) != postedDeck {
+	if err != nil || string(snap) != deck {
 		t.Fatalf("snap.1.ckt is not the deck as posted (%v):\n%q", err, snap)
 	}
 	edit := func(srv *server, e string) {

@@ -30,7 +30,8 @@
 //	DELETE /design/{id}         drop an analyzed design
 //	GET    /metrics             Prometheus text exposition: per-route request
 //	                            counters and latency histograms, engine-phase
-//	                            timings, closure counters, cache gauges
+//	                            timings, closure counters, cache gauges,
+//	                            GC cycles and allocated bytes
 //	GET    /readyz              readiness; 503 once a shutdown drain starts
 //	GET    /debug/traces        flight recorder: recent + pinned slow/error
 //	                            traces, newest first (?slow=1 pinned only)
@@ -76,7 +77,7 @@
 // rebuffering, load trimming, stub pruning) are evaluated one after another
 // as what-if trials on reused session forks and accepted by slack gain per
 // unit cost until WNS >= 0, the requested budgets ({"maxMoves": 16,
-// "maxCost": 50}) run out, or the run's compute budget (closeBudget, a few
+// "maxCost": 50}) run out, or the run's compute budget (computeBudget, a few
 // seconds under the write timeout) expires. The answer carries the accepted
 // ECO edit list (which stays applied to the session), the move-by-move
 // trajectory, and the Pareto frontier of (cost, WNS) states the search
@@ -97,6 +98,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -122,12 +124,13 @@ const (
 	writeTimeout       = 60 * time.Second
 )
 
-// closeBudget bounds a /close run's compute, a few seconds under
-// writeTimeout: past it the run stops at its next round and answers with
-// its partial report (reason "cancelled"), so the handler releases the
-// design lock while the connection can still carry the answer. Tests
-// shorten it.
-var closeBudget = writeTimeout - 5*time.Second
+// computeBudget bounds the compute of a /close run and of a corners sweep,
+// a few seconds under writeTimeout, so the answer still fits on the
+// connection. Past it a close stops at its next round and answers with its
+// partial report (reason "cancelled"), releasing the design lock; a corners
+// sweep stops at its next propagation and answers 422 with no report.
+// Tests shorten it.
+var computeBudget = writeTimeout - 5*time.Second
 
 func main() {
 	var (
@@ -319,7 +322,8 @@ func newServer(engine *rcdelay.BatchEngine) *server {
 
 // registerStoreGauges (re)binds the sampled gauges to the server's current
 // stores and engine; main calls it again after swapping the default stores
-// for flag-configured ones.
+// for flag-configured ones. The GC rows read the process's runtime/metrics
+// totals at scrape time.
 func (s *server) registerStoreGauges() {
 	s.obs.GaugeFunc("rcserve_uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
 	s.obs.GaugeFunc("rcserve_sessions_active", func() float64 { return float64(s.sessions.active()) })
@@ -327,6 +331,15 @@ func (s *server) registerStoreGauges() {
 	s.obs.GaugeFunc("rcserve_cache_entries", func() float64 { return float64(s.engine.CacheStats().Entries) })
 	s.obs.GaugeFunc("rcserve_cache_hits", func() float64 { return float64(s.engine.CacheStats().Hits) })
 	s.obs.GaugeFunc("rcserve_cache_misses", func() float64 { return float64(s.engine.CacheStats().Misses) })
+	s.obs.GaugeFunc("rcserve_gc_cycles_total", func() float64 { return runtimeTotal("/gc/cycles/total:gc-cycles") })
+	s.obs.GaugeFunc("rcserve_heap_allocs_bytes_total", func() float64 { return runtimeTotal("/gc/heap/allocs:bytes") })
+}
+
+// runtimeTotal reads one cumulative uint64 runtime/metrics sample.
+func runtimeTotal(name string) float64 {
+	sample := []metrics.Sample{{Name: name}}
+	metrics.Read(sample)
+	return float64(sample[0].Value.Uint64())
 }
 
 // count bumps one named registry counter by n.

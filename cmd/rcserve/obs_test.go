@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,6 +83,47 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 	t.Error("/metrics missing closure_wns gauge")
+}
+
+// TestMetricsGCRows: /metrics carries the process's GC cycle and heap
+// allocation totals, read at scrape time, so a create that allocates and a
+// forced collection both show between two scrapes.
+func TestMetricsGCRows(t *testing.T) {
+	srv := designServer()
+	scrape := func() (cycles, allocs float64) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		vals := map[string]float64{}
+		for _, line := range strings.Split(w.Body.String(), "\n") {
+			name, v, ok := strings.Cut(line, " ")
+			if ok && (name == "rcserve_gc_cycles_total" || name == "rcserve_heap_allocs_bytes_total") {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("parse %q: %v", line, err)
+				}
+				vals[name] = f
+			}
+		}
+		if len(vals) != 2 {
+			t.Fatalf("/metrics lacks the GC rows: %v", vals)
+		}
+		return vals["rcserve_gc_cycles_total"], vals["rcserve_heap_allocs_bytes_total"]
+	}
+	cycles0, allocs0 := scrape()
+	deck := strings.Repeat("* pad\n", 1<<15) + failingDeck
+	body, _ := json.Marshal(map[string]any{"design": deck, "threshold": 0.7})
+	if code, created := postDesign(t, srv, string(body)); code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	runtime.GC()
+	cycles1, allocs1 := scrape()
+	if cycles1 <= cycles0 {
+		t.Errorf("rcserve_gc_cycles_total %v -> %v across runtime.GC", cycles0, cycles1)
+	}
+	if allocs1-allocs0 < float64(len(deck)) {
+		t.Errorf("rcserve_heap_allocs_bytes_total grew %v across a create of a %d-byte deck", allocs1-allocs0, len(deck))
+	}
 }
 
 // sseEvent is one parsed server-sent event.

@@ -399,6 +399,22 @@ func TestBodyCap(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("/session big body: status %d, want 413", resp.StatusCode)
 	}
+	// POST /design reads the whole body before decoding it, so the whole
+	// body counts: a body whose object closes before the cap is refused
+	// too.
+	for name, body := range map[string]string{
+		"big deck":            `{"design": "` + strings.Repeat("* pad\\n", 200) + `"}`,
+		"object before a pad": `{"design": "x"}` + strings.Repeat(" ", 300),
+	} {
+		resp, err = http.Post(ts.URL+"/design", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("/design %s: status %d, want 413", name, resp.StatusCode)
+		}
+	}
 }
 
 // TestHealthzSessionCounters: /healthz carries the session gauge and the

@@ -20,7 +20,7 @@ import (
 //	event: done    — final state: closed, reason, WNS/TNS, cost, error
 
 // with every data line a JSON object. A client that disconnects mid-run
-// cancels the engine through the request context, and closeBudget bounds
+// cancels the engine through the request context, and computeBudget bounds
 // the run like the buffered handler's; the moves accepted before the
 // cancellation stay applied to the session and are logged to the WAL (a
 // disconnected client never observes the done event, but the session is

@@ -12,7 +12,9 @@
 #                           arena rescale vs per-sample netlist rebuild
 #   BENCH_serve.json        rcserve under rcload: per-operation p50/p99 at
 #                           two concurrency levels plus kill -9 recovery
-#                           timing (via scripts/serve_smoke.sh)
+#                           timing (via scripts/serve_smoke.sh), and the
+#                           in-process POST /design phases on the closure
+#                           workload's body (BenchmarkDesignCreate)
 #
 # The timing suite runs pinned to GOMAXPROCS=1, then at 2 and on all cores
 # where the machine has them — and every benchmark entry records the
@@ -156,3 +158,36 @@ cat BENCH_timing.json
 # Serve suite: rcserve driven by rcload at two concurrency levels, then
 # killed -9 and restarted to time WAL recovery. Writes BENCH_serve.json.
 sh scripts/serve_smoke.sh
+
+# Create phases: POST /design in-process on the closure workload's body at
+# one P and on all cores, appended to BENCH_serve.json as "design_create":
+# ms per op in total and per phase, and bytes per op.
+cpus=1
+if [ "$maxprocs" -gt 1 ]; then
+    cpus="1,$maxprocs"
+fi
+raw="$(go test -run '^$' -bench 'BenchmarkDesignCreate' -benchtime "$timing_benchtime" \
+    -benchmem -cpu "$cpus" -count 1 ./cmd/rcserve/)"
+echo "$raw"
+create="$(printf '%s\n' "$raw" | awk '
+/^BenchmarkDesignCreate/ {
+    mp = 1
+    if (match($1, /-[0-9]+$/)) mp = substr($1, RSTART + 1)
+    row = sprintf("{\"gomaxprocs\": %s, \"ms_per_op\": %.3f", mp, $3 / 1e6)
+    for (i = 5; i < NF; i += 2) {
+        unit = $(i + 1)
+        if (unit ~ /_ms\/op$/) { sub(/_ms\/op$/, "", unit); row = row sprintf(", \"%s_ms\": %s", unit, $i) }
+        if (unit == "B/op") row = row sprintf(", \"bytes_per_op\": %s", $i)
+    }
+    rows[n++] = row "}"
+}
+END {
+    if (n == 0) { print "bench_trajectory: no BenchmarkDesignCreate output" > "/dev/stderr"; exit 1 }
+    printf "["
+    for (i = 0; i < n; i++) printf "%s\n    %s", (i ? "," : ""), rows[i]
+    printf "\n  ]"
+}')"
+{ sed '$d' BENCH_serve.json | sed '$s/$/,/'; printf '  "design_create": %s\n}\n' "$create"; } >BENCH_serve.json.tmp
+mv BENCH_serve.json.tmp BENCH_serve.json
+echo "wrote BENCH_serve.json design_create:"
+printf '%s\n' "$create"
