@@ -72,10 +72,19 @@ type designSummaryJSON struct {
 	Fails     int      `json:"fails"`
 }
 
-// designSummary snapshots one session's headline numbers under its lock.
-func designSummary(e *entry[*designSession]) designSummaryJSON {
-	ds := e.val
+// lockDesign takes ds.mu and records the wait for it as a design_lock_wait
+// span and histogram, so time a request spends queued behind another on the
+// same design shows as its own layer. The caller unlocks ds.mu.
+func (s *server) lockDesign(ctx context.Context, ds *designSession) {
+	_, op := trace.StartOp(ctx, s.obs, "design_lock_wait")
 	ds.mu.Lock()
+	op.End()
+}
+
+// designSummary snapshots one session's headline numbers under its lock.
+func (s *server) designSummary(ctx context.Context, e *entry[*designSession]) designSummaryJSON {
+	ds := e.val
+	s.lockDesign(ctx, ds)
 	defer ds.mu.Unlock()
 	h := ds.sess.Headline()
 	return designSummaryJSON{
@@ -142,7 +151,7 @@ func (s *server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, fmt.Sprintf("durability write failed: %v", err), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusCreated, designSummary(ent))
+	writeJSON(w, http.StatusCreated, s.designSummary(ctx, ent))
 }
 
 // lookupDesign resolves the path id to a pinned entry — eviction skips
@@ -166,7 +175,7 @@ func (s *server) handleDesignInfo(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	if e, ok := s.lookupDesign(w, r); ok {
 		defer s.designs.release(e)
-		writeJSON(w, http.StatusOK, designSummary(e))
+		writeJSON(w, http.StatusOK, s.designSummary(r.Context(), e))
 	}
 }
 
@@ -222,7 +231,7 @@ func (s *server) handleDesignEdit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := ent.val
-	ds.mu.Lock()
+	s.lockDesign(r.Context(), ds)
 	res, err := ds.sess.ApplyCtx(r.Context(), req.Edits)
 	ds.edits += res.Applied
 	var wns *float64
@@ -272,7 +281,7 @@ func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 	defer s.designs.release(ent)
 	id, _ := json.Marshal(ent.id) // a string always marshals
 	ds := ent.val
-	ds.mu.Lock()
+	s.lockDesign(r.Context(), ds)
 	body := strconv.AppendUint([]byte("{\n  \"gen\": "), ds.sess.Gen(), 10)
 	body = append(append(append(body, ",\n  \"id\": "...), id...), ",\n  \"report\": "...)
 	body, err := ds.sess.AppendReportJSON(body, 1)
@@ -356,7 +365,7 @@ func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := ent.val
-	ds.mu.Lock()
+	s.lockDesign(r.Context(), ds)
 	report, err := s.closeSession(r.Context(), ds, req.options(s.obs))
 	var walErr error
 	if report != nil {
@@ -448,7 +457,7 @@ func (s *server) handleDesignCorners(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := ent.val
-	ds.mu.Lock()
+	s.lockDesign(r.Context(), ds)
 	design, derr := ds.sess.Design()
 	gen := ds.sess.Gen()
 	threshold := ds.sess.Threshold()

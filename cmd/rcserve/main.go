@@ -320,19 +320,19 @@ func newServer(engine *rcdelay.BatchEngine) *server {
 	return s
 }
 
-// registerStoreGauges (re)binds the sampled gauges to the server's current
-// stores and engine; main calls it again after swapping the default stores
-// for flag-configured ones. The GC rows read the process's runtime/metrics
-// totals at scrape time.
+// registerStoreGauges (re)binds the sampled gauges and counters to the
+// server's current stores and engine; main calls it again after swapping
+// the default stores for flag-configured ones. The GC rows read the
+// process's runtime/metrics totals at scrape time.
 func (s *server) registerStoreGauges() {
 	s.obs.GaugeFunc("rcserve_uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
 	s.obs.GaugeFunc("rcserve_sessions_active", func() float64 { return float64(s.sessions.active()) })
 	s.obs.GaugeFunc("rcserve_designs_active", func() float64 { return float64(s.designs.active()) })
 	s.obs.GaugeFunc("rcserve_cache_entries", func() float64 { return float64(s.engine.CacheStats().Entries) })
-	s.obs.GaugeFunc("rcserve_cache_hits", func() float64 { return float64(s.engine.CacheStats().Hits) })
-	s.obs.GaugeFunc("rcserve_cache_misses", func() float64 { return float64(s.engine.CacheStats().Misses) })
-	s.obs.GaugeFunc("rcserve_gc_cycles_total", func() float64 { return runtimeTotal("/gc/cycles/total:gc-cycles") })
-	s.obs.GaugeFunc("rcserve_heap_allocs_bytes_total", func() float64 { return runtimeTotal("/gc/heap/allocs:bytes") })
+	s.obs.CounterFunc("rcserve_cache_hits", func() float64 { return float64(s.engine.CacheStats().Hits) })
+	s.obs.CounterFunc("rcserve_cache_misses", func() float64 { return float64(s.engine.CacheStats().Misses) })
+	s.obs.CounterFunc("rcserve_gc_cycles_total", func() float64 { return runtimeTotal("/gc/cycles/total:gc-cycles") })
+	s.obs.CounterFunc("rcserve_heap_allocs_bytes_total", func() float64 { return runtimeTotal("/gc/heap/allocs:bytes") })
 }
 
 // runtimeTotal reads one cumulative uint64 runtime/metrics sample.

@@ -87,15 +87,22 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestMetricsGCRows: /metrics carries the process's GC cycle and heap
 // allocation totals, read at scrape time, so a create that allocates and a
-// forced collection both show between two scrapes.
+// forced collection both show between two scrapes. They and the cache hit
+// and miss totals are typed as counters.
 func TestMetricsGCRows(t *testing.T) {
 	srv := designServer()
 	scrape := func() (cycles, allocs float64) {
 		t.Helper()
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		body := w.Body.String()
+		for _, name := range []string{"rcserve_gc_cycles_total", "rcserve_heap_allocs_bytes_total", "rcserve_cache_hits", "rcserve_cache_misses"} {
+			if !strings.Contains(body, "# TYPE "+name+" counter\n") {
+				t.Fatalf("/metrics does not type %s as a counter:\n%s", name, body)
+			}
+		}
 		vals := map[string]float64{}
-		for _, line := range strings.Split(w.Body.String(), "\n") {
+		for _, line := range strings.Split(body, "\n") {
 			name, v, ok := strings.Cut(line, " ")
 			if ok && (name == "rcserve_gc_cycles_total" || name == "rcserve_heap_allocs_bytes_total") {
 				f, err := strconv.ParseFloat(v, 64)

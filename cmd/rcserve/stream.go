@@ -100,7 +100,7 @@ func (s *server) streamDesignClose(w http.ResponseWriter, r *http.Request, ent *
 	sse := &sseWriter{w: w, f: flusher}
 
 	ds := ent.val
-	ds.mu.Lock()
+	s.lockDesign(r.Context(), ds)
 	wns, tns := ds.sess.Summary()
 	sse.event("start", closeStartEvent{
 		ID: ent.id, Gen: ds.sess.Gen(), WNS: finitePtr(wns), TNS: tns,

@@ -8,16 +8,20 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // traceNode mirrors the GET /debug/traces/{id} span-tree shape.
 type traceNode struct {
-	SpanID   string            `json:"spanId"`
-	ParentID string            `json:"parentId"`
-	Name     string            `json:"name"`
-	Attrs    map[string]string `json:"attrs"`
-	Error    string            `json:"error"`
-	Children []*traceNode      `json:"children"`
+	SpanID     string            `json:"spanId"`
+	ParentID   string            `json:"parentId"`
+	Name       string            `json:"name"`
+	DurationUs int64             `json:"durationUs"`
+	Attrs      map[string]string `json:"attrs"`
+	Error      string            `json:"error"`
+	Children   []*traceNode      `json:"children"`
 }
 
 // findSpan walks nodes depth-first for the first span with the given name.
@@ -371,5 +375,69 @@ func TestDesignCreateTraceSpans(t *testing.T) {
 				t.Errorf("no %s span under timing_session_mount in %s", name, raw)
 			}
 		}
+	}
+}
+
+// TestDesignLockWait: a slack read queued behind a held design lock
+// reports the wait as a design_lock_wait span under its request and in the
+// design_lock_wait histogram.
+func TestDesignLockWait(t *testing.T) {
+	srv := designServer()
+	body, _ := json.Marshal(map[string]any{"design": failingDeck, "threshold": 0.7})
+	code, created := postDesign(t, srv, string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("POST /design = %d: %v", code, created)
+	}
+	id := created["id"].(string)
+	ent, ok := srv.designs.get(id)
+	if !ok {
+		t.Fatal("created design not in the store")
+	}
+	defer srv.designs.release(ent)
+	hist := srv.obs.Histogram("design_lock_wait_seconds", obs.LatencyBuckets)
+	before := hist.Snapshot()
+
+	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
+	const hold = 200 * time.Millisecond
+	ent.val.mu.Lock()
+	done := make(chan int)
+	go func() {
+		req := httptest.NewRequest(http.MethodGet, "/design/"+id+"/slack", nil)
+		req.Header.Set("traceparent", "00-"+tid+"-00f067aa0ba902b7-01")
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		done <- w.Code
+	}()
+	time.Sleep(hold)
+	ent.val.mu.Unlock()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("GET /design/{id}/slack = %d", code)
+	}
+
+	after := hist.Snapshot()
+	if after.Count != before.Count+1 {
+		t.Fatalf("design_lock_wait observed %d waits for one request", after.Count-before.Count)
+	}
+	if wait := after.Sum - before.Sum; wait < hold.Seconds()/2 {
+		t.Errorf("design_lock_wait recorded %.3fs behind a %v hold", wait, hold)
+	}
+	code, tree := serveJSON(t, srv, http.MethodGet, "/debug/traces/"+tid, "")
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/traces/%s = %d: %v", tid, code, tree)
+	}
+	raw, _ := json.Marshal(tree["spans"])
+	var roots []*traceNode
+	if err := json.Unmarshal(raw, &roots); err != nil {
+		t.Fatalf("span tree did not decode: %v", err)
+	}
+	var wait *traceNode
+	if root := findSpan(roots, "rcserve.request"); root != nil {
+		wait = findSpan(root.Children, "design_lock_wait")
+	}
+	if wait == nil {
+		t.Fatalf("no design_lock_wait span under the request in %s", raw)
+	}
+	if us := wait.DurationUs; us < hold.Microseconds()/2 {
+		t.Errorf("design_lock_wait span lasted %dµs behind a %v hold", us, hold)
 	}
 }

@@ -48,7 +48,7 @@ func (s *server) walCreate(ctx context.Context, ent *entry[*designSession], deck
 	if err != nil {
 		return err
 	}
-	ds.mu.Lock()
+	s.lockDesign(ctx, ds)
 	ds.wlog = l
 	ds.mu.Unlock()
 	return nil
@@ -107,7 +107,7 @@ func (s *server) snapshotAll() (int, error) {
 			continue
 		}
 		ds := ent.val
-		ds.mu.Lock()
+		s.lockDesign(context.Background(), ds)
 		if ds.wlog != nil && ds.wlog.Pending() > 0 {
 			if err := s.walSnapshotLocked(context.Background(), ds); err != nil {
 				if firstErr == nil {

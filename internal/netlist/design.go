@@ -84,7 +84,10 @@ func (d *Design) Net(name string) *DesignNet {
 // ParseDesign reads a multi-net design deck in two phases. A sequential
 // pass reads the top-level cards and cuts out each net's section between
 // .net and .endnet without tokenizing its element cards; then
-// min(GOMAXPROCS, nets) workers parse the sections. The error returned is
+// min(GOMAXPROCS, nets) workers parse the sections, each reusing one deck
+// (interning map, duplicate-element tables and build scratch) across the
+// nets it takes, so a net allocates little beyond its tree's columns, and
+// no tree gets a name index until its first Lookup. The error returned is
 // the first in deck order, with the same text a one-pass parse would give.
 // Every stage and require is validated against the declared nets and their
 // designated outputs, so a returned Design is structurally sound (cycles

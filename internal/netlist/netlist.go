@@ -16,11 +16,20 @@
 // accept SPICE engineering suffixes (k, meg, m, u, n, p, f). Comments start
 // with '*' (whole line) or ';' (trailing). Elements may appear in any order;
 // the parser orients the tree from the input node.
+//
+// Parsing costs one pass over each line: the scanner cuts an ASCII line's
+// fields while it looks for the line's end. Node names are interned to
+// dense ids, so the tree's columns are appended directly, in breadth-first
+// order from the input, and handed to rctree.FromInterned: the tree builds
+// its name index only if something calls Lookup. Element names of the
+// common R7/c12 form are checked for duplicates in per-letter arrays; any
+// other name in a map of upper-cased names.
 package netlist
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +49,8 @@ type edge struct {
 
 // deck collects the cards of one net. Node names are interned to dense
 // int32 ids in order of first appearance, so per-node data lives in slices;
-// a deck is reset and reused across the nets of a design.
+// a deck is reset and reused across the nets of a design, and so is the
+// scratch its build works in.
 type deck struct {
 	index    map[string]int32 // node name -> id
 	names    []string         // id -> node name
@@ -50,8 +60,17 @@ type deck struct {
 	edges    []edge
 	input    string
 	outputs  []string
-	outLine  []int          // line of each .output name's card
-	seen     map[string]int // element name -> source line
+	outLine  []int // line of each .output name's card
+	// numbered[k][n] is the line defining element n of letter "RCU"[k], 0
+	// if none: the names numberedElement accepts. seen maps every other
+	// element name, upper-cased, to its line.
+	numbered [3][]int
+	seen     map[string]int
+
+	// build's scratch, sized per net.
+	off, adj, queue []int32
+	ids             []rctree.NodeID
+	used, isOut     []bool
 }
 
 func newDeck() *deck {
@@ -61,6 +80,9 @@ func newDeck() *deck {
 func (d *deck) reset() {
 	clear(d.index)
 	clear(d.seen)
+	for k := range d.numbered {
+		d.numbered[k] = d.numbered[k][:0]
+	}
 	d.names, d.caps, d.capLine, d.capNodes = d.names[:0], d.caps[:0], d.capLine[:0], d.capNodes[:0]
 	d.edges, d.outputs, d.outLine, d.input = d.edges[:0], d.outputs[:0], d.outLine[:0], ""
 }
@@ -88,29 +110,99 @@ type scanner struct {
 	buf   [8]string
 }
 
+// Byte classes of a deck line: a field runs over bField and bStar bytes,
+// and a '*' that would start a line's first field starts a comment.
+const (
+	bField = iota
+	bStar
+	bBlank // ASCII white space other than '\n'
+	bEOL   // '\n'
+	bSemi  // ';', a trailing comment
+	bWide  // >= 0x80, which may be Unicode white space
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case c >= utf8.RuneSelf:
+			t[c] = bWide
+		case c == '\n':
+			t[c] = bEOL
+		case c == ' ' || '\t' <= c && c <= '\r':
+			t[c] = bBlank
+		case c == ';':
+			t[c] = bSemi
+		case c == '*':
+			t[c] = bStar
+		}
+	}
+	return t
+}()
+
 // next returns the fields of the next card, or nil at the end of the deck.
-// The slice is only valid until the following call.
+// One pass over an ASCII line finds its end and cuts its fields, as
+// strings.Fields would cut the line up to its ';' once trimmed; a line with
+// a byte >= 0x80 before its ';' goes to unicodeLine. The slice is only
+// valid until the following call.
 func (s *scanner) next() []string {
+	src := s.src
 	for s.pos >= 0 {
 		s.start = s.pos
-		line := s.src[s.pos:]
-		if i := strings.IndexByte(line, '\n'); i >= 0 {
-			line = line[:i]
-			s.pos += i + 1
-		} else {
+		s.no++
+		f, i := s.buf[:0], s.pos
+	line:
+		for i < len(src) {
+			switch k := byteClass[src[i]]; {
+			case k == bBlank:
+				i++
+			case k == bField || k == bStar && len(f) > 0:
+				j := i + 1
+				for j < len(src) && byteClass[src[j]] <= bStar {
+					j++
+				}
+				f, i = append(f, src[i:j]), j
+			case k == bWide:
+				f, i = s.unicodeLine(), s.lineEnd(s.start)
+				break line
+			case k == bEOL:
+				break line
+			default: // ';' or a leading '*': a comment to the end of the line
+				i = s.lineEnd(i)
+				break line
+			}
+		}
+		if s.pos = i + 1; i == len(src) {
 			s.pos = -1
 		}
-		s.no++
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
+		if len(f) > 0 {
+			return f
 		}
-		line = strings.TrimSpace(line)
-		if line == "" || line[0] == '*' {
-			continue
-		}
-		return s.fields(line)
 	}
 	return nil
+}
+
+// lineEnd returns the index of the first '\n' at or after i, or len(src).
+func (s *scanner) lineEnd(i int) int {
+	if j := strings.IndexByte(s.src[i:], '\n'); j >= 0 {
+		return i + j
+	}
+	return len(s.src)
+}
+
+// unicodeLine returns the fields of the line at s.start, which holds a
+// non-ASCII byte before its ';': the line up to that ';' is trimmed of
+// Unicode white space and split by strings.Fields, and none if it is blank
+// or a '*' comment.
+func (s *scanner) unicodeLine() []string {
+	line := s.src[s.start:s.lineEnd(s.start)]
+	if i := strings.IndexByte(line, ';'); i >= 0 {
+		line = line[:i]
+	}
+	line = strings.TrimSpace(line)
+	if line == "" || line[0] == '*' {
+		return nil
+	}
+	return strings.Fields(line)
 }
 
 // skipBody advances past the lines that cannot hold a directive: blank
@@ -138,30 +230,6 @@ func (s *scanner) skipBody() {
 // isBlank reports whether c is ASCII white space other than '\n'.
 func isBlank(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r'
-}
-
-// fields splits a trimmed, non-empty line like strings.Fields, without
-// allocating when the line is ASCII.
-func (s *scanner) fields(line string) []string {
-	f := s.buf[:0]
-	start := -1 // start of the field being scanned, -1 between fields
-	for i := 0; i < len(line); i++ {
-		switch c := line[i]; {
-		case c >= utf8.RuneSelf:
-			return strings.Fields(line)
-		case c == ' ' || '\t' <= c && c <= '\r': // \t \n \v \f \r
-			if start >= 0 {
-				f = append(f, line[start:i])
-				start = -1
-			}
-		case start < 0:
-			start = i
-		}
-	}
-	if start >= 0 {
-		f = append(f, line[start:])
-	}
-	return f
 }
 
 // isDirective reports whether field upper-cases (as by strings.ToUpper) to
@@ -207,26 +275,6 @@ func (d *deck) cards(s *scanner) error {
 func (d *deck) card(fields []string, no int) error {
 	head := fields[0]
 	switch {
-	case isDirective(head, ".INPUT"):
-		if len(fields) != 2 {
-			return fmt.Errorf("netlist: line %d: .input takes exactly one node", no)
-		}
-		if d.input != "" {
-			return fmt.Errorf("netlist: line %d: duplicate .input (already %q)", no, d.input)
-		}
-		d.input = fields[1]
-		return nil
-	case isDirective(head, ".OUTPUT"):
-		if len(fields) < 2 {
-			return fmt.Errorf("netlist: line %d: .output needs at least one node", no)
-		}
-		d.outputs = append(d.outputs, fields[1:]...)
-		for range fields[1:] {
-			d.outLine = append(d.outLine, no)
-		}
-		return nil
-	case isDirective(head, ".END"):
-		return nil
 	// No non-ASCII rune upper-cases to R, C or U, so the first byte decides.
 	case head[0]|0x20 == 'r':
 		if len(fields) != 4 {
@@ -278,18 +326,84 @@ func (d *deck) card(fields []string, no int) error {
 			return fmt.Errorf("netlist: line %d: %w", no, err)
 		}
 		return d.addEdge(fields, r, c, true, no)
+	// A directive leads with '.', which no other rune upper-cases to.
+	case isDirective(head, ".INPUT"):
+		if len(fields) != 2 {
+			return fmt.Errorf("netlist: line %d: .input takes exactly one node", no)
+		}
+		if d.input != "" {
+			return fmt.Errorf("netlist: line %d: duplicate .input (already %q)", no, d.input)
+		}
+		d.input = fields[1]
+		return nil
+	case isDirective(head, ".OUTPUT"):
+		if len(fields) < 2 {
+			return fmt.Errorf("netlist: line %d: .output needs at least one node", no)
+		}
+		d.outputs = append(d.outputs, fields[1:]...)
+		for range fields[1:] {
+			d.outLine = append(d.outLine, no)
+		}
+		return nil
+	case isDirective(head, ".END"):
+		return nil
 	}
 	return fmt.Errorf("netlist: line %d: unrecognized card %q", no, fields[0])
 }
 
-// claim records element name as defined at line no, rejecting a duplicate.
+// claim records element name as defined at line no, rejecting a duplicate:
+// a name that upper-cases like an earlier one.
 func (d *deck) claim(name string, no int) error {
-	key := strings.ToUpper(name)
-	if prev, dup := d.seen[key]; dup {
+	var prev int
+	if k, n, ok := numberedElement(name); ok {
+		lines := d.numbered[k]
+		if m := len(lines); n >= m {
+			lines = slices.Grow(lines, n+1-m)[:n+1]
+			clear(lines[m:])
+			d.numbered[k] = lines
+		}
+		if prev = lines[n]; prev == 0 {
+			lines[n] = no
+		}
+	} else {
+		key := strings.ToUpper(name)
+		if prev = d.seen[key]; prev == 0 {
+			d.seen[key] = no
+		}
+	}
+	if prev != 0 {
 		return fmt.Errorf("netlist: line %d: element %s already defined at line %d", no, name, prev)
 	}
-	d.seen[key] = no
 	return nil
+}
+
+// numberedElement reports whether name is an R, C or U in either case
+// followed by a decimal number below 10000 with no leading zero, and if so
+// which letter (0, 1, 2 for R, C, U) and number. Only "R7" and "r7"
+// upper-case to "R7", and no other name upper-cases to such a name (no
+// non-ASCII rune upper-cases to an ASCII letter or digit but I and S), so
+// these names can skip the upper-cased map.
+func numberedElement(name string) (k, n int, ok bool) {
+	digits := name[1:]
+	if len(digits) == 0 || len(digits) > 4 || digits[0] == '0' {
+		return 0, 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, 0, false
+		}
+		n = 10*n + int(c-'0')
+	}
+	switch name[0] | 0x20 {
+	case 'r':
+		return 0, n, true
+	case 'c':
+		return 1, n, true
+	case 'u':
+		return 2, n, true
+	}
+	return 0, 0, false
 }
 
 // addEdge adds the element of an R or U card: fields are name, a, b, ...
@@ -311,27 +425,36 @@ func (d *deck) addEdge(fields []string, r, c float64, isLine bool, no int) error
 	return nil
 }
 
+// isGround reports whether node names ground. No non-ASCII rune folds to
+// g, n or d, so only a 3-byte name can fold to "gnd".
 func isGround(node string) bool {
-	return node == "0" || strings.EqualFold(node, "gnd")
+	return node == "0" || len(node) == 3 && strings.EqualFold(node, "gnd")
 }
 
-// build orients the element graph from the input node and assembles the
-// tree in breadth-first order (the builder requires parent-before-child).
+// build orients the element graph from the input node and appends the
+// tree's columns in breadth-first order, parent before child. It applies
+// rctree.Builder's element checks with the same error text, and the
+// interned node names are unique, so the columns go to rctree.FromInterned
+// without a name index.
 func (d *deck) build() (*rctree.Tree, error) {
 	input := d.input
 	if input == "" {
 		input = "in"
 	}
-	if len(d.edges) == 0 {
-		// A deck can legitimately degenerate to capacitance at the driven
-		// input alone (e.g. a zero-resistance U card folded into its
-		// parent); the response is then an immediate step.
-		return d.buildCapacitorOnly(input)
+	if len(d.edges) == 0 && len(d.capNodes) == 0 {
+		return nil, fmt.Errorf("netlist: deck has no elements")
 	}
+	// A deck of capacitors alone is a tree of the input node alone (e.g.
+	// after a zero-resistance U card folded into the input), whose
+	// response is an immediate step; a capacitor elsewhere fails the
+	// connection check below. An input no card names is interned here and
+	// touches no element.
+	in := d.node(input)
 	// CSR adjacency: the edges at node v are adj[off[v]:off[v+1]], in deck
 	// order, so the BFS numbers nodes as the deck lists them.
 	n := len(d.names)
-	off := make([]int32, n+1)
+	off := scratch(&d.off, n+1)
+	clear(off)
 	for _, e := range d.edges {
 		off[e.a+1]++
 		off[e.b+1]++
@@ -339,30 +462,47 @@ func (d *deck) build() (*rctree.Tree, error) {
 	for v := 1; v <= n; v++ {
 		off[v] += off[v-1]
 	}
-	ids := make([]rctree.NodeID, n) // fill cursors first, then tree ids
+	ids := scratch(&d.ids, n) // fill cursors first, then tree ids
 	for v := range ids {
 		ids[v] = rctree.NodeID(off[v])
 	}
-	adj := make([]int32, 2*len(d.edges))
+	adj := scratch(&d.adj, 2*len(d.edges))
 	for i, e := range d.edges {
 		adj[ids[e.a]] = int32(i)
 		ids[e.a]++
 		adj[ids[e.b]] = int32(i)
 		ids[e.b]++
 	}
-	in, ok := d.index[input]
-	if !ok || off[in] == off[in+1] {
+	used, isOut := scratch(&d.used, len(d.edges)), scratch(&d.isOut, n)
+	clear(used)
+	clear(isOut)
+	if len(d.edges) > 0 && off[in] == off[in+1] {
 		return nil, fmt.Errorf("netlist: input node %q touches no element", input)
 	}
 
-	b := rctree.NewBuilderSize(input, n, len(d.outputs))
+	// The tree has at most n nodes: one slab holds its three float columns.
+	f := make([]float64, 3*n)
+	c := rctree.Columns{
+		Parent: make([]int32, 0, n), Kind: make([]uint8, 0, n),
+		EdgeR: f[:0:n], EdgeC: f[n : n : 2*n], NodeC: f[2*n : 2*n : 3*n],
+		Names: make([]string, 0, n), Outputs: make([]rctree.NodeID, 0, len(d.outputs)),
+	}
+	push := func(v int32, parent rctree.NodeID, kind rctree.EdgeKind, r, cap float64) rctree.NodeID {
+		c.Parent = append(c.Parent, int32(parent))
+		c.Kind = append(c.Kind, uint8(kind))
+		c.EdgeR, c.EdgeC, c.NodeC = append(c.EdgeR, r), append(c.EdgeC, cap), append(c.NodeC, 0)
+		c.Names = append(c.Names, d.names[v])
+		return rctree.NodeID(len(c.Parent) - 1)
+	}
+	// As in rctree.Builder, an element it refuses leaves its far node at
+	// the root, and the refusals are reported together, sorted, once every
+	// netlist check has passed.
+	var refused []string
 	for v := range ids {
 		ids[v] = -1 // not reached yet
 	}
-	ids[in] = rctree.Root
-	used := make([]bool, len(d.edges))
-	queue := make([]int32, 1, n)
-	queue[0] = in
+	ids[in] = push(in, -1, rctree.EdgeNone, 0, 0)
+	queue := append(d.queue[:0], in)
 	for h := 0; h < len(queue); h++ {
 		v := queue[h]
 		for _, ei := range adj[off[v]:off[v+1]] {
@@ -378,14 +518,26 @@ func (d *deck) build() (*rctree.Tree, error) {
 			if ids[far] >= 0 {
 				return nil, fmt.Errorf("netlist: line %d: element %s closes a resistive loop at node %q; the network is not a tree", e.line, e.name, d.names[far])
 			}
-			if e.isLine {
-				ids[far] = b.Line(ids[v], d.names[far], e.r, e.c)
-			} else {
-				ids[far] = b.Resistor(ids[v], d.names[far], e.r)
+			switch {
+			case !e.isLine && e.r <= 0:
+				refused = append(refused, fmt.Sprintf("rctree: resistor %q must have R > 0, got %g", d.names[far], e.r))
+				ids[far] = rctree.Root
+			case e.isLine && e.r == 0 && e.c == 0:
+				refused = append(refused, fmt.Sprintf("rctree: line %q has R=0 and C=0", d.names[far]))
+				ids[far] = rctree.Root
+			case e.isLine && e.r == 0:
+				// A zero-resistance line is a lumped capacitor at its parent.
+				c.NodeC[ids[v]] += e.c
+				ids[far] = ids[v]
+			case e.isLine && e.c != 0:
+				ids[far] = push(far, ids[v], rctree.EdgeLine, e.r, e.c)
+			default:
+				ids[far] = push(far, ids[v], rctree.EdgeResistor, e.r, 0)
 			}
 			queue = append(queue, far)
 		}
 	}
+	d.queue = queue
 	for i, u := range used {
 		if !u {
 			e := &d.edges[i]
@@ -396,7 +548,7 @@ func (d *deck) build() (*rctree.Tree, error) {
 		if ids[v] < 0 {
 			return nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the tree", d.capLine[v], d.names[v])
 		}
-		b.Capacitor(ids[v], d.caps[v])
+		c.NodeC[ids[v]] += d.caps[v]
 	}
 	for i, out := range d.outputs {
 		v, ok := d.index[out]
@@ -405,35 +557,29 @@ func (d *deck) build() (*rctree.Tree, error) {
 		}
 		// A zero-resistance U card folds its far node into the near one, so
 		// the tree has no node of that name to time or to tap.
-		if into := b.Name(ids[v]); into != out {
+		id := ids[v]
+		if into := c.Names[id]; into != out {
 			return nil, fmt.Errorf("netlist: line %d: .output node %q is folded into node %q by a zero-resistance line; name %q instead", d.outLine[i], out, into, into)
 		}
-		b.Output(ids[v])
+		if isOut[id] {
+			refused = append(refused, fmt.Sprintf("rctree: node %q marked as output twice", out))
+			continue
+		}
+		isOut[id] = true
+		c.Outputs = append(c.Outputs, id)
 	}
-	return b.Build()
+	if len(refused) > 0 {
+		sort.Strings(refused)
+		return nil, fmt.Errorf("rctree: invalid tree: %s", strings.Join(refused, "; "))
+	}
+	return rctree.FromInterned(c)
 }
 
-// buildCapacitorOnly handles decks whose only elements are capacitors: they
-// must all sit at the input node (anything else is floating), and the
-// result is the single-node tree.
-func (d *deck) buildCapacitorOnly(input string) (*rctree.Tree, error) {
-	if len(d.capNodes) == 0 {
-		return nil, fmt.Errorf("netlist: deck has no elements")
-	}
-	b := rctree.NewBuilder(input)
-	for _, v := range d.capNodes {
-		if d.names[v] != input {
-			return nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the tree", d.capLine[v], d.names[v])
-		}
-		b.Capacitor(rctree.Root, d.caps[v])
-	}
-	for _, out := range d.outputs {
-		if out != input {
-			return nil, fmt.Errorf("netlist: .output node %q does not exist", out)
-		}
-		b.Output(rctree.Root)
-	}
-	return b.Build()
+// scratch resizes *s to n elements, reusing its array when that is large
+// enough, and returns it. The elements keep whatever they held.
+func scratch[T any](s *[]T, n int) []T {
+	*s = slices.Grow((*s)[:0], n)[:n]
+	return *s
 }
 
 // ParseValue parses a SPICE-style number with optional engineering suffix:

@@ -9,16 +9,18 @@ import (
 // parseDesignSeq is the one-pass design parser that ParseDesign replaced,
 // kept as the oracle of its differential tests: the cards of each net
 // section go straight to that net's deck, and the first error in deck order
-// ends the parse.
+// ends the parse. It reads cards with the frozen scanner and builds trees
+// with the frozen deck (frozen_test.go), so it shares no tokenizer or build
+// code with ParseDesign.
 func parseDesignSeq(src string) (*Design, error) {
 	d := &Design{}
 	var (
 		curName string // net being collected, "" at top level
 		netLine int
 	)
-	net := newDeck()
+	net := newFrozenDeck()
 	seenNets := map[string]int{}
-	s := scanner{src: src}
+	s := frozenScanner{src: src}
 	for fields := s.next(); fields != nil; fields = s.next() {
 		no, head := s.no, fields[0]
 		if curName != "" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/netlist"
@@ -199,6 +200,69 @@ func TestSplitParseManyNets(t *testing.T) {
 		at += len(net)
 		if _, err := matchSequential(t, deck[:at]+"X1 bad\n"+deck[at:]); err == nil {
 			t.Fatalf("net %d: bad card accepted", i)
+		}
+	}
+}
+
+// TestConcurrentFirstLookup: a parsed tree builds its name index on the
+// first Lookup. Eight goroutines race to that first Lookup and
+// LookupOutput on every net of freshly parsed designs, and every answer
+// must equal an index built eagerly from the tree's columns. Run it under
+// -race.
+func TestConcurrentFirstLookup(t *testing.T) {
+	cfg := randnet.DefaultDesignConfig(3, 4)
+	cfg.Net = randnet.DefaultConfig(30)
+	deck := netlist.WriteDesign(randnet.DesignSeed(7, cfg))
+	for round := 0; round < 4; round++ {
+		d, err := netlist.ParseDesign(deck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type index struct {
+			ids  map[string]rctree.NodeID
+			outs map[string]bool
+		}
+		eager := make([]index, len(d.Nets))
+		for i, n := range d.Nets {
+			c := n.Tree.Columns()
+			eager[i] = index{ids: map[string]rctree.NodeID{}, outs: map[string]bool{}}
+			for id, name := range c.Names {
+				eager[i].ids[name] = rctree.NodeID(id)
+			}
+			for _, o := range c.Outputs {
+				eager[i].outs[c.Names[o]] = true
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range d.Nets {
+					i := (k + g) % len(d.Nets) // goroutines start on different nets
+					tree, want := d.Nets[i].Tree, eager[i]
+					for name, wantID := range want.ids {
+						for _, probe := range []string{name, name + "'"} {
+							id, ok := tree.Lookup(probe)
+							if wid, wok := want.ids[probe]; ok != wok || ok && id != wid {
+								errs <- fmt.Sprintf("net %d: Lookup(%q) = %d, %v; want %d, %v", i, probe, id, ok, wid, wok)
+								return
+							}
+							oid, ok := tree.LookupOutput(probe)
+							if want.outs[probe] != ok || ok && oid != wantID {
+								errs <- fmt.Sprintf("net %d: LookupOutput(%q) = %d, %v; want output %v", i, probe, oid, ok, want.outs[probe])
+								return
+							}
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // never guards call sites.
 type Registry struct {
 	mu      sync.RWMutex
-	series  map[seriesKey]any // *Counter | *Gauge | *Histogram | gaugeFunc
+	series  map[seriesKey]any // *Counter | *Gauge | *Histogram | *sampled
 	ordered []seriesKey       // insertion order; sorted at exposition time
 }
 
@@ -150,9 +150,11 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(atomic.LoadUint64(&g.bits))
 }
 
-// gaugeFunc is a lazily sampled gauge: the callback runs at exposition time.
-type gaugeFunc struct {
-	fn func() float64
+// sampled is a lazily sampled gauge or counter: the callback runs at
+// exposition time.
+type sampled struct {
+	fn      func() float64
+	counter bool
 }
 
 // GaugeFunc registers a callback-backed gauge sampled when the registry is
@@ -160,12 +162,23 @@ type gaugeFunc struct {
 // owned by another subsystem. Re-registering the same series replaces the
 // callback.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
+	r.sampledFunc(name, fn, false, labels)
+}
+
+// CounterFunc is GaugeFunc for a cumulative total another subsystem keeps,
+// such as the runtime's GC cycle count: the series is exposed as a counter,
+// so fn must never decrease.
+func (r *Registry) CounterFunc(name string, fn func() float64, labels ...string) {
+	r.sampledFunc(name, fn, true, labels)
+}
+
+func (r *Registry) sampledFunc(name string, fn func() float64, counter bool, labels []string) {
 	if r == nil || fn == nil {
 		return
 	}
-	g := r.lookup(name, labels, func() any { return &gaugeFunc{} }).(*gaugeFunc)
+	g := r.lookup(name, labels, func() any { return &sampled{} }).(*sampled)
 	r.mu.Lock()
-	g.fn = fn
+	g.fn, g.counter = fn, counter
 	r.mu.Unlock()
 }
 
@@ -235,10 +248,17 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	lastType := ""
 	for _, k := range keys {
 		var typ string
-		switch snap[k].(type) {
+		switch inst := snap[k].(type) {
 		case *Counter:
 			typ = "counter"
-		case *Gauge, *gaugeFunc:
+		case *sampled:
+			typ = "gauge"
+			r.mu.RLock()
+			if inst.counter {
+				typ = "counter"
+			}
+			r.mu.RUnlock()
+		case *Gauge:
 			typ = "gauge"
 		case *Histogram:
 			typ = "histogram"
@@ -254,7 +274,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s%s %d\n", k.name, promLabels(k.labels), inst.Value())
 		case *Gauge:
 			fmt.Fprintf(w, "%s%s %s\n", k.name, promLabels(k.labels), promFloat(inst.Value()))
-		case *gaugeFunc:
+		case *sampled:
 			r.mu.RLock()
 			fn := inst.fn
 			r.mu.RUnlock()

@@ -37,6 +37,17 @@ func TestCounterAndGauge(t *testing.T) {
 	if !strings.Contains(out.String(), "queue_depth 7.25") {
 		t.Fatalf("gauge func not sampled at exposition:\n%s", out.String())
 	}
+
+	total := 3.0
+	reg.CounterFunc("work_total", func() float64 { return total })
+	total = 5
+	out.Reset()
+	reg.WritePrometheus(&out)
+	for _, want := range []string{"# TYPE queue_depth gauge\nqueue_depth 7.25\n", "# TYPE work_total counter\nwork_total 5\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, out.String())
+		}
+	}
 }
 
 func TestNilSafety(t *testing.T) {
@@ -46,6 +57,7 @@ func TestNilSafety(t *testing.T) {
 	reg.Gauge("y").Set(2)
 	reg.Gauge("y").Add(1)
 	reg.GaugeFunc("z", func() float64 { return 1 })
+	reg.CounterFunc("z_total", func() float64 { return 1 })
 	reg.Histogram("h", LatencyBuckets).Observe(0.5)
 	reg.WritePrometheus(&strings.Builder{})
 	if v := reg.Counter("x").Value(); v != 0 {

@@ -12,6 +12,7 @@
 // and C, lumped C, name) indexed by NodeID in parent-before-child order,
 // with CSR children. Builder appends to those columns and derives the CSR
 // children once, in Build; FromColumns rebuilds a tree from Tree.Columns;
+// FromInterned takes columns whose names a parser has already made unique;
 // and the characteristic-times kernel (TimesFlat, TimesFlatAll) sweeps the
 // same columns, whether they belong to one tree or to a design's
 // concatenation of many.
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within a Tree. The input (root) node of a valid
@@ -71,8 +73,10 @@ func (k EdgeKind) String() string {
 // The characteristic-times passes are linear sweeps over these columns.
 // Children returns a capacity-limited window of the shared children column,
 // so appending to it copies instead of overwriting a sibling's children.
+// The name index behind Lookup is the one Builder or FromColumns checked
+// names against; a tree from FromInterned builds it on its first Lookup.
 // The zero value is not usable; obtain trees from Builder.Build,
-// FromColumns, netlist parsing, or the algebra package.
+// FromColumns, FromInterned, netlist parsing, or the algebra package.
 type Tree struct {
 	parent   []int32
 	kind     []uint8 // EdgeKind
@@ -83,7 +87,9 @@ type Tree struct {
 	childOff []int32 // len n+1; children of i are children[childOff[i]:childOff[i+1]]
 	children []NodeID
 	outputs  []NodeID
-	byName   map[string]NodeID
+	// byName is the name index, nil until built; concurrent first Lookups
+	// may each build one, and the first stored wins.
+	byName atomic.Pointer[map[string]NodeID]
 }
 
 // Columns is the flat form of a Tree: one slice per node field, indexed by
@@ -127,13 +133,22 @@ func FromColumns(c Columns) (*Tree, error) {
 	return newTree(c, byName, false)
 }
 
+// FromInterned is Builder.Build for columns whose node names the caller
+// has already made unique, as a parser that interns them does: it
+// validates c, designates every leaf when c has no outputs, and defers the
+// name index to the first Lookup. The tree takes ownership of c's slices.
+func FromInterned(c Columns) (*Tree, error) { return newTree(c, nil, true) }
+
 // newTree validates c and derives its CSR children in one counting pass over
 // the parents. With leafOutputs set, a tree without designated outputs
 // designates every leaf (always in range, so validating first is enough).
 func newTree(c Columns, byName map[string]NodeID, leafOutputs bool) (*Tree, error) {
 	t := &Tree{
 		parent: c.Parent, kind: c.Kind, edgeR: c.EdgeR, edgeC: c.EdgeC,
-		nodeC: c.NodeC, name: c.Names, outputs: c.Outputs, byName: byName,
+		nodeC: c.NodeC, name: c.Names, outputs: c.Outputs,
+	}
+	if byName != nil {
+		t.byName.Store(&byName)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -176,17 +191,32 @@ func (t *Tree) Outputs() []NodeID { return t.outputs }
 // Name returns the name of node id.
 func (t *Tree) Name(id NodeID) string { return t.name[id] }
 
-// Lookup finds a node by name.
+// Lookup finds a node by name. On a tree without a name index, the first
+// Lookup builds one in O(n); it is safe to call from concurrent readers.
 func (t *Tree) Lookup(name string) (NodeID, bool) {
-	id, ok := t.byName[name]
+	m := t.byName.Load()
+	if m == nil {
+		idx := make(map[string]NodeID, len(t.name))
+		for i, nm := range t.name {
+			idx[nm] = NodeID(i)
+		}
+		t.byName.CompareAndSwap(nil, &idx)
+		m = t.byName.Load()
+	}
+	id, ok := (*m)[name]
 	return id, ok
 }
 
 // LookupOutput finds a designated output by name: ok is false when no node
-// has that name or the node it names is not an output.
+// has that name or the node it names is not an output. It scans the
+// outputs, so it never builds the name index.
 func (t *Tree) LookupOutput(name string) (NodeID, bool) {
-	id, ok := t.byName[name]
-	return id, ok && t.isOutput(id)
+	for _, o := range t.outputs {
+		if t.name[o] == name {
+			return o, true
+		}
+	}
+	return 0, false
 }
 
 // Parent returns the parent of id, or -1 for the root.

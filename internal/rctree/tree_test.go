@@ -271,8 +271,10 @@ func TestStringRendering(t *testing.T) {
 func TestValidateRejectsCorruptTree(t *testing.T) {
 	tr, _, _ := fig3Tree(t)
 	// Corrupt a copy's parent pointer to form a forward reference.
-	bad := *tr
-	bad.parent = append([]int32(nil), tr.parent...)
+	bad := &Tree{
+		parent: append([]int32(nil), tr.parent...), kind: tr.kind,
+		edgeR: tr.edgeR, edgeC: tr.edgeC, nodeC: tr.nodeC, name: tr.name, outputs: tr.outputs,
+	}
 	bad.parent[1] = 3
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate accepted corrupt parent ordering")

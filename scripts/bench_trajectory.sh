@@ -7,9 +7,11 @@
 #                           arena propagation kernel, telemetry overheads,
 #                           full-reanalyze vs dirty-cone ECO re-timing,
 #                           the closure repair loop, corner-aware vs plain
-#                           closure on the closure workload's shape, and the
+#                           closure on the closure workload's shape, the
 #                           corner sweep's in-place
-#                           arena rescale vs per-sample netlist rebuild
+#                           arena rescale vs per-sample netlist rebuild, and
+#                           the sign-off deck's parse (BenchmarkParseDesign,
+#                           with B/op and allocs/op)
 #   BENCH_serve.json        rcserve under rcload: per-operation p50/p99 at
 #                           two concurrency levels plus kill -9 recovery
 #                           timing (via scripts/serve_smoke.sh), and the
@@ -82,8 +84,8 @@ cat BENCH_incremental.json
 run_timing() {
     echo "GOMAXPROCS $1"
     GOMAXPROCS="$1" go test -run '^$' \
-        -bench 'BenchmarkDesignSlack|BenchmarkDesignECO|BenchmarkArenaPropagation|BenchmarkClosure|BenchmarkCornerSweep' \
-        -benchtime "$timing_benchtime" -count 1 ./internal/timing/ ./internal/closure/ ./internal/mcd/
+        -bench 'BenchmarkDesignSlack|BenchmarkDesignECO|BenchmarkArenaPropagation|BenchmarkClosure|BenchmarkCornerSweep|BenchmarkParseDesign$' \
+        -benchtime "$timing_benchtime" -benchmem -count 1 ./internal/timing/ ./internal/closure/ ./internal/mcd/ ./internal/netlist/
 }
 raw="$(run_timing 1)"
 if [ "$maxprocs" -gt 1 ]; then
@@ -106,6 +108,10 @@ $1 == "GOMAXPROCS" { mp = $2; if (mp > maxmp) maxmp = mp; next }
     key = name "@" mp
     if (!(key in ns)) { order[n++] = key; bname[key] = name; bmp[key] = mp }
     ns[key] = $3
+    for (i = 4; i <= NF; i++) {
+        if ($i == "B/op") bop[key] = $(i-1)
+        if ($i == "allocs/op") allocs[key] = $(i-1)
+    }
 }
 # speedup queues one ratio line if both measurements exist.
 function speedup(label, num, den) {
@@ -122,8 +128,9 @@ END {
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) {
         k = order[i]
-        printf "    {\"name\": \"%s\", \"gomaxprocs\": %s, \"ns_per_op\": %s}%s\n", \
-            bname[k], bmp[k], ns[k], (i < n-1 ? "," : "")
+        mem = (k in bop) ? sprintf(", \"bytes_per_op\": %s, \"allocs_per_op\": %s", bop[k], allocs[k]) : ""
+        printf "    {\"name\": \"%s\", \"gomaxprocs\": %s, \"ns_per_op\": %s%s}%s\n", \
+            bname[k], bmp[k], ns[k], mem, (i < n-1 ? "," : "")
     }
     printf "  ],\n"
     speedup("parallel_vs_sequential_singlecore", "DesignSlack/arena-sequential@1", "DesignSlack/arena-parallel@1")
