@@ -23,7 +23,6 @@ import (
 	"repro/internal/pla"
 	"repro/internal/randnet"
 	"repro/internal/sim"
-	"repro/internal/sta"
 	"repro/internal/waveform"
 )
 
@@ -412,7 +411,7 @@ func BenchmarkClockTreeSkew(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sta.WorstSkew(results, 0.5); err != nil {
+		if _, err := core.WorstSkew(results, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -407,12 +407,11 @@ const maxCornerSamples = 4096
 // per-net derating. The analysis threshold and default required time are the
 // session's own, so the nominal typ corner agrees with GET /design/{id}/slack.
 type designCornersRequest struct {
-	Samples    int              `json:"samples,omitempty"`
-	Seed       int64            `json:"seed,omitempty"`
-	RSigma     float64          `json:"rSigma,omitempty"`
-	CSigma     float64          `json:"cSigma,omitempty"`
-	Corners    []rcdelay.Corner `json:"corners,omitempty"`
-	Sequential bool             `json:"sequential,omitempty"`
+	Samples int              `json:"samples,omitempty"`
+	Seed    int64            `json:"seed,omitempty"`
+	RSigma  float64          `json:"rSigma,omitempty"`
+	CSigma  float64          `json:"cSigma,omitempty"`
+	Corners []rcdelay.Corner `json:"corners,omitempty"`
 }
 
 // designCornersResponse answers with the multi-corner variation report for
@@ -470,14 +469,13 @@ func (s *server) handleDesignCorners(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), computeBudget)
 	defer cancel()
 	report, err := rcdelay.AnalyzeCorners(ctx, design, rcdelay.CornerOptions{
-		Corners:    req.Corners,
-		Samples:    req.Samples,
-		Seed:       req.Seed,
-		Variation:  rcdelay.CornerVariation{RSigma: req.RSigma, CSigma: req.CSigma},
-		Threshold:  threshold,
-		Required:   required,
-		Sequential: req.Sequential,
-		Obs:        s.obs,
+		Corners:   req.Corners,
+		Samples:   req.Samples,
+		Seed:      req.Seed,
+		Variation: rcdelay.CornerVariation{RSigma: req.RSigma, CSigma: req.CSigma},
+		Threshold: threshold,
+		Required:  required,
+		Obs:       s.obs,
 	})
 	if err != nil {
 		httpError(w, r, err.Error(), http.StatusUnprocessableEntity)

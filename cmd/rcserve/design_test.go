@@ -660,6 +660,10 @@ func TestDesignCorners(t *testing.T) {
 	if code, msg := post(`{"bogus": 1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field = %d: %s", code, msg)
 	}
+	// The removed sequential field is an unknown field like any other.
+	if code, msg := post(`{"sequential": true}`); code != http.StatusBadRequest || !strings.Contains(msg, "sequential") {
+		t.Errorf("corners with sequential = %d: %s", code, msg)
+	}
 	req := httptest.NewRequest(http.MethodPost, "/design/nope/corners", strings.NewReader(""))
 	w := httptest.NewRecorder()
 	srv.ServeHTTP(w, req)

@@ -13,7 +13,9 @@
 //	statime -corners -samples 128 -rsigma 0.05 -csigma 0.05 -threshold 0.7 chip.ckt
 //
 // The default mode times each file as an independent net against the
-// deadline. With -design, the single input file is a multi-net design deck
+// deadline: per output it reports TP/TD/TR/Ree, the [Tmin, Tmax] crossing
+// bounds, the Elmore delay, both slacks and the Figure 9 verdict, worst
+// slack first. With -design, the single input file is a multi-net design deck
 // (.net/.endnet sections glued by .stage cards): the chip-level engine
 // levelizes the stage DAG, propagates interval arrival times, and reports
 // per-endpoint slack plus the -k most critical paths; -deadline then serves
@@ -64,7 +66,6 @@ import (
 
 	rcdelay "repro"
 	"repro/internal/netlist"
-	"repro/internal/sta"
 )
 
 func main() {
@@ -164,24 +165,11 @@ func run(w io.Writer, paths []string, threshold float64, deadlineStr, format str
 	if err != nil {
 		return fmt.Errorf("bad -deadline: %w", err)
 	}
-	nets, err := loadNets(paths, threshold, deadline)
+	report, err := loadNets(paths, threshold, deadline)
 	if err != nil {
 		return err
 	}
-	report, err := sta.Analyze(nets)
-	if err != nil {
-		return err
-	}
-	switch strings.ToLower(format) {
-	case "text":
-		_, err = fmt.Fprint(w, report.Summary())
-		return err
-	case "csv":
-		return report.WriteCSV(w)
-	case "json":
-		return report.WriteJSON(w)
-	}
-	return fmt.Errorf("unknown -format %q (want text, csv or json)", format)
+	return writeReport(w, format, report)
 }
 
 // loadDesign is the shared prologue of the -design and -eco modes: exactly
@@ -213,7 +201,7 @@ func loadDesign(mode string, paths []string, deadlineStr string) (*rcdelay.Desig
 	return design, required, nil
 }
 
-// reporter is the text/csv/json surface the chip and ECO reports share.
+// reporter is the text/csv/json surface every mode's report shares.
 type reporter interface {
 	Summary() string
 	WriteCSV(io.Writer) error
@@ -337,21 +325,4 @@ func runClose(ctx context.Context, w, progressW io.Writer, paths []string, thres
 		return err
 	}
 	return writeReport(w, format, report)
-}
-
-func loadNets(paths []string, threshold, deadline float64) ([]sta.Net, error) {
-	nets := make([]sta.Net, 0, len(paths))
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := rcdelay.ParseNetlist(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		nets = append(nets, sta.Net{Name: name, Tree: tree, Threshold: threshold, Deadline: deadline})
-	}
-	return nets, nil
 }

@@ -11,7 +11,6 @@ import (
 	rcdelay "repro"
 	"repro/internal/core"
 	"repro/internal/htree"
-	"repro/internal/sta"
 )
 
 func main() {
@@ -36,7 +35,7 @@ func main() {
 	fmt.Printf("per-leaf: TD=%.1f ps, crossing 0.5 within [%.1f, %.1f] ps\n",
 		first.Times.TD, first.Bounds.TMin(0.5), first.Bounds.TMax(0.5))
 
-	worst, err := sta.WorstSkew(results, 0.5)
+	worst, err := core.WorstSkew(results, 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 	slow := core.Result{Output: first.Output, Name: "loaded-leaf", Times: slowTimes, Bounds: slowBounds}
-	sb, err := sta.Skew(slow, results[1], 0.5)
+	sb, err := core.Skew(slow, results[1], 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -134,3 +134,32 @@ func TestAnalyzeTreePropagatesErrors(t *testing.T) {
 		t.Error("expected characteristic-times error")
 	}
 }
+
+// TestSkewThreshold: Skew has no default threshold, so it refuses every
+// value outside the open interval (0,1), NaN and 0 included.
+func TestSkewThreshold(t *testing.T) {
+	results, err := AnalyzeTree(buildFanout(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+		{"one", 1},
+		{"negative", -0.1},
+		{"zero", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Skew(results[0], results[1], tc.v); err == nil {
+				t.Errorf("threshold %g accepted", tc.v)
+			}
+		})
+	}
+	if _, err := Skew(results[0], results[1], 0.7); err != nil {
+		t.Errorf("threshold 0.7 refused: %v", err)
+	}
+}

@@ -6,7 +6,7 @@
 //
 // Because the topology is perfectly symmetric, every leaf must see identical
 // characteristic times; the test suite uses that as a differential check on
-// the timing engine, and the sta.SkewBound of any leaf pair must collapse
+// the timing engine, and the core.SkewBound of any leaf pair must collapse
 // to the envelope width.
 package htree
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/sta"
 )
 
 func paperishConfig(levels int) Config {
@@ -67,7 +66,7 @@ func TestSkewBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := sta.Skew(results[0], results[1], 0.5)
+	sb, err := core.Skew(results[0], results[1], 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestSkewBounds(t *testing.T) {
 	if math.Abs(sb.Max-window) > 1e-9*(1+window) {
 		t.Errorf("skew max %g != uncertainty window %g", sb.Max, window)
 	}
-	worst, err := sta.WorstSkew(results, 0.5)
+	worst, err := core.WorstSkew(results, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +119,8 @@ func TestAsymmetricSkewDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild with an extra load on the first leaf via the sta-level trick:
-	// analyze, then compare against a tree with doubled leaf load elsewhere.
-	// Simpler: construct a second tree with different trunk halves is not
-	// expressible via Config, so perturb through core directly.
+	// Config cannot express one unbalanced leaf, so slow one leaf's times
+	// through core directly.
 	results, err := core.AnalyzeTree(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +136,7 @@ func TestAsymmetricSkewDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	slowRes := core.Result{Output: results[0].Output, Name: "slow", Times: slowTimes, Bounds: slow}
-	sb, err := sta.Skew(slowRes, results[1], 0.5)
+	sb, err := core.Skew(slowRes, results[1], 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +158,10 @@ func TestValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := sta.Skew(core.Result{}, core.Result{}, 0); err == nil {
+	if _, err := core.Skew(core.Result{}, core.Result{}, 0); err == nil {
 		t.Error("skew threshold 0 accepted")
 	}
-	if _, err := sta.WorstSkew(nil, 0.5); err == nil {
+	if _, err := core.WorstSkew(nil, 0.5); err == nil {
 		t.Error("WorstSkew on empty accepted")
 	}
 }

@@ -13,9 +13,10 @@ import (
 // Carlo samples: the arena path (one nominal tree sweep, then per sample a
 // DAG pass over λ-scaled nominal delays) versus rebuilding an
 // explicitly-scaled netlist and running a full analysis per sample — the
-// internal/mc approach lifted naively to designs. Both paths are
-// single-threaded so the ratio is per-sample work, not parallelism;
-// scripts/bench_trajectory.sh records the ratio as
+// internal/mc approach lifted naively to designs. The rebuild path is
+// single-threaded and the arena path runs min(GOMAXPROCS, samples) workers,
+// so the ratio is per-sample work, not parallelism, at GOMAXPROCS=1;
+// scripts/bench_trajectory.sh records that ratio as
 // corner_sweep_arena_vs_rebuild.
 func BenchmarkCornerSweep(b *testing.B) {
 	d := randnet.Design(rand.New(rand.NewSource(17)), randnet.DefaultDesignConfig(6, 4))
@@ -32,7 +33,7 @@ func BenchmarkCornerSweep(b *testing.B) {
 		}
 		opt := Options{
 			Samples: samples, Seed: 1, Variation: v, Corners: corners,
-			Threshold: th, Required: req, Sequential: true,
+			Threshold: th, Required: req,
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

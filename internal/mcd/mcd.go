@@ -21,11 +21,11 @@
 // scales and a sample's per-net factors scale each net's nominal delay
 // intervals by one λ per net: a corner or sample is a DAG arrival pass over
 // λ-scaled nominal delays, with no tree sweep and no tree construction.
-// Workers each own a VarArena clone and write disjoint sample rows of one
-// arrival matrix; the matrix and the clones are allocated once and reused
-// by every corner. The per-endpoint statistics then fan out over the same
-// workers, each owning a contiguous range of endpoints, which it takes in
-// blocks of statsBlock:
+// min(GOMAXPROCS, samples) workers each own a VarArena clone and write
+// disjoint sample rows of one arrival matrix; the matrix and the clones are
+// allocated once and reused by every corner. The per-endpoint statistics
+// then fan out over the same workers, each owning a contiguous range of
+// endpoints, which it takes in blocks of statsBlock:
 //
 //   - Moments: the worker walks the block's part of the matrix
 //     sample-major, folding each row's values into the block's Welford
@@ -124,17 +124,13 @@ type Options struct {
 	// Samples per corner; 0 means 256.
 	Samples int
 	// Seed feeds the factor draws; the same seed reproduces the same report
-	// exactly, at any worker count.
+	// exactly, at any GOMAXPROCS.
 	Seed int64
 	// Threshold is the receiving gates' switching threshold (0 means 0.5).
 	Threshold float64
 	// Required is the default required arrival time for endpoints without an
 	// explicit .require card; <= 0 leaves them unconstrained.
 	Required float64
-	// Workers caps sweep parallelism; 0 means GOMAXPROCS.
-	Workers int
-	// Sequential forces the whole sweep onto the caller's goroutine.
-	Sequential bool
 	// Obs receives per-corner sweep spans; nil disables telemetry.
 	Obs *obs.Registry
 }
@@ -411,12 +407,6 @@ func (opt Options) resolve() (Options, error) {
 			return opt, fmt.Errorf("mcd: %w", err)
 		}
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Sequential {
-		opt.Workers = 1
-	}
 	return opt, nil
 }
 
@@ -493,7 +483,7 @@ func AnalyzeGraph(ctx context.Context, g *timing.Graph, name string, opt Options
 	// by every corner.
 	sw := &sweep{
 		va: va, eps: eps, rF: rF, cF: cF,
-		samples: opt.Samples, workers: min(opt.Workers, opt.Samples),
+		samples: opt.Samples, workers: min(runtime.GOMAXPROCS(0), opt.Samples),
 		ranks:  quantileRanks(opt.Samples),
 		arrAll: make([]float64, opt.Samples*len(eps)),
 		views:  []*timing.VarArena{va},

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -100,7 +101,7 @@ func TestCornerSweepMatchesFullReanalysis(t *testing.T) {
 		d := testDesign(t, seed, 4, 2)
 		rep, err := Analyze(ctx, d, Options{
 			Samples: samples, Seed: seed, Variation: v,
-			Threshold: th, Required: req, Sequential: true,
+			Threshold: th, Required: req,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -229,29 +230,28 @@ func TestCornerSweepMatchesFullReanalysis(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkers: one seed must produce bit-identical
-// reports at any worker count, including the sequential path — workers write
-// disjoint sample columns and all statistics reduce sequentially.
+// reports at any worker count — workers write disjoint sample rows and every
+// statistic reduces in sample order. The sweep runs min(GOMAXPROCS, samples)
+// workers, so GOMAXPROCS sets the count.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	d := testDesign(t, 11, 5, 3)
 	opt := Options{
 		Samples: 24, Seed: 5, Variation: Variation{RSigma: 0.08, CSigma: 0.05},
 		Threshold: 0.55, Required: 500,
 	}
-	base := opt
-	base.Sequential = true
-	want, err := Analyze(context.Background(), d, base)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want, err := Analyze(context.Background(), d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 8} {
-		o := opt
-		o.Workers = workers
-		got, err := Analyze(context.Background(), d, o)
+	for _, procs := range []int{3, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, err := Analyze(context.Background(), d, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: report diverged from sequential baseline", workers)
+			t.Errorf("GOMAXPROCS=%d: report diverged from the one-worker report", procs)
 		}
 	}
 }
@@ -263,7 +263,7 @@ func TestCriticalityIsDistribution(t *testing.T) {
 	d := testDesign(t, 3, 4, 3)
 	rep, err := Analyze(context.Background(), d, Options{
 		Samples: 40, Seed: 9, Variation: Variation{RSigma: 0.1, CSigma: 0.1},
-		Required: 400, Sequential: true,
+		Required: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestCriticalityIsDistribution(t *testing.T) {
 // the count is nonzero and identical whatever the corner list.
 func TestClippedSharedAcrossCorners(t *testing.T) {
 	d := testDesign(t, 4, 3, 2)
-	high := Options{Samples: 50, Seed: 2, Variation: Variation{RSigma: 0.9, CSigma: 0.9}, Required: 300, Sequential: true}
+	high := Options{Samples: 50, Seed: 2, Variation: Variation{RSigma: 0.9, CSigma: 0.9}, Required: 300}
 	rep, err := Analyze(context.Background(), d, high)
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +414,7 @@ func TestReportSlackDistsMatchTwoSorts(t *testing.T) {
 	d := testDesign(t, 6, 4, 3)
 	const samples = 33
 	v := Variation{RSigma: 0.07, CSigma: 0.04}
-	opt := Options{Samples: samples, Seed: 3, Variation: v, Threshold: 0.6, Required: 300, Sequential: true}
+	opt := Options{Samples: samples, Seed: 3, Variation: v, Threshold: 0.6, Required: 300}
 	rep, err := Analyze(ctx, d, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -609,10 +609,12 @@ func floatBits(v reflect.Value) any {
 // TestAnalyzeMatchesSortOracle: AnalyzeGraph's selection-based statistics
 // and its rank-indexed row writes give reports bit-identical to the
 // sort-based oracle, over random designs, sample counts around the
-// selection's cutoffs and worker counts that split the endpoints unevenly.
+// selection's cutoffs and GOMAXPROCS worker counts that split the endpoints
+// unevenly.
 // The designs mix constrained and unconstrained endpoints; zero sigma makes
 // every column one tied value, and 0.9 sigma clips draws into ties.
 func TestAnalyzeMatchesSortOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	variations := []Variation{{}, {RSigma: 0.05}, {RSigma: 0.3, CSigma: 0.2}, {RSigma: 0.9, CSigma: 0.9}}
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
@@ -648,14 +650,14 @@ func TestAnalyzeMatchesSortOracle(t *testing.T) {
 		for _, samples := range []int{1, 2, 3, 12, 13, 31, 32, 33, 256} {
 			opt.Samples = samples
 			want := floatBits(reflect.ValueOf(oracleReport(t, g, d.Name, opt)))
-			for _, workers := range []int{1, 2, 3, 5} {
-				opt.Workers = workers
+			for _, procs := range []int{1, 2, 3, 5} {
+				runtime.GOMAXPROCS(procs)
 				rep, err := AnalyzeGraph(context.Background(), g, d.Name, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := floatBits(reflect.ValueOf(rep)); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d samples %d workers %d: report differs from the sort-based oracle", seed, samples, workers)
+					t.Fatalf("seed %d samples %d GOMAXPROCS %d: report differs from the sort-based oracle", seed, samples, procs)
 				}
 			}
 		}

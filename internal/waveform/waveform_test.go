@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mos"
 	"repro/internal/randnet"
 	"repro/internal/rctree"
 	"repro/internal/sim"
@@ -249,6 +250,44 @@ func TestCrossingBounds(t *testing.T) {
 	}
 	if !math.IsInf(tHiInf, 1) {
 		t.Errorf("tHi = %g, want +Inf for unreachable threshold", tHiInf)
+	}
+
+	// On every output of a multi-output fanout net, a finite input slew can
+	// only delay the crossing versus the ideal step, and a zero-rise ramp is
+	// the step (to the bisection's resolution, 1e-4 relative).
+	fan, err := mos.FanoutNet(mos.Superbuffer(),
+		[]float64{90, 180, 540}, []float64{0.005, 0.01, 0.03},
+		[]mos.Load{{Name: "g1", C: 0.013}, {Name: "g2", C: 0.013}, {Name: "g3", C: 0.013}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := core.AnalyzeTree(fan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("fanout net has %d outputs, want 3", len(results))
+	}
+	for _, res := range results {
+		for _, v := range []float64{0.5, 0.7} {
+			stepLo, stepHi := res.Bounds.TMin(v), res.Bounds.TMax(v)
+			lo, hi, err := CrossingBounds(res.Bounds, Ramp(200), v, 1e5, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo < stepLo-1e-6 || hi < stepHi-1e-6 {
+				t.Errorf("%s v=%g: ramp bounds [%g, %g] earlier than step bounds [%g, %g]",
+					res.Name, v, lo, hi, stepLo, stepHi)
+			}
+			lo, hi, err = CrossingBounds(res.Bounds, Ramp(0), v, 1e5, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(lo-stepLo) > 1e-4*(1+stepLo) || math.Abs(hi-stepHi) > 1e-4*(1+stepHi) {
+				t.Errorf("%s v=%g: zero-rise ramp [%g, %g] != step [%g, %g]",
+					res.Name, v, lo, hi, stepLo, stepHi)
+			}
+		}
 	}
 }
 

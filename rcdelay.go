@@ -446,7 +446,7 @@ type (
 	// each corner (relative 1-sigma spreads; zero disables the draws).
 	CornerVariation = mcd.Variation
 	// CornerOptions configures AnalyzeCorners (corner list, variation,
-	// sample count, seed, threshold, default required time, workers).
+	// sample count, seed, threshold, default required time, telemetry).
 	CornerOptions = mcd.Options
 	// CornerDist summarizes one sampled scalar: mean/std/min/max plus
 	// P50/P95/P99 under the shared internal/stats quantile convention.
@@ -474,9 +474,10 @@ func DefaultCorners() []Corner { return mcd.DefaultCorners() }
 // per-sample tree sweep or rebuild. The report carries,
 // per corner, nominal and sampled WNS/TNS, per-endpoint arrival and slack
 // distributions, and each endpoint's criticality (the fraction of samples in
-// which it is the WNS endpoint). Results are bit-identical for a given seed
-// regardless of worker count. cmd/rcserve's POST /design/{id}/corners and
-// statime -corners are the HTTP and CLI forms.
+// which it is the WNS endpoint). The sweep runs min(GOMAXPROCS, samples)
+// workers, and results are bit-identical for a given seed at any
+// GOMAXPROCS. cmd/rcserve's POST /design/{id}/corners and statime -corners
+// are the HTTP and CLI forms.
 func AnalyzeCorners(ctx context.Context, d *Design, opt CornerOptions) (*CornerReport, error) {
 	return mcd.Analyze(ctx, d, opt)
 }
