@@ -251,10 +251,12 @@ func TestCrossingBounds(t *testing.T) {
 	if !math.IsInf(tHiInf, 1) {
 		t.Errorf("tHi = %g, want +Inf for unreachable threshold", tHiInf)
 	}
+}
 
-	// On every output of a multi-output fanout net, a finite input slew can
-	// only delay the crossing versus the ideal step, and a zero-rise ramp is
-	// the step (to the bisection's resolution, 1e-4 relative).
+// fanoutResults times the three outputs of a superbuffer-driven fanout net
+// whose branches differ in length.
+func fanoutResults(t *testing.T) []core.Result {
+	t.Helper()
 	fan, err := mos.FanoutNet(mos.Superbuffer(),
 		[]float64{90, 180, 540}, []float64{0.005, 0.01, 0.03},
 		[]mos.Load{{Name: "g1", C: 0.013}, {Name: "g2", C: 0.013}, {Name: "g3", C: 0.013}})
@@ -268,18 +270,38 @@ func TestCrossingBounds(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("fanout net has %d outputs, want 3", len(results))
 	}
-	for _, res := range results {
+	return results
+}
+
+// TestRampNotEarlierThanStep: on every output of a multi-output fanout net,
+// a finite input slew can only delay the crossing versus the ideal step.
+func TestRampNotEarlierThanStep(t *testing.T) {
+	for _, res := range fanoutResults(t) {
 		for _, v := range []float64{0.5, 0.7} {
 			stepLo, stepHi := res.Bounds.TMin(v), res.Bounds.TMax(v)
 			lo, hi, err := CrossingBounds(res.Bounds, Ramp(200), v, 1e5, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if lo > hi {
+				t.Errorf("%s v=%g: ramp bounds [%g, %g] inverted", res.Name, v, lo, hi)
+			}
 			if lo < stepLo-1e-6 || hi < stepHi-1e-6 {
 				t.Errorf("%s v=%g: ramp bounds [%g, %g] earlier than step bounds [%g, %g]",
 					res.Name, v, lo, hi, stepLo, stepHi)
 			}
-			lo, hi, err = CrossingBounds(res.Bounds, Ramp(0), v, 1e5, 64)
+		}
+	}
+}
+
+// TestZeroRiseRampMatchesStep: on every output of a multi-output fanout
+// net, a zero-rise ramp is the step, to the bisection's resolution (1e-4
+// relative).
+func TestZeroRiseRampMatchesStep(t *testing.T) {
+	for _, res := range fanoutResults(t) {
+		for _, v := range []float64{0.5, 0.7} {
+			stepLo, stepHi := res.Bounds.TMin(v), res.Bounds.TMax(v)
+			lo, hi, err := CrossingBounds(res.Bounds, Ramp(0), v, 1e5, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
