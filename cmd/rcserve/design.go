@@ -18,7 +18,7 @@ import (
 
 // A designSession is one live chip design held server-side as an incremental
 // re-timing session: POST /design runs the full levelized analysis once
-// through the shared batch engine, POST /design/{id}/edit absorbs ECO edits
+// over the design's flat arena, POST /design/{id}/edit absorbs ECO edits
 // by re-timing only the dirty cone, and GET /design/{id}/slack reads the
 // current report. The mutex serializes all access to the session (which is
 // single-writer); lifecycle (ids, TTL expiry, LRU eviction) lives in the
@@ -205,16 +205,16 @@ type designEditResponse struct {
 // endpoint, with slack instead of characteristic times in the answer.
 func (s *server) handleDesignEdit(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
-	done, ok := admitOr429(w, r, s.designs, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	defer done()
 	ent, ok := s.lookupDesign(w, r)
 	if !ok {
 		return
 	}
 	defer s.designs.release(ent)
+	done, ok := admitOr429(w, r, s.designs, ent)
+	if !ok {
+		return
+	}
+	defer done()
 	var req designEditRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
@@ -269,16 +269,16 @@ func (s *server) handleDesignEdit(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleDesignSlack(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_slack_queries_total", 1)
-	done, ok := admitOr429(w, r, s.designs, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	defer done()
 	ent, ok := s.lookupDesign(w, r)
 	if !ok {
 		return
 	}
 	defer s.designs.release(ent)
+	done, ok := admitOr429(w, r, s.designs, ent)
+	if !ok {
+		return
+	}
+	defer done()
 	id, _ := json.Marshal(ent.id) // a string always marshals
 	ds := ent.val
 	s.lockDesign(r.Context(), ds)
@@ -327,12 +327,27 @@ type designCloseResponse struct {
 	Error  string                 `json:"error,omitempty"`
 }
 
-// closeSession runs the closure engine on ds's session for at most
-// computeBudget. The caller holds ds.mu.
-func (s *server) closeSession(ctx context.Context, ds *designSession, o rcdelay.ClosureOptions) (*rcdelay.ClosureReport, error) {
-	ctx, cancel := context.WithTimeout(ctx, computeBudget)
-	defer cancel()
-	return rcdelay.CloseSession(ctx, ds.sess, o)
+// closeDesign is the one commit path of /close, buffered and streamed: under
+// ds's lock it calls started (when set), runs the closure engine for at most
+// computeBudget, and commits what the run accepted. A cancelled run still
+// applied its accepted prefix, so report may be non-nil alongside err; the
+// prefix is counted in memory and appended to the WAL (closure moves are ECO
+// edits like any other — a restart replays the repair), on ctx rather than
+// the expired compute budget. gen is the session generation afterwards.
+func (s *server) closeDesign(ctx context.Context, ds *designSession, o rcdelay.ClosureOptions, started func()) (report *rcdelay.ClosureReport, gen uint64, err, walErr error) {
+	s.lockDesign(ctx, ds)
+	defer ds.mu.Unlock()
+	if started != nil {
+		started()
+	}
+	cctx, cancel := context.WithTimeout(ctx, computeBudget)
+	report, err = rcdelay.CloseSession(cctx, ds.sess, o)
+	cancel()
+	if report != nil {
+		ds.edits += len(report.Edits)
+		walErr = s.walAppend(ctx, ds, report.Edits)
+	}
+	return report, ds.sess.Gen(), err, walErr
 }
 
 // handleDesignClose runs the automated timing-closure engine on the live
@@ -343,16 +358,16 @@ func (s *server) closeSession(ctx context.Context, ds *designSession, o rcdelay.
 func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_close_requests_total", 1)
-	done, ok := admitOr429(w, r, s.designs, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	defer done()
 	ent, ok := s.lookupDesign(w, r)
 	if !ok {
 		return
 	}
 	defer s.designs.release(ent)
+	done, ok := admitOr429(w, r, s.designs, ent)
+	if !ok {
+		return
+	}
+	defer done()
 	var req designCloseRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
@@ -364,20 +379,7 @@ func (s *server) handleDesignClose(w http.ResponseWriter, r *http.Request) {
 		s.streamDesignClose(w, r, ent, req)
 		return
 	}
-	ds := ent.val
-	s.lockDesign(r.Context(), ds)
-	report, err := s.closeSession(r.Context(), ds, req.options(s.obs))
-	var walErr error
-	if report != nil {
-		// A cancelled run still applied its accepted prefix; account for it
-		// in memory and in the WAL (closure moves are ECO edits like any
-		// other — a restart replays the repair). The log write is on the
-		// request's context, not the expired compute budget's.
-		ds.edits += len(report.Edits)
-		walErr = s.walAppend(r.Context(), ds, report.Edits)
-	}
-	gen := ds.sess.Gen()
-	ds.mu.Unlock()
+	report, gen, err, walErr := s.closeDesign(r.Context(), ent.val, req.options(s.obs), nil)
 	if err != nil && report == nil {
 		httpError(w, r, err.Error(), http.StatusUnprocessableEntity)
 		return
@@ -432,16 +434,16 @@ type designCornersResponse struct {
 func (s *server) handleDesignCorners(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_design_requests_total", 1)
 	s.count("rcserve_corner_requests_total", 1)
-	done, ok := admitOr429(w, r, s.designs, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	defer done()
 	ent, ok := s.lookupDesign(w, r)
 	if !ok {
 		return
 	}
 	defer s.designs.release(ent)
+	done, ok := admitOr429(w, r, s.designs, ent)
+	if !ok {
+		return
+	}
+	defer done()
 	var req designCornersRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()

@@ -41,7 +41,7 @@ C1 far 0 0.013
 `
 
 func designServer() *server {
-	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{Workers: 2}))
+	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{}))
 	srv.logger = slog.New(slog.DiscardHandler) // keep request lines out of test output
 	return srv
 }

@@ -192,8 +192,8 @@ func TestDesignLazyRecoveryAfterEviction(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("create B = %d", code)
 	}
-	if srv.designs.evicted.Load() != 1 {
-		t.Fatalf("evicted = %d, want 1", srv.designs.evicted.Load())
+	if got := srv.designs.stats()["evicted"]; got != int64(1) {
+		t.Fatalf("evicted = %v, want 1", got)
 	}
 
 	code, info := serveJSON(t, srv, http.MethodGet, "/design/"+aID, "")

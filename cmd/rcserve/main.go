@@ -1,11 +1,12 @@
 // Command rcserve exposes the Penfield–Rubinstein bound analysis as an HTTP
-// service backed by the concurrent batch engine: every request is routed
-// through a shared worker pool, and repeated networks hit the shared
-// memoization cache instead of being reanalyzed.
+// service. /analyze and /certify run on the concurrent batch engine, where
+// repeated networks hit the shared memoization cache instead of being
+// reanalyzed; the session and design endpoints keep incremental state
+// server-side.
 //
 // Usage:
 //
-//	rcserve -addr :8080 -workers 8 -cache 4096
+//	rcserve -addr :8080 -cache 4096
 //
 // Endpoints:
 //
@@ -18,8 +19,8 @@
 //	GET    /session/{id}/bounds current bound tables of every output
 //	DELETE /session/{id}        close a session
 //	POST   /design              analyze a multi-net chip design (levelized
-//	                            interval-arrival timing over the worker pool)
-//	                            and open an incremental re-timing session
+//	                            interval-arrival timing) and open an
+//	                            incremental re-timing session
 //	GET    /design/{id}         design summary (WNS/TNS, verdict counts)
 //	POST   /design/{id}/edit    apply ECO edits; only the edited nets and
 //	                            their downstream fanout cones are re-timed
@@ -117,8 +118,7 @@ const (
 	defaultSessionTTL  = 15 * time.Minute
 	defaultMaxSessions = 1024
 	defaultMaxBody     = 8 << 20 // bytes
-	defaultStoreShards = 8
-	defaultShardQueue  = 64
+	defaultQueue       = 64
 	defaultEditBurst   = 256
 	defaultSnapEvery   = 64 // WAL edits between automatic snapshots
 	writeTimeout       = 60 * time.Second
@@ -135,14 +135,12 @@ var computeBudget = writeTimeout - 5*time.Second
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		cache       = flag.Int("cache", 0, "memoization cache entries (0 = default, negative = disabled)")
 		sessionTTL  = flag.Duration("session-ttl", defaultSessionTTL, "idle lifetime of editing sessions")
 		maxSessions = flag.Int("max-sessions", defaultMaxSessions, "maximum live editing sessions (LRU-evicted beyond)")
 		maxBody     = flag.Int64("max-body", defaultMaxBody, "maximum request body size in bytes")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown drain waits for in-flight requests")
-		shards      = flag.Int("shards", defaultStoreShards, "id-hash lock shards per store")
-		shardQueue  = flag.Int("shard-queue", defaultShardQueue, "per-shard admission-queue depth (beyond it heavy requests get 429)")
+		queue       = flag.Int("queue", defaultQueue, "heavy requests in flight per session or design (beyond it they get 429)")
 		editRate    = flag.Float64("edit-rate", 0, "per-session sustained edits/second (0 = unlimited; beyond it edits get 429)")
 		editBurst   = flag.Float64("edit-burst", defaultEditBurst, "per-session edit token-bucket burst")
 		dataDir     = flag.String("data-dir", "", "durability directory: per-design WAL + snapshots (empty = in-memory only)")
@@ -157,12 +155,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("rcserve: %v", err)
 	}
-	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{Workers: *workers, CacheSize: *cache}))
+	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{CacheSize: *cache}))
 	srv.tracer = trace.New(trace.Options{Capacity: *traceBuf, SlowThreshold: *traceSlow})
 	srv.logger = logger
 	cfg := storeConfig{
-		ttl: *sessionTTL, max: *maxSessions,
-		shards: *shards, queue: *shardQueue,
+		ttl: *sessionTTL, max: *maxSessions, queue: *queue,
 		editRate: *editRate, editBurst: *editBurst,
 	}
 	srv.sessions = newSessionStore(cfg)
@@ -229,11 +226,12 @@ func main() {
 	}
 }
 
-// server routes HTTP requests into a shared batch engine and a session
-// store. It implements http.Handler so tests can drive it through httptest
-// without a socket. Every server owns its own metrics registry — two
-// servers in one process (as in tests) never alias each other's counters,
-// which the old process-global expvar registration could not guarantee.
+// server routes /analyze and /certify into a shared batch engine and the
+// session and design endpoints into their stores. It implements
+// http.Handler so tests can drive it through httptest without a socket.
+// Every server owns its own metrics registry — two servers in one process
+// (as in tests) never alias each other's counters, which the old
+// process-global expvar registration could not guarantee.
 type server struct {
 	engine   *rcdelay.BatchEngine
 	sessions *sessionStore
@@ -410,19 +408,19 @@ func httpError(w http.ResponseWriter, r *http.Request, msg string, status int) {
 }
 
 // rateLimited answers 429 with a Retry-After hint — the backpressure signal
-// for both the per-session edit-rate limit and a full shard queue.
+// for both the per-session edit-rate limit and a full admission queue.
 func rateLimited(w http.ResponseWriter, r *http.Request, msg string) {
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusTooManyRequests, errorBody(r, msg))
 }
 
-// admitOr429 takes an admission token from id's shard queue, answering 429
-// when the shard is already at its in-flight depth. The returned func gives
-// the token back; call it when the request is done.
-func admitOr429[T any](w http.ResponseWriter, r *http.Request, st *ttlStore[T], id string) (func(), bool) {
-	done, ok := st.admit(id)
+// admitOr429 admits one heavy request on the pinned entry e, answering 429
+// when e already has its queue depth in flight. The returned func ends the
+// admission; call it when the request is done.
+func admitOr429[T any](w http.ResponseWriter, r *http.Request, st *ttlStore[T], e *entry[T]) (func(), bool) {
+	done, ok := st.admit(e)
 	if !ok {
-		rateLimited(w, r, "shard admission queue full")
+		rateLimited(w, r, "admission queue full")
 		return nil, false
 	}
 	return done, true

@@ -23,7 +23,7 @@ C3 n2 0 9
 
 func testServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{Workers: 2}))
+	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{}))
 	srv.logger = slog.New(slog.DiscardHandler)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

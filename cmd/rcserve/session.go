@@ -160,16 +160,16 @@ func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // interactive clients get edit→times in one round trip.
 func (s *server) handleSessionEdit(w http.ResponseWriter, r *http.Request) {
 	s.count("rcserve_session_requests_total", 1)
-	done, ok := admitOr429(w, r, s.sessions, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	defer done()
 	ent, ok := s.lookupSession(w, r)
 	if !ok {
 		return
 	}
 	defer s.sessions.release(ent)
+	done, ok := admitOr429(w, r, s.sessions, ent)
+	if !ok {
+		return
+	}
+	defer done()
 	sess := ent.val
 	var req editRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))

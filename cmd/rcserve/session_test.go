@@ -377,7 +377,7 @@ func TestSessionTTLAndEviction(t *testing.T) {
 // TestBodyCap: requests beyond -max-body are rejected with 413 on both the
 // batch and session surfaces.
 func TestBodyCap(t *testing.T) {
-	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{Workers: 1}))
+	srv := newServer(rcdelay.NewBatchEngine(rcdelay.BatchOptions{}))
 	srv.logger = slog.New(slog.DiscardHandler)
 	srv.maxBody = 256
 	ts := httptest.NewServer(srv)

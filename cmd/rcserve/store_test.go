@@ -144,29 +144,40 @@ func TestStoreTTLBoundaryAgrees(t *testing.T) {
 	st3.release(got)
 }
 
-// TestStoreAdmitBackpressure: the per-shard admission queue hands out
-// exactly queue-depth tokens; the next request is refused (the handler's 429)
-// until one is returned.
+// TestStoreAdmitBackpressure: admission is per entry. An entry admits
+// exactly queue-depth heavy requests and refuses the next (the handler's
+// 429) until one ends, while another entry is still admitted.
 func TestStoreAdmitBackpressure(t *testing.T) {
-	st := newTTLStore[int](storeConfig{ttl: time.Hour, max: 8, shards: 1, queue: 2})
-	d1, ok1 := st.admit("a")
-	d2, ok2 := st.admit("b")
+	st := newTTLStore[int](storeConfig{ttl: time.Hour, max: 8, queue: 2})
+	a, b := st.create(1), st.create(2)
+	defer st.release(a)
+	defer st.release(b)
+	d1, ok1 := st.admit(a)
+	d2, ok2 := st.admit(a)
 	if !ok1 || !ok2 {
 		t.Fatal("admission under the queue depth refused")
 	}
-	if _, ok := st.admit("c"); ok {
+	if _, ok := st.admit(a); ok {
 		t.Fatal("admission over the queue depth granted")
 	}
-	if st.rejected.Load() != 1 {
-		t.Errorf("rejected = %d, want 1", st.rejected.Load())
+	if got := st.stats()["rejected"]; got != int64(1) {
+		t.Errorf("rejected = %v, want 1", got)
 	}
-	d1()
-	d3, ok := st.admit("c")
+	db, ok := st.admit(b)
 	if !ok {
-		t.Fatal("freed admission token not reusable")
+		t.Fatal("a full entry refused admission to another entry")
+	}
+	db()
+	d1()
+	d3, ok := st.admit(a)
+	if !ok {
+		t.Fatal("ended admission not reusable")
 	}
 	d3()
 	d2()
+	if a.inflight != 0 || b.inflight != 0 {
+		t.Errorf("in flight after every admission ended: a %d, b %d", a.inflight, b.inflight)
+	}
 }
 
 // TestStoreEditRateLimit: the token bucket grants the burst immediately,
@@ -184,8 +195,8 @@ func TestStoreEditRateLimit(t *testing.T) {
 	if st.allowEdits(e, 1) {
 		t.Fatal("edit over the drained bucket allowed")
 	}
-	if st.throttled.Load() != 1 {
-		t.Errorf("throttled = %d, want 1", st.throttled.Load())
+	if got := st.stats()["throttled"]; got != int64(1) {
+		t.Errorf("throttled = %v, want 1", got)
 	}
 	clk.Advance(300 * time.Millisecond) // 3 tokens back at 10/s
 	if !st.allowEdits(e, 3) {
@@ -208,7 +219,7 @@ func TestStoreEditRateLimit(t *testing.T) {
 // for the eviction-vs-in-flight-handler races the pinned store closes.
 func TestStoreLifecycleHammer(t *testing.T) {
 	clk := newFakeClock()
-	st := newTTLStore[int](storeConfig{ttl: 10 * time.Millisecond, max: 4, shards: 2})
+	st := newTTLStore[int](storeConfig{ttl: 10 * time.Millisecond, max: 4})
 	st.now = clk.Now
 
 	const workers, iters = 8, 200
@@ -250,10 +261,57 @@ func TestStoreLifecycleHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The size counter and the shard maps must agree after the dust settles.
-	live := len(st.ids())
-	if st.active() != live {
-		t.Fatalf("size counter %d, live entries %d", st.active(), live)
+	// Every pin was released.
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for id, e := range st.m {
+		if e.refs != 0 {
+			t.Errorf("entry %s still pinned %d times", id, e.refs)
+		}
+	}
+}
+
+// TestStoreCapacityUnderConcurrentCreates: 32 goroutines create, get and
+// release on a store of max 4, holding at most 4 pins at once, so whenever
+// the store holds more than 4 entries one of them is unpinned and a create
+// must have evicted it. The cap check, eviction and insert of create share
+// one critical section, so no interleaving of creates overshoots the cap.
+func TestStoreCapacityUnderConcurrentCreates(t *testing.T) {
+	const limit, workers, iters = 4, 32, 200
+	st := newTTLStore[int](storeConfig{ttl: time.Hour, max: limit})
+	pins := make(chan struct{}, limit)
+	var wg sync.WaitGroup
+	ids := make(chan string, workers*iters)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				pins <- struct{}{}
+				var e *entry[int]
+				if i%2 == 0 {
+					e = st.create(w)
+					ids <- e.id
+				} else {
+					select {
+					case id := <-ids:
+						e, _ = st.get(id)
+					default:
+					}
+				}
+				if n := st.active(); n > limit {
+					t.Errorf("%d entries live with at most %d pinned, cap %d", n, limit, limit)
+				}
+				if e != nil {
+					st.release(e)
+				}
+				<-pins
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := st.active(); n > limit {
+		t.Fatalf("%d entries live after every pin was released, cap %d", n, limit)
 	}
 }
 
@@ -277,33 +335,16 @@ func TestStoreStatsShape(t *testing.T) {
 	e := st.create(1)
 	st.release(e)
 	got := st.stats()
-	for _, key := range []string{"active", "shards", "created", "expired", "closed", "evicted", "rejected", "throttled"} {
+	keys := []string{"active", "created", "expired", "closed", "evicted", "rejected", "throttled"}
+	for _, key := range keys {
 		if _, ok := got[key]; !ok {
 			t.Errorf("stats missing %q: %v", key, got)
 		}
 	}
+	if len(got) != len(keys) {
+		t.Errorf("stats has %d keys, want %d: %v", len(got), len(keys), got)
+	}
 	if got["active"].(int) != 1 || got["created"].(int64) != 1 {
 		t.Errorf("stats = %v", got)
-	}
-}
-
-// TestStoreShardSpread sanity-checks the id hash: random ids must not all
-// land on one shard.
-func TestStoreShardSpread(t *testing.T) {
-	st := newTTLStore[int](storeConfig{ttl: time.Hour, max: 1024, shards: 8})
-	for i := 0; i < 256; i++ {
-		e := st.create(i)
-		st.release(e)
-	}
-	perShard := make(map[int]int)
-	for i, sh := range st.shards {
-		sh.mu.Lock()
-		perShard[i] = len(sh.m)
-		sh.mu.Unlock()
-	}
-	for i, n := range perShard {
-		if n == 256 {
-			t.Fatalf("all entries hashed to shard %d: %v", i, perShard)
-		}
 	}
 }

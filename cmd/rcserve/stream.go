@@ -99,22 +99,15 @@ func (s *server) streamDesignClose(w http.ResponseWriter, r *http.Request, ent *
 	w.WriteHeader(http.StatusOK)
 	sse := &sseWriter{w: w, f: flusher}
 
-	ds := ent.val
-	s.lockDesign(r.Context(), ds)
-	wns, tns := ds.sess.Summary()
-	sse.event("start", closeStartEvent{
-		ID: ent.id, Gen: ds.sess.Gen(), WNS: finitePtr(wns), TNS: tns,
-	})
+	sess := ent.val.sess
 	opt := req.options(s.obs)
 	opt.Progress = func(ev rcdelay.ClosureProgress) { sse.event("move", ev) }
-	report, err := s.closeSession(r.Context(), ds, opt)
-	var walErr error
-	if report != nil {
-		ds.edits += len(report.Edits)
-		walErr = s.walAppend(r.Context(), ds, report.Edits)
-	}
-	gen := ds.sess.Gen()
-	ds.mu.Unlock()
+	report, gen, err, walErr := s.closeDesign(r.Context(), ent.val, opt, func() {
+		wns, tns := sess.Summary()
+		sse.event("start", closeStartEvent{
+			ID: ent.id, Gen: sess.Gen(), WNS: finitePtr(wns), TNS: tns,
+		})
+	})
 
 	done := closeDoneEvent{ID: ent.id, Gen: gen}
 	if err != nil {

